@@ -30,7 +30,6 @@ from .assembly import (
     assemble,
     equality_family,
     from_unconditional,
-    global_hull,
     godbersen_check,
     lab_mixed,
     lab_volume,

@@ -161,7 +161,7 @@ class ReverseKleitmanReport:
 def reverse_kleitman_check(k: AntiBlockingBody, t: AntiBlockingBody, j: int) -> ReverseKleitmanReport:
     """Check V_n(K[j], T[n-j]) <= V_n(K[j], -T[n-j]) on a concrete pair.
 
-    Both sides go through the interpolation engine; nothing is assumed.
+    Both sides go through the Cayley mixed-volume engine; nothing is assumed.
     Equality occurrences are recorded but not classified.
     """
     lhs = mixed_volume_pair(k.body, t.body, j)

@@ -251,11 +251,6 @@ def negate_assembly(a: OrthantAssembly) -> OrthantAssembly:
     return OrthantAssembly(a.dim, flipped)
 
 
-def global_hull(a: OrthantAssembly) -> VPolytope:
-    """The assembly as one polytope (hull of all reflected piece vertices)."""
-    return a.hull
-
-
 @dataclass(frozen=True)
 class GodbersenReport:
     j: int

@@ -7,13 +7,14 @@ strings (an optional approximation column in CSV is clearly marked).
 Exit codes: 0 all checks pass; 1 a verified inequality was violated (a
 would-be counterexample, i.e. an engine bug worth reporting); 2 parse or
 configuration failure; 3 requested method inapplicable to the input class;
-4 cross-check disagreement between independent computation paths.
+4 cross-check disagreement between independent computation paths; 5 internal
+error (a failed engine self-check or a generator that gave up), never a
+verdict on the inequality.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -34,12 +35,13 @@ from .assembly import (
 from .geometry import (
     VPolytope,
     join_hull,
+    max_dim,
     negate,
     standard_simplex,
     unit_cube,
     volume,
 )
-from .mixed import mixed_volume_pair
+from .mixed import mixed_volume_pair, volume_polynomial_by_probes
 from .simplex import AlignedSimplex, corollary_mixed_volume, lemma_mixed_volume
 
 EXIT_OK = 0
@@ -47,6 +49,7 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 _SWEEP_DIM_CAP = 4
 _SINGLE_DIM_CAP = 6
@@ -59,10 +62,7 @@ class CliError(Exception):
 
 
 def _dim_cap(kind: str) -> int:
-    env = os.environ.get("CORNER_MIXVOL_MAX_DIM")
-    if env:
-        return int(env)
-    return _SWEEP_DIM_CAP if kind == "sweep" else _SINGLE_DIM_CAP
+    return max_dim(_SWEEP_DIM_CAP if kind == "sweep" else _SINGLE_DIM_CAP)
 
 
 def _check_dim(n: int, kind: str) -> None:
@@ -189,8 +189,11 @@ def cmd_mixvol(args) -> int:
     if not 0 <= j <= k.dim:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{k.dim}")
 
-    def by_interpolation() -> Fraction:
+    def by_cayley() -> Fraction:
         return mixed_volume_pair(k, t, j)
+
+    def by_interpolation() -> Fraction:
+        return volume_polynomial_by_probes(k, t).mixed(j)
 
     def by_decomposition() -> Fraction:
         try:
@@ -216,6 +219,7 @@ def cmd_mixvol(args) -> int:
         return corollary_mixed_volume(sk, st, j)
 
     methods = {
+        "cayley": by_cayley,
         "interpolation": by_interpolation,
         "decomposition": by_decomposition,
         "closed-form": by_closed_form,
@@ -459,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k_file")
     p.add_argument("t_file")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--method", choices=("interpolation", "decomposition", "closed-form"),
-                   default="interpolation")
+    p.add_argument("--method",
+                   choices=("cayley", "interpolation", "decomposition", "closed-form"),
+                   default="cayley")
     p.add_argument("--cross-check", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mixvol)
@@ -534,6 +539,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RuntimeError as exc:
+        # GenerationError and failed engine self-checks.  This comes after
+        # EngineDisagreementError, a RuntimeError that keeps its own code.
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -42,12 +42,20 @@ __all__ = [
 ]
 
 
-def max_dim() -> int:
-    """Ambient-dimension safety cap; CORNER_MIXVOL_MAX_DIM raises it at your own risk."""
+def max_dim(default: int = _hull.MAX_DIM) -> int:
+    """Dimension safety cap: CORNER_MIXVOL_MAX_DIM when set, else ``default``.
+
+    The variable is read here only, and it replaces every cap, the library's
+    and the CLI's, at your own risk.  A value that is not an integer raises
+    ValueError.
+    """
     env = os.environ.get("CORNER_MIXVOL_MAX_DIM")
-    if env:
+    if not env:
+        return default
+    try:
         return int(env)
-    return _hull.MAX_DIM
+    except ValueError:
+        raise ValueError(f"CORNER_MIXVOL_MAX_DIM must be an integer, got {env!r}") from None
 
 
 def as_vec(point) -> Vec:
@@ -69,6 +77,11 @@ class VPolytope:
         for v in self.vertices:
             if len(v) != self.dim:
                 raise ValueError("vertex dimension mismatch")
+        # Canonical order is what makes ==, hash and the vertex-keyed caches
+        # sound; irredundancy is the constructors' job and is not re-checked.
+        for u, v in zip(self.vertices, self.vertices[1:]):
+            if not u < v:
+                raise ValueError("vertices must be strictly lex-ascending (use from_points)")
 
     @staticmethod
     def from_points(points, dim: int | None = None) -> "VPolytope":

@@ -55,7 +55,7 @@ class _Placing:
     def __init__(self, n: int, points: list[tuple[int, ...]], simplex_ids: list[int]):
         self.n = n
         self.points = points
-        self.apex = points[simplex_ids[0]]
+        self.apex_id = simplex_ids[0]
         self.osum = tuple(sum(points[i][j] for i in simplex_ids) for j in range(n))
         self.pieces: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self.alive: set[int] = set()
@@ -179,20 +179,27 @@ class _Placing:
             seen[(a, b)] = None
         return [k for k in seen]
 
-    def volume_scaled(self) -> int:
-        """n! times the volume, in the scaled integer coordinates."""
-        total = 0
-        apex = self.apex
+    def apex_cones(self):
+        """Full simplices of the placing triangulation, as (point ids, |det|).
+
+        The apex (a vertex of the initial simplex) is coned over every live
+        boundary piece that does not contain it; cones of zero determinant
+        (pieces in a facet through the apex) are skipped.  |det| is n! times
+        the simplex volume in the scaled integer coordinates.
+        """
+        apex_id = self.apex_id
+        apex = self.points[apex_id]
         for pid in self.alive:
             verts, _, _ = self.pieces[pid]
-            if self.points[verts[0]] == apex:
+            if apex_id in verts:
                 continue
             rows = [
                 [self.points[v][j] - apex[j] for j in range(self.n)]
                 for v in verts
             ]
-            total += abs(det_int(rows))
-        return total
+            d = abs(det_int(rows))
+            if d:
+                yield verts + (apex_id,), d
 
     def extreme_ids(self, candidate_ids: list[int]) -> list[int]:
         planes = self.facet_planes()
@@ -233,14 +240,14 @@ def _scale_to_int(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(int(x * denom) for x in p) for p in points], denom
 
 
-def _hull_full_rank(dim: int, points: list[Vec], independent: list[int]) -> HullData:
-    int_points, denom = _scale_to_int(points)
-    if dim == 1:
-        vals = [p[0] for p in int_points]
-        lo, hi = min(vals), max(vals)
-        verts = tuple(sorted({points[vals.index(lo)], points[vals.index(hi)]}))
-        return HullData(1, 1, verts, Fraction(hi - lo, denom))
+def _place(dim: int, points: list[Vec], independent: list[int]) -> tuple[_Placing, int]:
+    """Scale to integers, order far-first, and place every point.
 
+    ``independent`` indexes dim+1 affinely independent points, the initial
+    simplex.  Returns the beneath-beyond structure and the scaling
+    denominator.
+    """
+    int_points, denom = _scale_to_int(points)
     centroid = tuple(sum(p[j] for p in int_points) for j in range(dim))
     npts = len(int_points)
 
@@ -255,11 +262,53 @@ def _hull_full_rank(dim: int, points: list[Vec], independent: list[int]) -> Hull
     for i in order:
         if i not in in_simplex:
             placing.insert(i)
+    return placing, denom
 
-    extreme = placing.extreme_ids(list(range(npts)))
+
+def _hull_full_rank(dim: int, points: list[Vec], independent: list[int]) -> HullData:
+    if dim == 1:
+        int_points, denom = _scale_to_int(points)
+        vals = [p[0] for p in int_points]
+        lo, hi = min(vals), max(vals)
+        verts = tuple(sorted({points[vals.index(lo)], points[vals.index(hi)]}))
+        return HullData(1, 1, verts, Fraction(hi - lo, denom))
+
+    placing, denom = _place(dim, points, independent)
+    extreme = placing.extreme_ids(list(range(len(points))))
     verts = tuple(sorted(points[i] for i in extreme))
-    volume = Fraction(placing.volume_scaled(), factorial(dim) * denom**dim)
+    scaled = sum(d for _, d in placing.apex_cones())
+    volume = Fraction(scaled, factorial(dim) * denom**dim)
     return HullData(dim, dim, verts, volume)
+
+
+def _affine_basis(points: list[Vec], dim: int) -> tuple[AffineSpan, list[int]]:
+    """Greedy affine basis: the span of the points and the indices spanning it."""
+    span = AffineSpan(points[0])
+    independent = [0]
+    for i in range(1, len(points)):
+        if span.try_add(points[i]):
+            independent.append(i)
+            if span.rank == dim:
+                break
+    return span, independent
+
+
+Cell = tuple[tuple[int, ...], int]
+
+
+def triangulate(points: list[Vec], dim: int) -> tuple[list[Cell], int] | None:
+    """Placing triangulation of distinct points in R^dim, dim >= 2.
+
+    Returns ``(cells, denom)``: each cell is (indices of its dim+1 points,
+    |det|), where |det| / (dim! * denom**dim) is the cell's volume.  The
+    cells tile the hull of the points.  None when the points do not span
+    R^dim.
+    """
+    span, independent = _affine_basis(points, dim)
+    if span.rank < dim:
+        return None
+    placing, denom = _place(dim, points, independent)
+    return list(placing.apex_cones()), denom
 
 
 def hull_of_points(points, dim: int) -> HullData:
@@ -284,14 +333,7 @@ def hull_of_points(points, dim: int) -> HullData:
     if len(unique) == 1:
         return HullData(dim, 0, (unique[0],), Fraction(0))
 
-    span = AffineSpan(unique[0])
-    independent = [0]
-    for i in range(1, len(unique)):
-        if span.try_add(unique[i]):
-            independent.append(i)
-            if span.rank == dim:
-                break
-
+    span, independent = _affine_basis(unique, dim)
     if span.rank == dim:
         return _hull_full_rank(dim, unique, independent)
 

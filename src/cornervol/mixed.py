@@ -1,9 +1,18 @@
-"""Exact mixed volumes via interpolation and polarization.
+"""Exact mixed volumes via the Cayley trick, interpolation and polarization.
 
-The two-body form goes through the volume polynomial of K + tT: the n+1
-probes at integer t are exact hull volumes and the Vandermonde system is
-solved over the rationals, so every coefficient (and hence every mixed
-volume) is exact.
+The engine behind ``volume_polynomial`` is the Cayley trick (Huber-Sturmfels
+1995; Huber-Rambau-Santos 2000).  K is lifted to height 0 and T to height 1
+in R^(n+1), and one placing triangulation of the Cayley polytope
+conv(K x {0} u T x {1}) is built.  A full simplex with a+1 vertices at height
+0 and b+1 at height 1 (a + b = n) slices into a cell of a mixed subdivision
+of (1-s)K + sT whose volume is (n+1)!/(a! b!) * Vol_(n+1)(simplex) *
+(1-s)^a s^b, so summing the simplices by type gives every coefficient
+C(n, a) V(K[a], T[b]) at once, exactly.
+
+``volume_polynomial_by_probes`` is the independent oracle: the n+1 probes
+Vol(K + sT) at s = 0..n are exact hull volumes of Minkowski sums, and the
+Vandermonde system is solved over the rationals.  Tests and ``mixvol
+--cross-check`` compare the two routes.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .geometry import VPolytope, minkowski_sum, scale, sum_polytopes, volume
+from .hull import triangulate
 from .linalg import solve_linear
 
 
@@ -42,8 +52,26 @@ class VolumePolynomial:
 _poly_cache: dict[tuple, VolumePolynomial] = {}
 
 
+def _checked(k: VPolytope, t: VPolytope, coeffs, route: str) -> VolumePolynomial:
+    """Reject a coefficient vector that no pair of polytopes can have.
+
+    The endpoints are compared with hull volumes of K and T, which the route
+    under test did not compute.
+    """
+    n = k.dim
+    for c in coeffs:
+        if c < 0:
+            raise RuntimeError(f"negative mixed volume from the {route} route (engine bug)")
+    if coeffs[n] != volume(k) or coeffs[0] != volume(t):
+        raise RuntimeError(
+            f"volume polynomial endpoints from the {route} route disagree with "
+            "the hull volumes of K and T (engine bug)"
+        )
+    return VolumePolynomial(n, tuple(coeffs))
+
+
 def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
-    """Exact expansion of Vol(K + tT) in t, via probes at t = 0..n."""
+    """Exact expansion of Vol(K + sT) in s, from one Cayley triangulation."""
     if k.dim != t.dim:
         raise ValueError("dimension mismatch")
     n = k.dim
@@ -51,6 +79,38 @@ def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
     cached = _poly_cache.get(key)
     if cached is not None:
         return cached
+    lifted = [v + (Fraction(0),) for v in k.vertices]
+    lifted += [w + (Fraction(1),) for w in t.vertices]
+    coeffs = [Fraction(0)] * (n + 1)
+    tri = triangulate(lifted, n + 1)
+    # A Cayley polytope of rank below n+1 means K + T is lower-dimensional:
+    # every coefficient is 0.
+    if tri is not None:
+        cells, denom = tri
+        nk = len(k.vertices)
+        by_type = [0] * (n + 1)
+        for ids, det in cells:
+            a = sum(1 for i in ids if i < nk) - 1
+            by_type[a] += det
+        scale_n1 = denom ** (n + 1)
+        coeffs = [
+            Fraction(s, factorial(a) * factorial(n - a) * scale_n1)
+            for a, s in enumerate(by_type)
+        ]
+    poly = _checked(k, t, coeffs, "Cayley")
+    _poly_cache[key] = poly
+    return poly
+
+
+def volume_polynomial_by_probes(k: VPolytope, t: VPolytope) -> VolumePolynomial:
+    """Independent oracle: probes Vol(K + sT) at s = 0..n and interpolates.
+
+    Uncached, so a cross-check against ``volume_polynomial`` never reads a
+    value the other route stored.
+    """
+    if k.dim != t.dim:
+        raise ValueError("dimension mismatch")
+    n = k.dim
     values = [volume(k)]
     for step in range(1, n + 1):
         values.append(volume(minkowski_sum(k, scale(t, step))))
@@ -58,15 +118,8 @@ def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
         [Fraction(step) ** (n - j) for j in range(n + 1)]
         for step in range(n + 1)
     ]
-    coeffs = tuple(solve_linear(rows, [Fraction(v) for v in values]))
-    for c in coeffs:
-        if c < 0:
-            raise RuntimeError("negative mixed volume from interpolation (engine bug)")
-    if coeffs[n] != values[0] or coeffs[0] != volume(t):
-        raise RuntimeError("volume polynomial endpoints disagree (engine bug)")
-    poly = VolumePolynomial(n, coeffs)
-    _poly_cache[key] = poly
-    return poly
+    coeffs = solve_linear(rows, [Fraction(v) for v in values])
+    return _checked(k, t, coeffs, "interpolation")
 
 
 def mixed_volume_pair(k: VPolytope, t: VPolytope, j: int) -> Fraction:
@@ -77,8 +130,8 @@ def mixed_volume_pair(k: VPolytope, t: VPolytope, j: int) -> Fraction:
 def mixed_volume_tuple(bodies) -> Fraction:
     """V_n(K_1, ..., K_n) by inclusion-exclusion polarization.
 
-    Exponential in n; meant for cross-checking the interpolation path on
-    small instances.
+    Exponential in n; meant for cross-checking the two-body routes on small
+    instances.
     """
     bodies = list(bodies)
     if not bodies:

@@ -19,7 +19,6 @@ from cornervol import (
     equality_family,
     from_unconditional,
     fubini_sum_volume,
-    global_hull,
     godbersen_check,
     godbersen_equality_values,
     lab_mixed,
@@ -69,7 +68,7 @@ def test_criterion_01_lemma_vs_engine():
         for j in range(5):
             ok = ok and lemma_mixed_volume(s, j) == mixed_volume_pair(p, d4, j)
             checked += 1
-    verdict(1, ok, f"aligned-simplex closed form == interpolation ({checked} checks)")
+    verdict(1, ok, f"aligned-simplex closed form == Cayley engine ({checked} checks)")
 
 
 def test_criterion_02_corollary_vs_engine():
@@ -85,7 +84,7 @@ def test_criterion_02_corollary_vs_engine():
         for j in range(n + 1):
             ok = ok and corollary_mixed_volume(s, t, j) == mixed_volume_pair(ps, pt, j)
             checked += 1
-    verdict(2, ok, f"two-simplex closed form == interpolation ({checked} checks, zeros included)")
+    verdict(2, ok, f"two-simplex closed form == Cayley engine ({checked} checks, zeros included)")
 
 
 def test_criterion_03_projection_split_formula(ab_pair_bank):
@@ -97,7 +96,7 @@ def test_criterion_03_projection_split_formula(ab_pair_bank):
                 k.body, negate(kp.body), j
             )
             checked += 1
-    verdict(3, ok, f"projection-split mixed volumes == interpolation on "
+    verdict(3, ok, f"projection-split mixed volumes == Cayley engine on "
                    f"{len(ab_pair_bank)} pairs ({checked} checks)")
 
 
@@ -112,10 +111,10 @@ def test_criterion_05_orthant_decompositions(unconditional_bank, glued_bank):
     checked = 0
     ok = True
     for a in unconditional_bank + glued_bank:
-        ok = ok and lab_volume(a) == volume(global_hull(a))
+        ok = ok and lab_volume(a) == volume(a.hull)
         checked += 1
         neg = negate_assembly(a)
-        h = global_hull(a)
+        h = a.hull
         nh = negate(h)
         for j in range(a.dim + 1):
             ok = ok and lab_mixed(a, neg, j) == mixed_volume_pair(h, nh, j)
@@ -126,7 +125,7 @@ def test_criterion_05_orthant_decompositions(unconditional_bank, glued_bank):
         by_dim.setdefault(a.dim, []).append(a)
     for dim, group in by_dim.items():
         for a, b in zip(group[0::2], group[1::2]):
-            ha, hb = global_hull(a), global_hull(b)
+            ha, hb = a.hull, b.hull
             for j in range(dim + 1):
                 ok = ok and lab_mixed(a, b, j) == mixed_volume_pair(ha, hb, j)
                 checked += 1
@@ -145,7 +144,7 @@ def _distinct_full_dim_glued(count: int, dims=(2, 3)) -> list:
         full_pieces = {piece for _, piece in a.pieces if volume(piece.body) > 0}
         if len(full_pieces) < 2:
             continue
-        if len(global_hull(a).vertices) <= n + 1:
+        if len(a.hull.vertices) <= n + 1:
             continue  # could be a simplex; the catalogue must avoid them
         out.append(a)
     return out

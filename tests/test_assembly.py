@@ -14,7 +14,6 @@ from cornervol import (
     convex_hull,
     equality_family,
     from_unconditional,
-    global_hull,
     godbersen_check,
     lab_mixed,
     lab_volume,
@@ -34,14 +33,14 @@ class TestAssemble:
     def test_unconditional_simplex_is_cross_polytope(self):
         pieces = {sv: AntiBlockingBody(standard_simplex(2)) for sv in all_signs(2)}
         a = assemble(2, pieces)
-        assert global_hull(a) == convex_hull([(1, 0), (0, 1), (-1, 0), (0, -1)])
+        assert a.hull == convex_hull([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
     def test_missing_pieces_default_to_origin(self):
         # A single nontrivial orthant must still be consistent: its projections
         # onto shared subspaces have to collapse to the origin, so only the
         # all-origin assembly validates this way.
         a = assemble(2, {})
-        assert volume(global_hull(a)) == 0
+        assert volume(a.hull) == 0
 
     def test_mismatched_cap_rejected(self):
         pieces = {
@@ -67,7 +66,7 @@ class TestFromUnconditional:
         import itertools
 
         two_sided = convex_hull(list(itertools.product((-1, 1), repeat=3)), 3)
-        assert global_hull(a) == two_sided
+        assert a.hull == two_sided
 
     def test_volume_scales_by_orthant_count(self):
         rng = random.Random(1)
@@ -76,13 +75,13 @@ class TestFromUnconditional:
         k = random_ab_body(rng, 3)
         a = from_unconditional(k)
         assert lab_volume(a) == 2**3 * volume(k.body)
-        assert volume(global_hull(a)) == lab_volume(a)
+        assert volume(a.hull) == lab_volume(a)
 
 
 class TestEqualityFamily:
     def test_case1_unit_is_simplex(self):
         a = equality_family(1, (1, 1, 1))
-        assert global_hull(a) == standard_simplex(3)
+        assert a.hull == standard_simplex(3)
 
     def test_case1_volume(self):
         a = equality_family(1, (2, 3))
@@ -90,11 +89,11 @@ class TestEqualityFamily:
 
     def test_case2_segment(self):
         a = equality_family(2, (1,), beta1=1)
-        assert global_hull(a) == convex_hull([(-1,), (1,)], 1)
+        assert a.hull == convex_hull([(-1,), (1,)], 1)
 
     def test_case2_triangle(self):
         a = equality_family(2, (1, 1), beta1=1)
-        assert global_hull(a) == convex_hull([(1, 0), (-1, 0), (0, 1)])
+        assert a.hull == convex_hull([(1, 0), (-1, 0), (0, 1)])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -112,7 +111,7 @@ class TestDecompositions:
 
     def test_lab_volume_matches_hull(self, glued_bank):
         for a in glued_bank[:10]:
-            assert lab_volume(a) == volume(global_hull(a))
+            assert lab_volume(a) == volume(a.hull)
 
     def test_lab_mixed_self_is_volume(self):
         a = random_assembly("self", 2, "glued")
@@ -130,7 +129,7 @@ class TestDecompositions:
             for trial in range(3):
                 a = random_assembly(f"pair-a-{n}-{trial}", n, "glued")
                 b = random_assembly(f"pair-b-{n}-{trial}", n, "unconditional")
-                ha, hb = global_hull(a), global_hull(b)
+                ha, hb = a.hull, b.hull
                 for j in range(n + 1):
                     assert lab_mixed(a, b, j) == mixed_volume_pair(ha, hb, j)
 
@@ -143,7 +142,7 @@ class TestDecompositions:
             for trial in range(3):
                 a = random_assembly(f"sumdec-a-{n}-{trial}", n, "glued")
                 b = random_assembly(f"sumdec-b-{n}-{trial}", n, "glued")
-                direct = volume(minkowski_sum(global_hull(a), global_hull(b)))
+                direct = volume(minkowski_sum(a.hull, b.hull))
                 per_orthant = sum(
                     volume(minkowski_sum(piece.body, b.piece(sign).body))
                     for sign, piece in a.pieces
@@ -181,13 +180,13 @@ class TestNegation:
     def test_case1_flips_orthant(self):
         a = equality_family(1, (2, 1))
         na = negate_assembly(a)
-        assert global_hull(na) == negate(global_hull(a))
+        assert na.hull == negate(a.hull)
 
     def test_involution_and_hull_identity(self, glued_bank):
         for a in glued_bank[:8]:
             na = negate_assembly(a)
             assert negate_assembly(na) == a
-            assert global_hull(na) == reflect(global_hull(a), (-1,) * a.dim)
+            assert na.hull == reflect(a.hull, (-1,) * a.dim)
 
 
 class TestGodbersen:
@@ -247,7 +246,7 @@ class TestRandomAssembly:
     def test_unconditional_is_symmetric(self):
         a = random_assembly(4, 3, "unconditional")
         assert negate_assembly(a) == a
-        h = global_hull(a)
+        h = a.hull
         assert reflect(h, (-1, 1, -1)) == h
 
     def test_glued_soundness_sweep(self):
@@ -256,7 +255,7 @@ class TestRandomAssembly:
         for i in range(200):
             n = 3 if i % 4 == 0 else 2
             a = random_assembly(f"sweep-{i}", n, "glued")
-            assert lab_volume(a) == volume(global_hull(a))
+            assert lab_volume(a) == volume(a.hull)
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from cornervol import cli, mixed
+from cornervol.assembly import GenerationError
 from cornervol.cli import (
     EXIT_INAPPLICABLE,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
@@ -84,6 +87,29 @@ class TestMixvol:
         assert code == EXIT_OK
         assert out.strip() == "3"
 
+    def test_cayley_is_default_and_matches_interpolation(self, capsys, square_file,
+                                                          triangle_file):
+        for method in ("cayley", "interpolation"):
+            code, out, _ = run(capsys, "mixvol", square_file, triangle_file, "--j", "1",
+                               "--method", method)
+            assert code == EXIT_OK
+            assert out.strip() == "1"
+
+    def test_cross_check_catches_route_disagreement(self, capsys, monkeypatch,
+                                                    square_file, triangle_file):
+        # A wrong probe oracle must be caught against the Cayley engine.
+        real = mixed.volume_polynomial_by_probes
+
+        def skewed(k, t):
+            poly = real(k, t)
+            return mixed.VolumePolynomial(poly.dim, tuple(2 * c for c in poly.coeffs))
+
+        monkeypatch.setattr(cli, "volume_polynomial_by_probes", skewed)
+        code, _, err = run(capsys, "mixvol", square_file, triangle_file, "--j", "1",
+                           "--cross-check")
+        assert code == EXIT_MISMATCH
+        assert "cayley=1" in err and "interpolation=2" in err
+
     def test_closed_form_rejects_axis_segment_without_origin(self, capsys, tmp_path,
                                                              triangle_file):
         # conv(e1, e2) has one positive vertex per axis but no origin vertex;
@@ -133,6 +159,18 @@ class TestGodbersen:
         code, out, _ = run(capsys, "simplex", "--alphas", "1,1,1,1,1,1,1", "--j", "2")
         assert code == EXIT_OK
         assert out.strip() == "1/5040"
+
+    def test_env_var_lowers_cli_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "3")
+        code, _, err = run(capsys, "godbersen", "--dim", "4", "--trials", "1")
+        assert code == EXIT_PARSE
+        assert "cap 3" in err
+
+    def test_env_var_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "lots")
+        code, _, err = run(capsys, "simplex", "--alphas", "1,1", "--j", "1")
+        assert code == EXIT_PARSE
+        assert err.strip() == "error: CORNER_MIXVOL_MAX_DIM must be an integer, got 'lots'"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "godbersen", "--trials", "1", "--dim", "2",
@@ -237,7 +275,42 @@ class TestExitCodeContract:
         # operational failure codes.
         assert EXIT_VIOLATION == 1
         assert len({EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_INAPPLICABLE,
-                    EXIT_MISMATCH}) == 5
+                    EXIT_MISMATCH, EXIT_INTERNAL}) == 6
+
+    def test_engine_self_check_failure_exit_5(self, capsys, monkeypatch, tmp_path):
+        real = mixed.triangulate
+
+        def doubled(points, dim):
+            cells, denom = real(points, dim)
+            return [(ids, 2 * det) for ids, det in cells], denom
+
+        monkeypatch.setattr(mixed, "triangulate", doubled)
+        # A pair no other test uses, so the polynomial cache cannot answer.
+        k = tmp_path / "k.json"
+        k.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"], ["3", "0"], ["0", "5"]]}))
+        code, out, err = run(capsys, "mixvol", str(k), str(k), "--j", "1")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("error: internal:") and len(err.splitlines()) == 1
+
+    def test_generation_failure_exit_5(self, capsys, monkeypatch):
+        def give_up(*args, **kwargs):
+            raise GenerationError("failed to generate a valid glued assembly")
+
+        monkeypatch.setattr(cli, "random_assembly", give_up)
+        code, _, err = run(capsys, "gen", "--style", "glued", "--dim", "2")
+        assert code == EXIT_INTERNAL
+        assert err == "error: internal: failed to generate a valid glued assembly\n"
+
+    def test_engine_disagreement_keeps_exit_4(self, capsys, monkeypatch):
+        from cornervol import EngineDisagreementError
+
+        def disagree(*args, **kwargs):
+            raise EngineDisagreementError("orthant sum != direct hull")
+
+        monkeypatch.setattr(cli, "random_assembly", disagree)
+        code, _, _ = run(capsys, "gen", "--style", "glued", "--dim", "2")
+        assert code == EXIT_MISMATCH
 
     def test_out_file_writing(self, capsys, tmp_path, triangle_file):
         out_path = tmp_path / "result.txt"

@@ -25,7 +25,7 @@ from cornervol import (
     unit_cube,
     volume,
 )
-from cornervol.geometry import matrix_det
+from cornervol.geometry import VPolytope, matrix_det
 
 
 def shoelace(poly) -> F:
@@ -92,6 +92,14 @@ class TestConvexHull:
             convex_hull([])
         with pytest.raises(ValueError):
             convex_hull([(0, 0), (0, 0, 0)], 2)
+
+    def test_raw_constructor_rejects_non_canonical_order(self):
+        a, b = (F(0), F(0)), (F(1), F(0))
+        assert VPolytope(2, (a, b)).vertices == (a, b)
+        with pytest.raises(ValueError, match="lex-ascending"):
+            VPolytope(2, (b, a))
+        with pytest.raises(ValueError, match="lex-ascending"):
+            VPolytope(2, (a, b, b))
 
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
                     min_size=1, max_size=12))

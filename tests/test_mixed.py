@@ -1,12 +1,17 @@
-"""Mixed volumes: interpolation engine and polarization cross-checks."""
+"""Mixed volumes: the Cayley engine, the probe oracle, and polarization cross-checks."""
 
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cornervol import hull as hull_mod
+from cornervol import mixed
 from cornervol import (
     convex_hull,
     linear_map,
@@ -57,6 +62,89 @@ class TestVolumePolynomial:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             volume_polynomial(standard_simplex(2), standard_simplex(3))
+
+
+@contextmanager
+def strict_hull():
+    hull_mod.strict_checks = True
+    try:
+        yield
+    finally:
+        hull_mod.strict_checks = False
+
+
+# Rationals with mixed denominators, so the Cayley points need real scaling.
+coords = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
+
+# How the pair is shaped: both generic, K or T flattened into the hyperplane
+# x_n = 0, T a single point, or both flattened so that K + T is
+# lower-dimensional and every coefficient is 0.
+SHAPES = ("generic", "flat-k", "flat-t", "point-t", "flat-sum")
+
+
+@st.composite
+def body_pairs(draw):
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(SHAPES))
+
+    def points(flat: bool, max_size: int = 6):
+        pts = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=max_size))
+        if flat:
+            pts = [p[:-1] + (F(0),) for p in pts]
+        return convex_hull(pts, n)
+
+    k = points(shape in ("flat-k", "flat-sum"))
+    t = points(shape in ("flat-t", "flat-sum"), 1 if shape == "point-t" else 6)
+    return shape, k, t
+
+
+class TestRouteAgreement:
+    """The Cayley engine against the independent probe-interpolation oracle."""
+
+    @given(body_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_cayley_equals_probes(self, pair):
+        shape, k, t = pair
+        with strict_hull():
+            cayley = volume_polynomial(k, t)
+            probes = mixed.volume_polynomial_by_probes(k, t)
+        assert cayley.coeffs == probes.coeffs
+        if shape == "flat-sum":
+            assert all(c == 0 for c in cayley.coeffs)
+
+    @given(body_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_swap_reverses_coefficients(self, pair):
+        _, k, t = pair
+        with strict_hull():
+            forward = volume_polynomial(k, t)
+            backward = volume_polynomial(t, k)
+        assert backward.coeffs == forward.coeffs[::-1]
+
+    def test_dim4_hull_against_negation(self):
+        rng = random.Random(67)
+        for _ in range(3):
+            k = rand_poly(rng, 4, count=9, lo=-3, hi=3)
+            t = negate(k)
+            probes = mixed.volume_polynomial_by_probes(k, t)
+            assert volume_polynomial(k, t).coeffs == probes.coeffs
+
+    def test_probes_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            mixed.volume_polynomial_by_probes(standard_simplex(2), standard_simplex(3))
+
+    def test_wrong_triangulation_fails_endpoint_check(self, monkeypatch):
+        # Doubling every cell doubles coeffs[n], which then differs from Vol(K).
+        real = mixed.triangulate
+
+        def doubled(points, dim):
+            cells, denom = real(points, dim)
+            return [(ids, 2 * det) for ids, det in cells], denom
+
+        monkeypatch.setattr(mixed, "triangulate", doubled)
+        k, t = unit_cube(2), standard_simplex(2).translate((F(1, 7), 0))
+        with pytest.raises(RuntimeError, match="Cayley route"):
+            volume_polynomial(k, t)
 
 
 class TestMixedVolumePair:
