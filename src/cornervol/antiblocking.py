@@ -22,7 +22,6 @@ from .geometry import (
     as_vec,
     convex_hull,
     join_hull,
-    member,
     negate,
     volume,
 )
@@ -82,21 +81,27 @@ def ab_hull(generators, dim: int | None = None) -> AntiBlockingBody:
 def validate_ab(poly: VPolytope) -> bool:
     """Is the polytope down-closed inside the nonnegative orthant?
 
-    Checks that zeroing any single coordinate of any vertex stays inside;
-    by convexity and composition of maskings this is equivalent to requiring
-    every coordinate projection to be a subset of the body (projections equal
-    sections).
+    With no negative coordinate, P = conv(V) is down-closed iff every single-
+    coordinate masking of every vertex lies in P: maskings compose to every
+    coordinate projection, and by convexity the projection of P is then a
+    subset of P (projections equal sections).  The maskings M all lie in P
+    exactly when conv(V u M) = conv(V), i.e. when hull(V u M) has the same
+    vertex set as P, so one hull decides it.  A raw VPolytope may list a
+    redundant point, hence a miss is compared with hull(V) before rejecting.
     """
-    if any(x < 0 for v in poly.vertices for x in v):
+    verts = poly.vertices
+    if any(x < 0 for v in verts for x in v):
         return False
-    for v in poly.vertices:
-        for i, x in enumerate(v):
-            if x == 0:
-                continue
-            masked = tuple(Fraction(0) if j == i else y for j, y in enumerate(v))
-            if not member(poly, masked):
-                return False
-    return True
+    maskings = {
+        v[:i] + (Fraction(0),) + v[i + 1:]
+        for v in verts
+        for i, x in enumerate(v)
+        if x != 0
+    }
+    if maskings <= set(verts):
+        return True
+    closed = hull_of_points(verts + tuple(maskings), poly.dim).vertices
+    return closed == verts or closed == hull_of_points(verts, poly.dim).vertices
 
 
 _proj_vol_cache: dict[tuple, Fraction] = {}

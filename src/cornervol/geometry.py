@@ -240,6 +240,8 @@ def member(p: VPolytope, point) -> bool:
 
     Decided by rational phase-1 simplex (Bland's rule, no tolerance), kept
     independent of the hull engine so the two can cross-check each other.
+    The library decides down-closure by a hull identity
+    (``antiblocking.validate_ab``); this LP is the tests' oracle for it.
     """
     x = as_vec(point)
     if len(x) != p.dim:

@@ -107,8 +107,8 @@ def assembly_from_obj(obj) -> OrthantAssembly:
     pieces = {}
     for key, raw in obj["pieces"].items():
         sign = sign_from_str(key, dim)
-        poly = polytope_from_obj(raw)
-        pieces[sign] = AntiBlockingBody.from_polytope(poly)
+        # The down-closure check runs once, inside assemble.
+        pieces[sign] = AntiBlockingBody(polytope_from_obj(raw))
     return assemble(dim, pieces)
 
 

@@ -3,14 +3,20 @@
 The banks are session-scoped so the expensive sweeps (volume polynomials of
 4-dimensional bodies) are generated once and shared by the module tests and
 the acceptance suite; all randomness is seeded, so reruns see identical
-instances.
+instances, and hypothesis runs derandomized.
 """
 
 import random
 
 import pytest
+from hypothesis import settings
 
 from cornervol import random_ab_body, random_assembly
+
+# Property tests draw the same examples on every run, and a failure prints the
+# blob that reproduces it.  Each test's own @settings still sets max_examples.
+settings.register_profile("tier1", derandomize=True, print_blob=True)
+settings.load_profile("tier1")
 
 
 def spread(counts: dict[int, int]) -> list[int]:

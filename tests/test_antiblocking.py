@@ -4,11 +4,13 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import comb, factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornervol import hull as hull_mod
 from cornervol import (
     AntiBlockingBody,
     CoordSubspace,
@@ -29,6 +31,56 @@ from cornervol import (
     volume,
 )
 from cornervol.antiblocking import join_with_negation
+from cornervol.geometry import VPolytope
+
+
+def lp_oracle(poly):
+    """Down-closure by the masking test: one phase-1 LP per masked vertex
+    coordinate, independent of the hull engine that validate_ab uses."""
+    if any(x < 0 for v in poly.vertices for x in v):
+        return False
+    return all(
+        member(poly, v[:i] + (F(0),) + v[i + 1:])
+        for v in poly.vertices
+        for i, x in enumerate(v)
+        if x != 0
+    )
+
+
+# Nonnegative rationals with mixed denominators.
+coords = st.builds(F, st.integers(0, 4), st.sampled_from((1, 2, 3, 5)))
+
+# How the candidate is built: the hull or the down-closure of random points;
+# either of those squeezed into the hyperplane x_axis = 0; either of those as a
+# raw VPolytope that lists the average of the vertices as a redundant point; a
+# down-closure with one vertex moved; or one with a coordinate made negative.
+KINDS = ("points", "flat", "redundant", "moved", "negative")
+
+
+@st.composite
+def candidates(draw):
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(KINDS))
+    point = st.tuples(*[coords] * n)
+    pts = draw(st.lists(point, min_size=1, max_size=4))
+    if kind == "flat":
+        axis = draw(st.integers(0, n - 1))
+        pts = [p[:axis] + (F(0),) + p[axis + 1:] for p in pts]
+    if kind in ("points", "flat", "redundant"):
+        base = ab_hull(pts, n).body if draw(st.booleans()) else convex_hull(pts, n)
+        if kind != "redundant":
+            return base
+        m = len(base.vertices)
+        centroid = tuple(sum(c) / m for c in zip(*base.vertices))
+        return VPolytope(n, tuple(sorted(set(base.vertices) | {centroid})))
+    verts = list(ab_hull(pts, n).vertices)
+    k = draw(st.integers(0, len(verts) - 1))
+    if kind == "moved":
+        verts[k] = draw(point)
+    else:
+        i = draw(st.integers(0, n - 1))
+        verts[k] = verts[k][:i] + (-draw(coords) - 1,) + verts[k][i + 1:]
+    return convex_hull(verts, n)
 
 
 class TestAbHull:
@@ -93,6 +145,23 @@ class TestValidateAb:
                 for w in project(poly, CoordSubspace(n, idx)).vertices
             )
             assert validate_ab(poly) == full
+
+    def test_redundant_raw_vertex_list(self):
+        # (1/2, 1/2) is not a vertex; the hull of V and its maskings drops it,
+        # which must not count as a down-closure failure.
+        h = F(1, 2)
+        poly = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (h, h), (F(1), F(0))))
+        assert validate_ab(poly)
+        assert lp_oracle(poly)
+        bad = VPolytope(2, ((F(0), F(1)), (h, h), (F(1), F(0))))
+        assert not validate_ab(bad)
+        assert not lp_oracle(bad)
+
+    @given(candidates())
+    @settings(max_examples=150, deadline=None)
+    def test_hull_route_equals_lp_oracle(self, poly):
+        with patch.object(hull_mod, "strict_checks", True):
+            assert validate_ab(poly) == lp_oracle(poly)
 
     def test_from_polytope_gate(self):
         with pytest.raises(ValueError):

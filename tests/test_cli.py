@@ -223,6 +223,29 @@ class TestAuditAndGen:
         assert code == EXIT_PARSE
         assert "projection mismatch" in err
 
+    def _audit_pieces(self, capsys, tmp_path, pieces):
+        path = tmp_path / "asm.json"
+        path.write_text(json.dumps({"dim": 2, "pieces": pieces}))
+        return run(capsys, "audit", str(path), "--j", "1")
+
+    def test_audit_rejects_non_downclosed_piece(self, capsys, tmp_path):
+        code, out, err = self._audit_pieces(capsys, tmp_path, {
+            "++": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+            "+-": {"dim": 2, "vertices": [["1", "0"], ["0", "1"]]},
+        })
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "piece at +- is not anti-blocking" in err
+
+    def test_audit_rejects_negative_coordinate_piece(self, capsys, tmp_path):
+        code, out, err = self._audit_pieces(capsys, tmp_path, {
+            "++": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+            "-+": {"dim": 2, "vertices": [["0", "0"], ["-1", "0"], ["0", "1"]]},
+        })
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "negative coordinate" in err
+
 
 class TestSimplexCommand:
     def test_lemma_value(self, capsys):
@@ -267,6 +290,14 @@ class TestDecompose:
         bad.write_text(json.dumps({"dim": 2, "vertices": [["1", "0"], ["0", "1"]]}))
         code, _, err = run(capsys, "decompose", str(bad), triangle_file)
         assert code == EXIT_INAPPLICABLE
+        assert "not down-closed" in err
+
+    def test_negative_coordinate_input_exit_3(self, capsys, tmp_path, triangle_file):
+        bad = tmp_path / "neg.json"
+        bad.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"], ["-1", "0"], ["0", "1"]]}))
+        code, _, err = run(capsys, "decompose", triangle_file, str(bad))
+        assert code == EXIT_INAPPLICABLE
+        assert "not down-closed" in err
 
 
 class TestExitCodeContract:

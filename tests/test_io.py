@@ -107,3 +107,35 @@ def test_assembly_validation_on_load():
 
     with pytest.raises(AssemblyError, match="projection mismatch"):
         assembly_from_obj(obj)
+
+
+def test_assembly_piece_not_downclosed_on_load():
+    obj = {
+        "dim": 2,
+        "pieces": {
+            "++": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+            "+-": {"dim": 2, "vertices": [["1", "0"], ["0", "1"]]},
+        },
+    }
+    from cornervol import AssemblyError
+
+    with pytest.raises(AssemblyError, match=r"piece at \+- is not anti-blocking"):
+        assembly_from_obj(obj)
+
+
+def test_assembly_load_validates_each_piece_once(monkeypatch):
+    from cornervol import antiblocking, assembly
+
+    calls = []
+    real = antiblocking.validate_ab
+
+    def counting(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(assembly, "validate_ab", counting)
+    monkeypatch.setattr(antiblocking, "validate_ab", counting)
+    a = random_assembly("io-once", 2, "glued")
+    calls.clear()
+    assembly_from_obj(json.loads(dumps(assembly_to_obj(a))))
+    assert len(calls) == len(a.pieces)
