@@ -52,6 +52,7 @@ from .geometry import (
     reflect,
     relative_volume,
     scale,
+    shadow,
     standard_simplex,
     sum_polytopes,
     unit_cube,

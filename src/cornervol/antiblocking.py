@@ -23,6 +23,7 @@ from .geometry import (
     convex_hull,
     join_hull,
     negate,
+    shadow,
     volume,
 )
 from .hull import hull_of_points
@@ -104,22 +105,9 @@ def validate_ab(poly: VPolytope) -> bool:
     return closed == verts or closed == hull_of_points(verts, poly.dim).vertices
 
 
-_proj_vol_cache: dict[tuple, Fraction] = {}
-
-
 def projected_volume(body: AntiBlockingBody, indices: tuple[int, ...]) -> Fraction:
     """|indices|-dimensional volume of the projection onto those coordinates."""
-    key = (body.dim, body.vertices, indices)
-    val = _proj_vol_cache.get(key)
-    if val is not None:
-        return val
-    if not indices:
-        val = Fraction(1)
-    else:
-        pts = {tuple(v[i] for i in indices) for v in body.vertices}
-        val = hull_of_points(pts, len(indices)).volume
-    _proj_vol_cache[key] = val
-    return val
+    return Fraction(1) if not indices else volume(shadow(body.body, indices))
 
 
 def ab_opposite_mixed(k: AntiBlockingBody, kp: AntiBlockingBody, j: int) -> Fraction:

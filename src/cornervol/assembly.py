@@ -28,9 +28,9 @@ from .geometry import (
     VPolytope,
     convex_hull,
     negate,
+    shadow,
     volume,
 )
-from .hull import hull_of_points
 from .mixed import mixed_volume_pair
 
 SignVector = tuple[int, ...]
@@ -95,27 +95,20 @@ def _normalize_pieces(dim: int, pieces) -> tuple[tuple[SignVector, AntiBlockingB
 def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) -> None:
     # Shared projections between orthants: comparing each adjacent sign flip on
     # the full complementary subspace covers every subspace pair by projection
-    # composition and transitivity.
+    # composition and transitivity.  In dimension 1 that subspace is {0}.
+    if dim == 1:
+        return
     for i in range(dim):
         keep = tuple(j for j in range(dim) if j != i)
         for sign in all_signs(dim):
             if sign[i] != 1:
                 continue
             other = tuple(-s if j == i else s for j, s in enumerate(sign))
-            mine = _dropped_hull(piece_map[sign], keep)
-            theirs = _dropped_hull(piece_map[other], keep)
-            if mine != theirs:
+            if shadow(piece_map[sign].body, keep) != shadow(piece_map[other].body, keep):
                 raise AssemblyError(
                     f"projection mismatch between orthants {_sign_str(sign)} and "
                     f"{_sign_str(other)} on the coordinates {keep}"
                 )
-
-
-def _dropped_hull(piece: AntiBlockingBody, keep: tuple[int, ...]) -> tuple:
-    if not keep:
-        return ()
-    pts = {tuple(v[i] for i in keep) for v in piece.vertices}
-    return hull_of_points(pts, len(keep)).vertices
 
 
 def _check_convex_union(dim: int, piece_map: dict[SignVector, AntiBlockingBody],
@@ -125,28 +118,27 @@ def _check_convex_union(dim: int, piece_map: dict[SignVector, AntiBlockingBody],
     # assembly lies in a proper coordinate subspace the check runs there:
     # orthant signs on the vanishing coordinates are quotiented out, because
     # pieces differing only in those signs coincide.
-    support = sorted({
+    support = tuple(sorted({
         i
         for piece in piece_map.values()
         for v in piece.vertices
         for i, x in enumerate(v)
         if x != 0
-    })
+    }))
     if not support:
         return
-    seen: dict[SignVector, tuple] = {}
+    seen: dict[SignVector, VPolytope] = {}
     total = Fraction(0)
     for sign, piece in piece_map.items():
         reduced_sign = tuple(sign[i] for i in support)
-        dropped = _dropped_hull(piece, tuple(support))
+        dropped = shadow(piece.body, support)
         if reduced_sign in seen:
             if seen[reduced_sign] != dropped:
                 raise AssemblyError("pieces disagree on their shared support")
             continue
         seen[reduced_sign] = dropped
-        total += hull_of_points(dropped, len(support)).volume
-    hull_pts = {tuple(v[i] for i in support) for v in hull.vertices}
-    hull_vol = hull_of_points(hull_pts, len(support)).volume
+        total += volume(dropped)
+    hull_vol = volume(shadow(hull, support))
     if total != hull_vol:
         raise AssemblyError(
             f"union of pieces is not convex: piece volumes sum to {total}, "

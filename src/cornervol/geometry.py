@@ -12,7 +12,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from . import hull as _hull
 from .hull import Vec, hull_of_points
@@ -25,6 +25,7 @@ __all__ = [
     "convex_hull",
     "volume",
     "relative_volume",
+    "shadow",
     "minkowski_sum",
     "scale",
     "reflect",
@@ -128,6 +129,7 @@ class CoordSubspace:
         )
 
 
+# Hand-written rather than functools.cache so that from_points can seed it.
 _volume_cache: dict[tuple[int, tuple[Vec, ...]], Fraction] = {}
 
 
@@ -162,8 +164,29 @@ def relative_volume(poly: VPolytope, sub: CoordSubspace) -> Fraction:
                 raise ValueError("polytope not contained in the subspace")
     if not sub.indices:
         return Fraction(1)
-    dropped = [tuple(v[i] for i in sub.indices) for v in poly.vertices]
-    return hull_of_points(dropped, len(sub.indices)).volume
+    return volume(shadow(poly, sub.indices))
+
+
+def shadow(poly: VPolytope, keep: tuple[int, ...]) -> VPolytope:
+    """Hull of the vertices restricted to the coordinates ``keep``, in R^|keep|.
+
+    ``keep`` must be nonempty and strictly ascending inside range(dim);
+    keeping every coordinate returns ``poly`` itself.  For an anti-blocking
+    body the shadow on a coordinate subspace is its projection and its section
+    there at once, the quantity the projection-split formula multiplies.
+    """
+    # Checked before the memo, which would hand back the first equal polytope it stored.
+    return poly if keep == tuple(range(poly.dim)) else _shadow(poly, keep)
+
+
+@cache
+def _shadow(poly: VPolytope, keep: tuple[int, ...]) -> VPolytope:
+    if not keep or keep[0] < 0 or keep[-1] >= poly.dim or sorted(set(keep)) != list(keep):
+        raise ValueError(
+            f"coordinates to keep must be strictly ascending in range({poly.dim}), "
+            f"got {keep!r}"
+        )
+    return VPolytope.from_points({tuple(v[i] for i in keep) for v in poly.vertices}, len(keep))
 
 
 def minkowski_sum(p: VPolytope, q: VPolytope) -> VPolytope:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .geometry import VPolytope, minkowski_sum, scale, sum_polytopes, volume
@@ -49,9 +50,6 @@ class VolumePolynomial:
         return self.coeffs[j] / comb(self.dim, j)
 
 
-_poly_cache: dict[tuple, VolumePolynomial] = {}
-
-
 def _checked(k: VPolytope, t: VPolytope, coeffs, route: str) -> VolumePolynomial:
     """Reject a coefficient vector that no pair of polytopes can have.
 
@@ -70,15 +68,12 @@ def _checked(k: VPolytope, t: VPolytope, coeffs, route: str) -> VolumePolynomial
     return VolumePolynomial(n, tuple(coeffs))
 
 
+@cache
 def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
     """Exact expansion of Vol(K + sT) in s, from one Cayley triangulation."""
     if k.dim != t.dim:
         raise ValueError("dimension mismatch")
     n = k.dim
-    key = (n, k.vertices, t.vertices)
-    cached = _poly_cache.get(key)
-    if cached is not None:
-        return cached
     lifted = [v + (Fraction(0),) for v in k.vertices]
     lifted += [w + (Fraction(1),) for w in t.vertices]
     coeffs = [Fraction(0)] * (n + 1)
@@ -97,9 +92,7 @@ def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
             Fraction(s, factorial(a) * factorial(n - a) * scale_n1)
             for a, s in enumerate(by_type)
         ]
-    poly = _checked(k, t, coeffs, "Cayley")
-    _poly_cache[key] = poly
-    return poly
+    return _checked(k, t, coeffs, "Cayley")
 
 
 def volume_polynomial_by_probes(k: VPolytope, t: VPolytope) -> VolumePolynomial:

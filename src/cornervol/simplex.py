@@ -19,6 +19,7 @@ from .geometry import (
     VPolytope,
     minkowski_sum,
     project,
+    shadow,
     standard_simplex,
     volume,
 )
@@ -123,10 +124,7 @@ def fubini_sum_volume(n: int, k_sub: VPolytope, k: int | None = None) -> Fractio
     if k == 0:
         # K is the origin; the sum is just the unit simplex.
         return Fraction(1, factorial(n))
-    dropped = VPolytope.from_points(
-        {tuple(v[n - k + i] for i in range(k)) for v in k_sub.vertices}, k
-    )
-    poly = volume_polynomial(dropped, standard_simplex(k))
+    poly = volume_polynomial(shadow(k_sub, tuple(range(n - k, n))), standard_simplex(k))
     total = Fraction(0)
     for j, c in enumerate(poly.coeffs):
         # c multiplies u^(k-j) in Vol(K + u D_k).

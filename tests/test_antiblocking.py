@@ -30,7 +30,7 @@ from cornervol import (
     validate_ab,
     volume,
 )
-from cornervol.antiblocking import join_with_negation
+from cornervol.antiblocking import join_with_negation, projected_volume
 from cornervol.geometry import VPolytope
 
 
@@ -217,6 +217,15 @@ class TestProjectionSection:
                 for idx in itertools.combinations(range(3), r):
                     proj = project(k.body, CoordSubspace(3, idx))
                     assert all(member(k.body, v) for v in proj.vertices)
+
+    def test_projected_volume_rejects_bad_indices(self):
+        # A repeated or out-of-range coordinate names no coordinate subspace.
+        k = AntiBlockingBody(standard_simplex(3))
+        for indices in ((0, 0), (0, 5), (1, 0)):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                projected_volume(k, indices)
+        assert projected_volume(k, (0, 2)) == F(1, 2)
+        assert projected_volume(k, ()) == 1
 
 
 class TestReverseKleitman:

@@ -59,6 +59,45 @@ class TestAssemble:
         assemble(3, dict(equality_family(1, (1, 2, 3)).pieces))
         assemble(2, dict(equality_family(2, (1, 1), beta1=2).pieces))
 
+    def test_dimension_one_validates(self):
+        a = assemble(1, {(1,): ab_hull([(2,)]), (-1,): ab_hull([(F(1, 3),)])})
+        assert a.hull == convex_hull([(F(-1, 3),), (2,)])
+        assert lab_volume(a) == volume(a.hull) == F(7, 3)
+
+
+def flat_assembly_pieces():
+    """A glued dim-2 assembly padded into R^3 with a zero third coordinate.
+
+    Both signs of the third coordinate get the same piece, so the assembly
+    lies in the coordinate plane spanned by e_1 and e_2.
+    """
+    glued = random_assembly("flat-pad", 2, "glued")
+    pieces = {}
+    for (s1, s2), piece in glued.pieces:
+        padded = AntiBlockingBody(convex_hull([v + (F(0),) for v in piece.vertices], 3))
+        pieces[(s1, s2, 1)] = pieces[(s1, s2, -1)] = padded
+    return pieces
+
+
+class TestFlatAssembly:
+    def test_validates_on_its_support(self):
+        a = assemble(3, flat_assembly_pieces())
+        assert lab_volume(a) == 0
+        assert volume(a.hull) == 0
+
+    def test_changed_twin_rejected(self):
+        # Replace one twin by a down-closed body with the same axis intervals
+        # (its box, or its axis triangle when it is the box), so only the
+        # comparison across the third coordinate can tell them apart.
+        pieces = flat_assembly_pieces()
+        twin = pieces[(1, 1, -1)]
+        x = max(v[0] for v in twin.vertices)
+        y = max(v[1] for v in twin.vertices)
+        box = ab_hull([(x, y, 0)])
+        pieces[(1, 1, -1)] = box if box != twin else ab_hull([(x, 0, 0), (0, y, 0)])
+        with pytest.raises(AssemblyError, match=r"projection mismatch .* \(0, 1\)"):
+            assemble(3, pieces)
+
 
 class TestFromUnconditional:
     def test_cube(self):

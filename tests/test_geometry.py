@@ -3,11 +3,13 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornervol import hull as hull_mod
 from cornervol import (
     CoordSubspace,
     convex_hull,
@@ -25,7 +27,7 @@ from cornervol import (
     unit_cube,
     volume,
 )
-from cornervol.geometry import VPolytope, matrix_det
+from cornervol.geometry import VPolytope, matrix_det, shadow
 
 
 def shoelace(poly) -> F:
@@ -59,6 +61,24 @@ def shoelace(poly) -> F:
 
 def rand_points(rng, n, count, lo=-4, hi=4):
     return [tuple(F(rng.randint(lo, hi)) for _ in range(n)) for _ in range(count)]
+
+
+# Rationals with mixed denominators.
+coords = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
+
+
+def keep_of(draw, n):
+    """A nonempty strictly ascending tuple of coordinates in range(n)."""
+    return tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))))
+
+
+@st.composite
+def shadow_cases(draw):
+    """A polytope in dims 1-4, coordinates to keep, and coordinates of those."""
+    n = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=7))
+    outer = keep_of(draw, n)
+    return convex_hull(pts, n), outer, keep_of(draw, len(outer))
 
 
 class TestConvexHull:
@@ -199,6 +219,26 @@ class TestSubspaces:
         box = reflect(unit_cube(2), (-1, 1))
         q = join_hull(box, unit_cube(2))  # [-1,1] x [0,1]
         assert project(q, CoordSubspace(2, (0,))) == convex_hull([(-1, 0), (1, 0)])
+
+    def test_shadow_rejects_bad_keep(self):
+        for keep in ((), (0, 0), (1, 0), (-1, 0), (0, 3)):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                shadow(standard_simplex(3), keep)
+
+    @given(shadow_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_shadow_properties(self, case):
+        p, outer, inner = case
+        n = p.dim
+        with patch.object(hull_mod, "strict_checks", True):
+            dropped = [tuple(v[i] for i in outer) for v in p.vertices]
+            assert shadow(p, outer) == convex_hull(dropped, len(outer))
+            assert shadow(p, tuple(range(n))) is p
+            composed = tuple(outer[i] for i in inner)
+            assert shadow(shadow(p, outer), inner) == shadow(p, composed)
+            # The second route hulls the projection in R^n first.
+            sub = CoordSubspace(n, outer)
+            assert volume(shadow(p, outer)) == relative_volume(project(p, sub), sub)
 
     def test_bad_subspace(self):
         with pytest.raises(ValueError):
