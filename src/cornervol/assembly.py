@@ -111,8 +111,7 @@ def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) 
                 )
 
 
-def _check_convex_union(dim: int, piece_map: dict[SignVector, AntiBlockingBody],
-                        hull: VPolytope) -> None:
+def _check_convex_union(piece_map: dict[SignVector, AntiBlockingBody], hull: VPolytope) -> None:
     # The union of the pieces is convex iff it fills its own hull, which for
     # interior-disjoint pieces is an exact volume identity.  When the whole
     # assembly lies in a proper coordinate subspace the check runs there:
@@ -127,17 +126,12 @@ def _check_convex_union(dim: int, piece_map: dict[SignVector, AntiBlockingBody],
     }))
     if not support:
         return
-    seen: dict[SignVector, VPolytope] = {}
-    total = Fraction(0)
+    # Pieces sharing a reduced sign have one shadow: _check_consistency compared each single-sign
+    # flip on coordinates containing the support; in dimension 1 the two signs differ on it.
+    reduced: dict[SignVector, AntiBlockingBody] = {}
     for sign, piece in piece_map.items():
-        reduced_sign = tuple(sign[i] for i in support)
-        dropped = shadow(piece.body, support)
-        if reduced_sign in seen:
-            if seen[reduced_sign] != dropped:
-                raise AssemblyError("pieces disagree on their shared support")
-            continue
-        seen[reduced_sign] = dropped
-        total += volume(dropped)
+        reduced.setdefault(tuple(sign[i] for i in support), piece)
+    total = sum((volume(shadow(piece.body, support)) for piece in reduced.values()), Fraction(0))
     hull_vol = volume(shadow(hull, support))
     if total != hull_vol:
         raise AssemblyError(
@@ -160,7 +154,7 @@ def assemble(dim: int, pieces) -> OrthantAssembly:
             raise AssemblyError(f"piece at {_sign_str(sign)} is not anti-blocking")
     _check_consistency(dim, piece_map)
     assembly = OrthantAssembly(dim, full)
-    _check_convex_union(dim, piece_map, assembly.hull)
+    _check_convex_union(piece_map, assembly.hull)
     return assembly
 
 

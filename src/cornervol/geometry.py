@@ -83,6 +83,11 @@ class VPolytope:
         for u, v in zip(self.vertices, self.vertices[1:]):
             if not u < v:
                 raise ValueError("vertices must be strictly lex-ascending (use from_points)")
+        # Hashed once: the memos keyed by polytopes would re-hash every Fraction.
+        object.__setattr__(self, "_hash", hash((self.dim, self.vertices)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_points(points, dim: int | None = None) -> "VPolytope":
@@ -97,7 +102,7 @@ class VPolytope:
             )
         data = hull_of_points(pts, n)
         poly = VPolytope(n, data.vertices)
-        _volume_cache[(n, data.vertices)] = data.volume
+        _volume_cache[poly] = data.volume
         return poly
 
     def translate(self, t) -> "VPolytope":
@@ -130,7 +135,7 @@ class CoordSubspace:
 
 
 # Hand-written rather than functools.cache so that from_points can seed it.
-_volume_cache: dict[tuple[int, tuple[Vec, ...]], Fraction] = {}
+_volume_cache: dict[VPolytope, Fraction] = {}
 
 
 def convex_hull(points, dim: int | None = None) -> VPolytope:
@@ -140,11 +145,10 @@ def convex_hull(points, dim: int | None = None) -> VPolytope:
 
 def volume(poly: VPolytope) -> Fraction:
     """Exact dim-dimensional Lebesgue volume (0 for lower-dimensional bodies)."""
-    key = (poly.dim, poly.vertices)
-    val = _volume_cache.get(key)
+    val = _volume_cache.get(poly)
     if val is None:
         val = hull_of_points(poly.vertices, poly.dim).volume
-        _volume_cache[key] = val
+        _volume_cache[poly] = val
     return val
 
 

@@ -2,10 +2,20 @@
 
 The engine is an incremental beneath-beyond construction over scaled integer
 coordinates: every predicate (visibility, extremeness, facet activity) is an
-exact integer comparison.  numpy int64 is used purely as an accelerator for
-the visibility and facet-activity scans and is disabled automatically when a
-magnitude bound shows that int64 could overflow, so results never depend on
-floating point or machine word size.
+exact integer comparison.  Only the n+1 boundary pieces of the initial
+simplex get their plane from minors (``hyperplane_normal``).  Every later
+piece is cut through a horizon ridge and the new point p, and its plane is
+the ridge's two planes rotated onto p: a nonnegative integer combination of
+the visible and the hidden plane, divided by the gcd of its normal, which is
+the same primitive plane the minors give, in O(n) integer work.  Under
+``strict_checks`` every rotated plane is compared with the minors.
+
+numpy int64 is used purely as an accelerator for the visibility and
+facet-activity scans.  Piece planes go into an append-only int64 buffer,
+grown by doubling, with a mask of the live rows; it is dropped for the rest
+of a construction once a magnitude bound shows that int64 could overflow,
+and the scans go on in Python integers, so results never depend on floating
+point or machine word size.
 
 Degenerate inputs (affine rank below the ambient dimension) are canonicalized
 inside their affine hull via exact rational coordinates; their ambient volume
@@ -20,7 +30,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .linalg import AffineSpan, det_int, hyperplane_normal, rank_int_rows
+from .linalg import AffineSpan, det_int, hyperplane_normal, rank_int_rows, vec_gcd
 
 Vec = tuple[Fraction, ...]
 
@@ -49,8 +59,15 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def _ridge_keys(verts: tuple[int, ...]) -> list[frozenset[int]]:
+    """The ridges of a boundary piece, each keyed by its vertex set."""
+    return [frozenset(verts[:k] + verts[k + 1:]) for k in range(len(verts))]
+
+
 class _Placing:
     """Beneath-beyond structure over full-rank integer points."""
+
+    INITIAL_ROWS = 64  # scan buffer capacity before its first doubling
 
     def __init__(self, n: int, points: list[tuple[int, ...]], simplex_ids: list[int]):
         self.n = n
@@ -63,12 +80,14 @@ class _Placing:
         self._next_id = 0
         self._max_coord = max((abs(c) for p in points for c in p), default=1)
         self._max_normal = 1
-        self._np_rows: list[tuple[int, ...]] = []  # (a..., b) per piece id
-        self._np_mat: np.ndarray | None = None
-        self._np_len = 0
+        # Scan buffer: row pid holds (a..., b) of piece pid, live[pid] whether
+        # it is alive.  Append-only, grown by doubling; dropped for good once
+        # the int64 guard fails, since the guard's bound only grows.
+        self._buf: np.ndarray | None = np.empty((self.INITIAL_ROWS, n + 1), dtype=np.int64)
+        self._live = np.zeros(self.INITIAL_ROWS, dtype=bool)
         for omit in range(n + 1):
             verts = tuple(simplex_ids[i] for i in range(n + 1) if i != omit)
-            self._add_piece(verts)
+            self._add_piece(verts, *self._oriented_plane(verts))
 
     # -- pieces ------------------------------------------------------------
 
@@ -90,26 +109,60 @@ class _Placing:
             offset = -offset
         return normal, offset
 
-    def _add_piece(self, verts: tuple[int, ...]) -> int:
-        normal, offset = self._oriented_plane(verts)
+    def _rotated_plane(self, visible: int, invisible: int,
+                       p: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """Outward plane through the ridge of two adjacent pieces and p.
+
+        With s_v = a_v.p - b_v > 0 (p beyond the visible piece) and
+        s_i = b_i - a_i.p >= 0 (p beneath the other), the combination
+        s_i (a_v, b_v) + s_v (a_i, b_i) vanishes on the ridge and at p, and
+        keeps the interior on its negative side; divided by the gcd of its
+        normal it is the primitive plane ``_oriented_plane`` would compute.
+        """
+        _, a_v, b_v = self.pieces[visible]
+        _, a_i, b_i = self.pieces[invisible]
+        s_v = sum(a * x for a, x in zip(a_v, p)) - b_v
+        s_i = b_i - sum(a * x for a, x in zip(a_i, p))
+        normal = [s_i * x + s_v * y for x, y in zip(a_v, a_i)]
+        g = vec_gcd(normal)
+        if g == 0:
+            raise RuntimeError("degenerate boundary piece")
+        normal = tuple(c // g for c in normal)
+        offset = (s_i * b_v + s_v * b_i) // g
+        if sum(a * x for a, x in zip(normal, p)) != offset:
+            raise RuntimeError("degenerate boundary piece")
+        side = sum(a * x for a, x in zip(normal, self.osum)) - (self.n + 1) * offset
+        if side >= 0:
+            raise RuntimeError("reference point on a boundary hyperplane")
+        return normal, offset
+
+    def _add_piece(self, verts: tuple[int, ...], normal: tuple[int, ...], offset: int) -> int:
         pid = self._next_id
         self._next_id += 1
         self.pieces[pid] = (verts, normal, offset)
         self.alive.add(pid)
-        for omit in verts:
-            key = frozenset(v for v in verts if v != omit)
+        for key in _ridge_keys(verts):
             self.ridges.setdefault(key, set()).add(pid)
-        mag = max(abs(a) for a in normal)
+        mag = max(map(abs, normal))
         if mag > self._max_normal:
             self._max_normal = mag
-        self._np_rows.append(normal + (offset,))
+        if self._buf is not None:
+            if not self._numpy_ok():
+                self._buf = self._live = None
+            else:
+                if pid == len(self._buf):
+                    self._buf = np.concatenate((self._buf, np.empty_like(self._buf)))
+                    self._live = np.concatenate((self._live, np.zeros_like(self._live)))
+                self._buf[pid] = normal + (offset,)
+                self._live[pid] = True
         return pid
 
     def _kill_piece(self, pid: int) -> None:
         verts, _, _ = self.pieces[pid]
         self.alive.discard(pid)
-        for omit in verts:
-            key = frozenset(v for v in verts if v != omit)
+        if self._buf is not None:
+            self._live[pid] = False
+        for key in _ridge_keys(verts):
             incident = self.ridges.get(key)
             if incident is not None:
                 incident.discard(pid)
@@ -121,18 +174,11 @@ class _Placing:
     def _numpy_ok(self) -> bool:
         return self._max_coord * self._max_normal * (self.n + 1) < _INT64_BOUND
 
-    def _matrix(self) -> np.ndarray:
-        if self._np_mat is None or self._np_len != len(self._np_rows):
-            self._np_mat = np.array(self._np_rows, dtype=np.int64)
-            self._np_len = len(self._np_rows)
-        return self._np_mat
-
     def visible_from(self, p: tuple[int, ...]) -> list[int]:
-        if len(self.alive) >= 32 and self._numpy_ok():
-            mat = self._matrix()
-            vals = mat[:, :-1] @ np.array(p, dtype=np.int64) - mat[:, -1]
-            candidates = np.nonzero(vals > 0)[0]
-            return [pid for pid in candidates.tolist() if pid in self.alive]
+        if len(self.alive) >= 32 and self._buf is not None:
+            m = self._next_id
+            vals = self._buf[:m, :-1] @ np.array(p, dtype=np.int64) - self._buf[:m, -1]
+            return np.nonzero((vals > 0) & self._live[:m])[0].tolist()
         out = []
         for pid in self.alive:
             _, a, b = self.pieces[pid]
@@ -148,19 +194,19 @@ class _Placing:
         if not visible:
             return False
         visible_set = set(visible)
-        horizon: list[frozenset[int]] = []
+        horizon: list[tuple[frozenset[int], tuple[tuple[int, ...], int]]] = []
         for pid in visible:
             verts, _, _ = self.pieces[pid]
-            for omit in verts:
-                key = frozenset(v for v in verts if v != omit)
-                incident = self.ridges[key]
-                others = incident - visible_set
-                if others:
-                    horizon.append(key)
+            for key in _ridge_keys(verts):
+                for other in self.ridges[key] - visible_set:
+                    horizon.append((key, self._rotated_plane(pid, other, p)))
         for pid in visible:
             self._kill_piece(pid)
-        for key in horizon:
-            self._add_piece(tuple(sorted(key)) + (pid_new,))
+        for key, plane in horizon:
+            verts = tuple(sorted(key)) + (pid_new,)
+            if strict_checks and plane != self._oriented_plane(verts):
+                raise AssertionError(f"rotated plane of {verts} differs from its minors")
+            self._add_piece(verts, *plane)
         if strict_checks:
             self._check_closed()
         return True

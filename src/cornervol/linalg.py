@@ -65,8 +65,10 @@ def vec_gcd(values) -> int:
 def hyperplane_normal(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     """Primitive integer normal to the span of n-1 integer vectors in R^n.
 
-    Computed as the generalized cross product (signed maximal minors).
-    Returns None when the vectors are linearly dependent.
+    Computed as the generalized cross product (signed maximal minors), n
+    Bareiss determinants.  The hull engine calls it only for the pieces of
+    its initial simplex and, under ``strict_checks``, as the oracle for the
+    planes it rotates.  Returns None when the vectors are linearly dependent.
     """
     n = len(diffs) + 1
     comps = []
@@ -111,7 +113,35 @@ def rank_rows(rows: list[list[Fraction]]) -> int:
 
 
 def rank_int_rows(rows: list[tuple[int, ...]]) -> int:
-    return rank_rows([[Fraction(x) for x in r] for r in rows])
+    """Row rank of an integer matrix, by fraction-free (Bareiss) elimination.
+
+    After each pivot step every entry below the pivot rows is a minor of the
+    input, so the division by the previous pivot is exact and no ``Fraction``
+    is built.  ``rank_rows`` is the rational-arithmetic oracle for it.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        prow = m[rank]
+        pv = prow[col]
+        for i in range(rank + 1, len(m)):
+            row = m[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * pv - f * prow[j]) // prev
+        prev = pv
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -121,6 +121,23 @@ class TestConvexHull:
         with pytest.raises(ValueError, match="lex-ascending"):
             VPolytope(2, (a, b, b))
 
+    def test_point_order_gives_one_key(self):
+        # The hash is stored at construction; equal polytopes must share it, so
+        # the memos keyed by polytopes still find each other's entries.
+        from cornervol import mixed
+
+        pts = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 0), (2, 3, F(1, 2))]
+        p, q = convex_hull(pts, 3), convex_hull(pts[::-1], 3)
+        raw = VPolytope(3, p.vertices)
+        assert p == q == raw and p is not q
+        assert hash(p) == hash(q) == hash(raw)
+        t = standard_simplex(3)
+        first = mixed.volume_polynomial(p, t)
+        before = mixed.volume_polynomial.cache_info()
+        assert mixed.volume_polynomial(q, t) is first
+        after = mixed.volume_polynomial.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
                     min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Structural checks of the incremental hull engine."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -169,3 +170,57 @@ def test_dimension_bounds(monkeypatch):
     assert len(convex_hull(pts, 9).vertices) == 10
     with pytest.raises(ValueError):
         hull_of_points([], 2)
+
+
+def moment_curve(n, ts):
+    return [tuple(F(t**k) for k in range(1, n + 1)) for t in ts]
+
+
+def sphere_with_escapes():
+    """Lattice points of radius 3 scaled by 2^31, then two points just beyond.
+
+    The sphere's planes have small normals, so its construction scans in int64
+    with more than 32 pieces alive; each escape point sees a plane whose
+    normal is about 2^31, which fails the int64 guard partway through.
+    """
+    c = 2**31
+    sphere = sorted({p for p in itertools.product(range(-3, 4), repeat=3)
+                     if sum(x * x for x in p) == 9})
+    k = 17 * c // 10  # (k, k, k) lies beyond the facet x + y + z = 5c
+    base = [tuple(F(c * x) for x in p) for p in sphere]
+    return base, [(F(k + 1), F(k + 2), F(k + 3)), (F(-k - 5), F(k + 7), F(-k - 11))]
+
+
+def placed(pts, n):
+    _, independent = hull_mod._affine_basis(pts, n)
+    return hull_mod._place(n, pts, independent)[0]
+
+
+def moment_cases():
+    """Points in convex position with more pieces than the scan buffer's first capacity."""
+    return [(n, moment_curve(n, range(-count, count + 1)))
+            for n, count in ((2, 40), (3, 12), (4, 8), (5, 6))]
+
+
+def test_scan_buffer_grows_past_its_capacity(strict):
+    for n, pts in moment_cases():
+        placing = placed(pts, n)
+        assert placing._next_id > hull_mod._Placing.INITIAL_ROWS
+        assert placing._buf is not None and len(placing._buf) >= placing._next_id
+
+
+def test_int64_guard_trips_partway(strict):
+    base, escapes = sphere_with_escapes()
+    placing = placed(base, 3)
+    assert placing._buf is not None and len(placing.alive) >= 32
+    assert placed(base + escapes, 3)._buf is None
+
+
+def test_scans_agree_with_pure_int_fallback(strict, monkeypatch):
+    base, escapes = sphere_with_escapes()
+    cases = moment_cases() + [(3, base + escapes)]
+    scanned = [(hull_of_points(pts, n), hull_mod.triangulate(pts, n)) for n, pts in cases]
+    monkeypatch.setattr(hull_mod, "_INT64_BOUND", 0)
+    for (n, pts), expected in zip(cases, scanned):
+        assert placed(pts, n)._buf is None
+        assert (hull_of_points(pts, n), hull_mod.triangulate(pts, n)) == expected
