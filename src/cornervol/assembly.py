@@ -106,8 +106,8 @@ def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) 
             other = tuple(-s if j == i else s for j, s in enumerate(sign))
             if shadow(piece_map[sign].body, keep) != shadow(piece_map[other].body, keep):
                 raise AssemblyError(
-                    f"projection mismatch between orthants {_sign_str(sign)} and "
-                    f"{_sign_str(other)} on the coordinates {keep}"
+                    f"projection mismatch between orthants {sign_to_str(sign)} and "
+                    f"{sign_to_str(other)} on the coordinates {keep}"
                 )
 
 
@@ -151,14 +151,14 @@ def assemble(dim: int, pieces) -> OrthantAssembly:
     piece_map = dict(full)
     for sign, piece in full:
         if not validate_ab(piece.body):
-            raise AssemblyError(f"piece at {_sign_str(sign)} is not anti-blocking")
+            raise AssemblyError(f"piece at {sign_to_str(sign)} is not anti-blocking")
     _check_consistency(dim, piece_map)
     assembly = OrthantAssembly(dim, full)
     _check_convex_union(piece_map, assembly.hull)
     return assembly
 
 
-def _sign_str(sign: SignVector) -> str:
+def sign_to_str(sign: SignVector) -> str:
     return "".join("+" if s > 0 else "-" for s in sign)
 
 
@@ -336,42 +336,33 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     )
 
     # Re-index each subspace sum by the sign vector that matches the piece on
-    # E and its opposite off E; the products must agree term by term.
+    # E and its opposite off E; the products must agree term by term, and
+    # each must stay below C(n, j) times its piece's volume.
     choose = comb(n, j)
     reindexed_total = Fraction(0)
-    bijection_ok = True
+    rs_bound = Fraction(0)
+    bijection_ok = rs_holds = True
     for subset in itertools.combinations(range(n), j):
         rest = tuple(i for i in range(n) if i not in subset)
         for tau in signs:
             sigma = tuple(
                 t if i in subset else -t for i, t in enumerate(tau)
             )
-            lhs_term = (
-                projected_volume(piece[sigma], subset)
-                * projected_volume(piece[tuple(-x for x in sigma)], rest)
-            )
-            rhs_term = (
-                projected_volume(piece[tau], subset)
-                * projected_volume(piece[tau], rest)
-            )
-            if lhs_term != rhs_term:
-                bijection_ok = False
-            reindexed_total += rhs_term
-    reindexed = reindexed_total / choose
-
-    rs_bound = Fraction(0)
-    rs_holds = True
-    for subset in itertools.combinations(range(n), j):
-        rest = tuple(i for i in range(n) if i not in subset)
-        for tau in signs:
             term = (
                 projected_volume(piece[tau], subset)
                 * projected_volume(piece[tau], rest)
             )
+            if term != (
+                projected_volume(piece[sigma], subset)
+                * projected_volume(piece[tuple(-x for x in sigma)], rest)
+            ):
+                bijection_ok = False
             cap = choose * volume(piece[tau].body)
             if term > cap:
                 rs_holds = False
+            reindexed_total += term
             rs_bound += cap
+    reindexed = reindexed_total / choose
     rs_bound /= choose
 
     bound = comb(n, j) * lab_volume(a)

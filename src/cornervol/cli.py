@@ -268,8 +268,6 @@ def _random_assemblies(args, config: RunConfig):
         style = args.style
         if style == "mixed":
             style = "glued" if trial % 2 else "unconditional"
-        if style == "glued" and config.dim > 3:
-            style = "unconditional"  # glued generation is kept at low dimension
         rng = trial_rng(config.seed, trial)
         yield {"style": style, "trial": trial}, random_assembly(rng, config.dim, style)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache, reduce
 
 from . import hull as _hull
-from .hull import Vec, hull_of_points
+from .hull import Vec, as_vec, hull_of_points
 from .linalg import det_fraction
 
 __all__ = [
@@ -57,10 +57,6 @@ def max_dim(default: int = _hull.MAX_DIM) -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"CORNER_MIXVOL_MAX_DIM must be an integer, got {env!r}") from None
-
-
-def as_vec(point) -> Vec:
-    return tuple(Fraction(x) for x in point)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,27 @@
 """Exact convex hull, volume, and facet machinery in dimensions 1 through 8.
 
-The engine is an incremental beneath-beyond construction over scaled integer
-coordinates: every predicate (visibility, extremeness, facet activity) is an
-exact integer comparison.  Only the n+1 boundary pieces of the initial
+The engine is an incremental beneath-beyond construction.  The input points
+are scaled to integers once, at entry (``_scale_to_int``); after that no
+``Fraction`` is built until the result, and every predicate (visibility,
+extremeness, facet activity) is an exact integer comparison.  The initial
+simplex comes from a fraction-free greedy elimination over the difference
+rows (``_affine_basis``).  Only the n+1 boundary pieces of the initial
 simplex get their plane from minors (``hyperplane_normal``).  Every later
 piece is cut through a horizon ridge and the new point p, and its plane is
 the ridge's two planes rotated onto p: a nonnegative integer combination of
 the visible and the hidden plane, divided by the gcd of its normal, which is
 the same primitive plane the minors give, in O(n) integer work.  Under
 ``strict_checks`` every rotated plane is compared with the minors.
+
+The triangulation is the one placing makes: the initial simplex, then the
+cell conv(F u p) for every piece F visible from each placed point p.  Each
+boundary piece keeps its lattice content g (the gcd of its raw minors), so
+that cell has |det| = g_F (a_F.p - b_F), and the piece rotated through a
+ridge of F gets g' = |det| / (b' - a'.q), with q the vertex of F off the
+ridge.  Only the initial simplex's |det| is a determinant.  The hull volume
+is the sum of the cells, and ``triangulate`` returns them.  Under
+``strict_checks`` every cell's |det| is compared with its determinant and
+every content division must be exact.
 
 numpy int64 is used purely as an accelerator for the visibility and
 facet-activity scans.  Piece planes go into an append-only int64 buffer,
@@ -17,22 +30,23 @@ of a construction once a magnitude bound shows that int64 could overflow,
 and the scans go on in Python integers, so results never depend on floating
 point or machine word size.
 
-Degenerate inputs (affine rank below the ambient dimension) are canonicalized
-inside their affine hull via exact rational coordinates; their ambient volume
-is zero.
+Degenerate inputs (affine rank r below the ambient dimension) keep only the
+r pivot coordinates of that elimination, which map their affine hull
+one-to-one onto R^r; their ambient volume is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, lcm
 
 import numpy as np
 
-from .linalg import AffineSpan, det_int, hyperplane_normal, rank_int_rows, vec_gcd
+from .linalg import det_int, hyperplane_normal, rank_int_rows, vec_gcd
 
 Vec = tuple[Fraction, ...]
+Cell = tuple[tuple[int, ...], int]
 
 MAX_DIM = 8
 
@@ -51,12 +65,8 @@ class HullData:
     volume: Fraction
 
 
-def _as_fraction_vec(point) -> Vec:
+def as_vec(point) -> Vec:
     return tuple(Fraction(x) for x in point)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _ridge_keys(verts: tuple[int, ...]) -> list[frozenset[int]]:
@@ -72,11 +82,11 @@ class _Placing:
     def __init__(self, n: int, points: list[tuple[int, ...]], simplex_ids: list[int]):
         self.n = n
         self.points = points
-        self.apex_id = simplex_ids[0]
         self.osum = tuple(sum(points[i][j] for i in simplex_ids) for j in range(n))
         self.pieces: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self.alive: set[int] = set()
         self.ridges: dict[frozenset[int], set[int]] = {}
+        self.content: list[int] = []  # lattice content g, by piece id
         self._next_id = 0
         self._max_coord = max((abs(c) for p in points for c in p), default=1)
         self._max_normal = 1
@@ -85,9 +95,28 @@ class _Placing:
         # the int64 guard fails, since the guard's bound only grows.
         self._buf: np.ndarray | None = np.empty((self.INITIAL_ROWS, n + 1), dtype=np.int64)
         self._live = np.zeros(self.INITIAL_ROWS, dtype=bool)
+        simplex = tuple(simplex_ids)
+        det = self._simplex_det(simplex)
+        self.cells: list[Cell] = [(simplex, det)]
         for omit in range(n + 1):
             verts = tuple(simplex_ids[i] for i in range(n + 1) if i != omit)
-            self._add_piece(verts, *self._oriented_plane(verts))
+            normal, offset = self._oriented_plane(verts)
+            self._add_piece(verts, normal, offset,
+                            self._content(det, normal, offset, simplex_ids[omit]))
+
+    def _simplex_det(self, ids: tuple[int, ...]) -> int:
+        base = self.points[ids[-1]]
+        return abs(det_int([
+            [self.points[v][j] - base[j] for j in range(self.n)] for v in ids[:-1]
+        ]))
+
+    def _content(self, det: int, normal: tuple[int, ...], offset: int, q: int) -> int:
+        """Lattice content of a piece, from a cell of |det| with apex q off it."""
+        gap = offset - sum(a * x for a, x in zip(normal, self.points[q]))
+        content, rem = divmod(det, gap)
+        if strict_checks and rem:
+            raise AssertionError(f"cell |det| {det} is not a multiple of the apex gap {gap}")
+        return content
 
     # -- pieces ------------------------------------------------------------
 
@@ -136,10 +165,12 @@ class _Placing:
             raise RuntimeError("reference point on a boundary hyperplane")
         return normal, offset
 
-    def _add_piece(self, verts: tuple[int, ...], normal: tuple[int, ...], offset: int) -> int:
+    def _add_piece(self, verts: tuple[int, ...], normal: tuple[int, ...], offset: int,
+                   content: int) -> int:
         pid = self._next_id
         self._next_id += 1
         self.pieces[pid] = (verts, normal, offset)
+        self.content.append(content)
         self.alive.add(pid)
         for key in _ridge_keys(verts):
             self.ridges.setdefault(key, set()).add(pid)
@@ -194,19 +225,25 @@ class _Placing:
         if not visible:
             return False
         visible_set = set(visible)
-        horizon: list[tuple[frozenset[int], tuple[tuple[int, ...], int]]] = []
+        horizon: list[tuple[frozenset[int], tuple[int, ...], int, int]] = []
         for pid in visible:
-            verts, _, _ = self.pieces[pid]
-            for key in _ridge_keys(verts):
+            verts, a, b = self.pieces[pid]
+            cell = verts + (pid_new,)
+            det = self.content[pid] * (sum(x * y for x, y in zip(a, p)) - b)
+            if strict_checks and det != self._simplex_det(cell):
+                raise AssertionError(f"cell {cell} has |det| {det} by content")
+            self.cells.append((cell, det))
+            for q, key in zip(verts, _ridge_keys(verts)):
                 for other in self.ridges[key] - visible_set:
-                    horizon.append((key, self._rotated_plane(pid, other, p)))
+                    normal, offset = self._rotated_plane(pid, other, p)
+                    horizon.append((key, normal, offset, self._content(det, normal, offset, q)))
         for pid in visible:
             self._kill_piece(pid)
-        for key, plane in horizon:
+        for key, normal, offset, content in horizon:
             verts = tuple(sorted(key)) + (pid_new,)
-            if strict_checks and plane != self._oriented_plane(verts):
+            if strict_checks and (normal, offset) != self._oriented_plane(verts):
                 raise AssertionError(f"rotated plane of {verts} differs from its minors")
-            self._add_piece(verts, *plane)
+            self._add_piece(verts, normal, offset, content)
         if strict_checks:
             self._check_closed()
         return True
@@ -224,28 +261,6 @@ class _Placing:
             _, a, b = self.pieces[pid]
             seen[(a, b)] = None
         return [k for k in seen]
-
-    def apex_cones(self):
-        """Full simplices of the placing triangulation, as (point ids, |det|).
-
-        The apex (a vertex of the initial simplex) is coned over every live
-        boundary piece that does not contain it; cones of zero determinant
-        (pieces in a facet through the apex) are skipped.  |det| is n! times
-        the simplex volume in the scaled integer coordinates.
-        """
-        apex_id = self.apex_id
-        apex = self.points[apex_id]
-        for pid in self.alive:
-            verts, _, _ = self.pieces[pid]
-            if apex_id in verts:
-                continue
-            rows = [
-                [self.points[v][j] - apex[j] for j in range(self.n)]
-                for v in verts
-            ]
-            d = abs(det_int(rows))
-            if d:
-                yield verts + (apex_id,), d
 
     def extreme_ids(self, candidate_ids: list[int]) -> list[int]:
         planes = self.facet_planes()
@@ -279,82 +294,89 @@ class _Placing:
 
 
 def _scale_to_int(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
-    denom = 1
-    for p in points:
-        for x in p:
-            denom = _lcm(denom, x.denominator)
-    return [tuple(int(x * denom) for x in p) for p in points], denom
+    denom = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (denom // x.denominator) for x in p) for p in points], denom
 
 
-def _place(dim: int, points: list[Vec], independent: list[int]) -> tuple[_Placing, int]:
-    """Scale to integers, order far-first, and place every point.
+def _affine_basis(points: list[tuple[int, ...]], dim: int) -> tuple[list[int], list[int]]:
+    """Greedy affine basis of integer points, by fraction-free elimination.
+
+    Point i joins when its difference from point 0 is independent of the
+    differences taken so far, so the basis does not depend on how the
+    elimination is done.  Each stored row is reduced against the earlier ones
+    and divided by its gcd; it vanishes on their pivot columns, so the rows
+    are triangular on the pivots.  Returns the basis indices and the pivot
+    columns in ascending order.
+    """
+    base = points[0]
+    rows: list[tuple[int, list[int]]] = []
+    independent = [0]
+    for i in range(1, len(points)):
+        d = [x - y for x, y in zip(points[i], base)]
+        for col, row in rows:
+            f = d[col]
+            if f:
+                pv = row[col]
+                d = [pv * x - f * y for x, y in zip(d, row)]
+        col = next((j for j, x in enumerate(d) if x), None)
+        if col is None:
+            continue
+        g = vec_gcd(d)
+        rows.append((col, [x // g for x in d]))
+        independent.append(i)
+        if len(rows) == dim:
+            break
+    return independent, sorted(col for col, _ in rows)
+
+
+def _place(dim: int, points: list[tuple[int, ...]], independent: list[int]) -> _Placing:
+    """Order the integer points far-first and place every one.
 
     ``independent`` indexes dim+1 affinely independent points, the initial
-    simplex.  Returns the beneath-beyond structure and the scaling
-    denominator.
+    simplex.
     """
-    int_points, denom = _scale_to_int(points)
-    centroid = tuple(sum(p[j] for p in int_points) for j in range(dim))
-    npts = len(int_points)
+    centroid = tuple(sum(p[j] for p in points) for j in range(dim))
+    npts = len(points)
 
     def far_key(i: int) -> tuple:
-        p = int_points[i]
+        p = points[i]
         d2 = sum((npts * c - centroid[j]) ** 2 for j, c in enumerate(p))
         return (-d2, p)
 
     order = sorted(range(npts), key=far_key)
-    placing = _Placing(dim, int_points, independent)
+    placing = _Placing(dim, points, independent)
     in_simplex = set(independent)
     for i in order:
         if i not in in_simplex:
             placing.insert(i)
-    return placing, denom
+    return placing
 
 
-def _hull_full_rank(dim: int, points: list[Vec], independent: list[int]) -> HullData:
+def _hull_full_rank(dim: int, points: list[tuple[int, ...]],
+                    independent: list[int]) -> tuple[list[int], int]:
+    """Extreme point ids, and dim! times the volume, of spanning integer points."""
     if dim == 1:
-        int_points, denom = _scale_to_int(points)
-        vals = [p[0] for p in int_points]
+        vals = [p[0] for p in points]
         lo, hi = min(vals), max(vals)
-        verts = tuple(sorted({points[vals.index(lo)], points[vals.index(hi)]}))
-        return HullData(1, 1, verts, Fraction(hi - lo, denom))
-
-    placing, denom = _place(dim, points, independent)
-    extreme = placing.extreme_ids(list(range(len(points))))
-    verts = tuple(sorted(points[i] for i in extreme))
-    scaled = sum(d for _, d in placing.apex_cones())
-    volume = Fraction(scaled, factorial(dim) * denom**dim)
-    return HullData(dim, dim, verts, volume)
-
-
-def _affine_basis(points: list[Vec], dim: int) -> tuple[AffineSpan, list[int]]:
-    """Greedy affine basis: the span of the points and the indices spanning it."""
-    span = AffineSpan(points[0])
-    independent = [0]
-    for i in range(1, len(points)):
-        if span.try_add(points[i]):
-            independent.append(i)
-            if span.rank == dim:
-                break
-    return span, independent
-
-
-Cell = tuple[tuple[int, ...], int]
+        return [vals.index(lo), vals.index(hi)], hi - lo
+    placing = _place(dim, points, independent)
+    return placing.extreme_ids(list(range(len(points)))), sum(d for _, d in placing.cells)
 
 
 def triangulate(points: list[Vec], dim: int) -> tuple[list[Cell], int] | None:
     """Placing triangulation of distinct points in R^dim, dim >= 2.
 
-    Returns ``(cells, denom)``: each cell is (indices of its dim+1 points,
-    |det|), where |det| / (dim! * denom**dim) is the cell's volume.  The
-    cells tile the hull of the points.  None when the points do not span
-    R^dim.
+    Returns ``(cells, denom)``: the cells placing made (the initial simplex,
+    then conv(F u p) for every piece F visible from each placed point p),
+    each as (indices of its dim+1 points, |det|), where |det| / (dim! *
+    denom**dim) is the cell's volume.  The cells tile the hull of the
+    points.  None when the points do not span R^dim.
     """
-    span, independent = _affine_basis(points, dim)
-    if span.rank < dim:
+    int_points, denom = _scale_to_int(points)
+    independent, pivots = _affine_basis(int_points, dim)
+    if len(pivots) < dim:
         return None
-    placing, denom = _place(dim, points, independent)
-    return list(placing.apex_cones()), denom
+    return _place(dim, int_points, independent).cells, denom
 
 
 def hull_of_points(points, dim: int) -> HullData:
@@ -368,7 +390,7 @@ def hull_of_points(points, dim: int) -> HullData:
     unique: list[Vec] = []
     seen = set()
     for p in points:
-        v = _as_fraction_vec(p)
+        v = as_vec(p)
         if len(v) != dim:
             raise ValueError(f"point of dimension {len(v)} in dimension-{dim} hull")
         if v not in seen:
@@ -379,14 +401,14 @@ def hull_of_points(points, dim: int) -> HullData:
     if len(unique) == 1:
         return HullData(dim, 0, (unique[0],), Fraction(0))
 
-    span, independent = _affine_basis(unique, dim)
-    if span.rank == dim:
-        return _hull_full_rank(dim, unique, independent)
-
-    # Degenerate set: canonicalize inside the affine hull, ambient volume 0.
-    rank = span.rank
-    coords = [tuple(span.coordinates(p)) for p in unique]
-    sub = hull_of_points(coords, rank)
-    back = {c: p for c, p in zip(coords, unique)}
-    verts = tuple(sorted(back[c] for c in sub.vertices))
-    return HullData(dim, rank, verts, Fraction(0))
+    int_points, denom = _scale_to_int(unique)
+    independent, pivots = _affine_basis(int_points, dim)
+    rank = len(pivots)
+    if rank < dim:
+        # Degenerate set: its pivot coordinates map its affine hull one-to-one
+        # onto R^rank, so the hull is taken there; ambient volume 0.
+        int_points = [tuple(p[c] for c in pivots) for p in int_points]
+    extreme, scaled = _hull_full_rank(rank, int_points, independent)
+    verts = tuple(sorted(unique[i] for i in extreme))
+    volume = Fraction(scaled, factorial(dim) * denom**dim) if rank == dim else Fraction(0)
+    return HullData(dim, rank, verts, volume)

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .antiblocking import AntiBlockingBody, ab_hull
-from .assembly import OrthantAssembly, assemble
+from .assembly import OrthantAssembly, assemble, sign_to_str
 from .geometry import VPolytope, convex_hull
 
 
@@ -77,10 +77,6 @@ def ab_from_obj(obj) -> AntiBlockingBody:
     poly = polytope_from_obj(obj)
     body = AntiBlockingBody.from_polytope(poly)
     return body
-
-
-def sign_to_str(sign) -> str:
-    return "".join("+" if s > 0 else "-" for s in sign)
 
 
 def sign_from_str(s: str, dim: int) -> tuple[int, ...]:

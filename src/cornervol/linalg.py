@@ -2,13 +2,16 @@
 
 Everything here is tolerance-free: integer matrices go through fraction-free
 (Bareiss) elimination, rational ones through plain Gaussian elimination on
-``fractions.Fraction``.
+``fractions.Fraction``.  The hull engine uses only the integer routines
+(``det_int``, ``hyperplane_normal``, ``rank_int_rows``, ``vec_gcd``).  The
+rational ones serve ``geometry.matrix_det`` and the probe-interpolation
+oracle, and ``rank_rows`` is the tests' oracle for ``rank_int_rows``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -46,11 +49,8 @@ def det_int(rows: list[list[int]]) -> int:
 
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     """Determinant of a square rational matrix."""
-    denom = 1
-    for r in rows:
-        for x in r:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    scaled = [[int(x * denom) for x in r] for r in rows]
+    denom = lcm(*(x.denominator for r in rows for x in r))
+    scaled = [[x.numerator * (denom // x.denominator) for x in r] for r in rows]
     n = len(rows)
     return Fraction(det_int(scaled), denom**n)
 
@@ -164,58 +164,3 @@ def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [aug[i][n] for i in range(n)]
-
-
-class AffineSpan:
-    """Incremental affine-rank tracker with exact coordinates.
-
-    Feeds points one at a time; keeps an internal reduced basis of the
-    direction space so that membership tests and coordinate extraction stay
-    O(rank * dim) per point.
-    """
-
-    def __init__(self, base: tuple[Fraction, ...]):
-        self.base = base
-        self.dim = len(base)
-        # Each entry: (pivot column, reduced direction row, combination over
-        # the original accepted directions).
-        self._pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def _reduce(self, point) -> tuple[list[Fraction], list[Fraction]]:
-        residual = [Fraction(p) - Fraction(b) for p, b in zip(point, self.base)]
-        coeffs = [Fraction(0)] * len(self._pivots)
-        for col, row, combo in self._pivots:
-            f = residual[col]
-            if f == 0:
-                continue
-            for j in range(self.dim):
-                residual[j] -= f * row[j]
-            for j in range(len(combo)):
-                coeffs[j] += f * combo[j]
-        return residual, coeffs
-
-    def try_add(self, point) -> bool:
-        """Accept the point as a new independent direction if it enlarges the span."""
-        residual, coeffs = self._reduce(point)
-        col = next((j for j, v in enumerate(residual) if v != 0), None)
-        if col is None:
-            return False
-        pv = residual[col]
-        row = [v / pv for v in residual]
-        k = len(self._pivots)
-        combo = [-c / pv for c in coeffs] + [1 / pv]
-        for _, _, old in self._pivots:
-            old.append(Fraction(0))
-        self._pivots.append((col, row, combo))
-        return True
-
-    def coordinates(self, point) -> list[Fraction] | None:
-        """Coordinates of the point over the accepted directions, None if outside."""
-        residual, coeffs = self._reduce(point)
-        if any(v != 0 for v in residual):
-            return None
-        return coeffs

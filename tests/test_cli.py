@@ -130,6 +130,16 @@ class TestGodbersen:
         assert rep["summary"]["violations"] == 0
         assert rep["summary"]["records"] == 3 * 3  # trials * (n + 1)
 
+    def test_glued_sweep_runs_at_dim_4(self, capsys):
+        # An unconditional body has K = -K, so its j=1 ratio is exactly 1/4;
+        # a glued trial must stay glued and test the bound non-trivially.
+        code, out, _ = run(capsys, "godbersen", "--dim", "4", "--style", "glued",
+                           "--trials", "1", "--seed", "0")
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert {rec["style"] for rec in rep["records"]} == {"glued"}
+        assert next(rec["ratio"] for rec in rep["records"] if rec["j"] == 1) != "1/4"
+
     def test_equality_family_flag(self, capsys):
         code, out, _ = run(capsys, "godbersen", "--family", "equality-1", "--trials", "4",
                            "--dim", "3", "--seed", "2")

@@ -3,11 +3,16 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import factorial
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cornervol import hull as hull_mod
 from cornervol.hull import hull_of_points
+from cornervol.linalg import rank_rows
 
 
 @pytest.fixture
@@ -55,6 +60,54 @@ def test_rank_detection():
         (F(2), F(2), F(0)),
         (F(0), F(1), F(0)),
     }
+
+
+def test_affine_basis_takes_first_independent_points():
+    # The pivots turn up as column 2, then column 0; they are returned ascending,
+    # so the degenerate hull keeps the ambient coordinate order.
+    pts = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 5), (2, 0, 7)]
+    assert hull_mod._affine_basis(pts, 3) == ([0, 1, 3], [0, 2])
+    data = hull_of_points(pts, 3)
+    assert data.rank == 2
+    assert data.vertices == tuple(sorted(hull_mod.as_vec(pts[i]) for i in (0, 2, 3, 4)))
+
+
+# Rationals with mixed denominators.
+coords = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def embedded_point_sets(draw):
+    """Rank-k points in R^n as images of R^k under an injective affine map.
+
+    The preimages contain the standard simplex, so they span R^k.  The map has
+    more than k nonzero rows, so the image is not a coordinate subspace.
+    """
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    matrix = [[draw(coords) for _ in range(k)] for _ in range(n)]
+    assume(rank_rows(matrix) == k)
+    assume(sum(1 for row in matrix if any(row)) > k)
+    offset = [draw(coords) for _ in range(n)]
+    simplex = [tuple(F(int(i == j)) for j in range(k)) for i in range(-1, k)]
+    pre = simplex + draw(st.lists(st.tuples(*[coords] * k), max_size=6))
+
+    def image(x):
+        return tuple(c + sum(a * t for a, t in zip(row, x)) for row, c in zip(matrix, offset))
+
+    return n, k, pre, image
+
+
+@settings(max_examples=80, deadline=None)
+@given(embedded_point_sets())
+def test_degenerate_hull_is_the_image_of_the_hull_in_its_span(case):
+    n, k, pre, image = case
+    with patch.object(hull_mod, "strict_checks", True):
+        data = hull_of_points([image(x) for x in pre], n)
+        sub = hull_of_points(pre, k)
+    assert data.rank == k
+    assert data.volume == 0
+    assert data.vertices == tuple(sorted(image(v) for v in sub.vertices))
 
 
 def test_duplicate_points_collapse():
@@ -127,7 +180,7 @@ def brute_volume(pts, n):
     return total
 
 
-def test_volume_against_bruteforce_oracle():
+def test_volume_against_bruteforce_oracle(strict):
     rng = random.Random("oracle")
     cases = []
     for n in (2, 3):
@@ -141,7 +194,14 @@ def test_volume_against_bruteforce_oracle():
         cases.append((4, [tuple(rng.randint(0, 2) for _ in range(4))
                           for _ in range(rng.randint(5, 9))]))
     for n, pts in cases:
-        assert hull_of_points(pts, n).volume == brute_volume(pts, n)
+        expected = brute_volume(pts, n)
+        assert hull_of_points(pts, n).volume == expected
+        tri = hull_mod.triangulate(sorted({hull_mod.as_vec(p) for p in pts}), n)
+        if tri is None:
+            assert expected == 0
+        else:
+            cells, denom = tri
+            assert sum(det for _, det in cells) == factorial(n) * denom**n * expected
 
 
 def test_vertices_against_membership_oracle():
@@ -192,8 +252,9 @@ def sphere_with_escapes():
 
 
 def placed(pts, n):
-    _, independent = hull_mod._affine_basis(pts, n)
-    return hull_mod._place(n, pts, independent)[0]
+    int_pts, _ = hull_mod._scale_to_int(pts)
+    independent, _ = hull_mod._affine_basis(int_pts, n)
+    return hull_mod._place(n, int_pts, independent)
 
 
 def moment_cases():

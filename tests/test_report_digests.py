@@ -1,10 +1,12 @@
-"""Seeded sweep reports stay byte-identical to the benchmark pool's digests.
+"""Seeded reports stay byte-identical to the benchmark pools' digests.
 
 ``perfbench/pools/sweep-d4.json`` records the SHA-256 of every
 ``godbersen --dim 4 --style unconditional --trials 1 --seed s`` report in the
-benchmark pool.  The cheapest four are recomputed here, so an engine change
-that moves a single byte of a report fails Tier-1, not only the benchmark.
-The pool file is read and never written.
+benchmark pool, and ``perfbench/pools/audit-d3.json`` that of every
+``gen --style glued --dim 3 --seed s`` file and of its ``audit --j j``
+reports.  The cheapest items are recomputed here, so an engine change that
+moves a single byte of a report fails Tier-1, not only the benchmark.  The
+pool files are read and never written.
 """
 
 import hashlib
@@ -15,7 +17,12 @@ import pytest
 
 from cornervol import cli
 
-POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pools" / "sweep-d4.json"
+POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
+POOL = POOLS / "sweep-d4.json"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("seed", [61, 6, 58, 159])
@@ -25,4 +32,17 @@ def test_sweep_report_matches_pool_digest(seed, capsys):
     assert cli.main(argv) == 0
     report = capsys.readouterr().out
     recorded = json.loads(POOL.read_text(encoding="utf-8"))["digests"][f"seed={seed}"]
-    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == recorded
+    assert sha256(report) == recorded
+
+
+@pytest.mark.parametrize("seed", [2059, 2010])
+def test_audit_reports_match_pool_digests(seed, tmp_path, capsys):
+    digests = json.loads((POOLS / "audit-d3.json").read_text(encoding="utf-8"))["digests"]
+    assert cli.main(["gen", "--style", "glued", "--dim", "3", "--seed", str(seed)]) == 0
+    text = capsys.readouterr().out
+    assert sha256(text) == digests[f"seed={seed} gen"]
+    path = tmp_path / f"assembly-{seed}.json"
+    path.write_text(text, encoding="utf-8")
+    for j in range(4):
+        assert cli.main(["audit", str(path), "--j", str(j)]) == 0
+        assert sha256(capsys.readouterr().out) == digests[f"seed={seed} j={j}"]
