@@ -71,7 +71,7 @@ class OrthantAssembly:
         pts = set()
         for sign, piece in self.pieces:
             for v in piece.vertices:
-                pts.add(tuple(s * x for s, x in zip(sign, v)))
+                pts.add(tuple(x if s > 0 else -x for s, x in zip(sign, v)))
         return convex_hull(pts, self.dim)
 
     def is_full_dimensional(self) -> bool:

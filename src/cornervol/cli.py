@@ -273,9 +273,17 @@ def _random_assemblies(args, config: RunConfig):
 
 
 def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
+    n = assembly.dim
+    reports = [godbersen_check(assembly, j) for j in range(n + 1)]
+    # V(K[j], -K[n-j]) = V(K[n-j], -K[j]): the mixed values are a palindrome.
+    for j in range((n + 1) // 2):
+        if reports[j].mixed != reports[n - j].mixed:
+            raise EngineDisagreementError(
+                f"V(K[{j}], -K[{n - j}]) = {reports[j].mixed} != "
+                f"V(K[{n - j}], -K[{j}]) = {reports[n - j].mixed}"
+            )
     records = []
-    for j in range(assembly.dim + 1):
-        rep = godbersen_check(assembly, j)
+    for j, rep in enumerate(reports):
         rec = dict(desc)
         rec.update(
             j=j,

@@ -59,9 +59,16 @@ def max_dim(default: int = _hull.MAX_DIM) -> int:
         raise ValueError(f"CORNER_MIXVOL_MAX_DIM must be an integer, got {env!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VPolytope:
-    """Polytope given by its canonical (irredundant, lex-sorted) vertex list."""
+    """Polytope given by its canonical (irredundant, lex-sorted) vertex list.
+
+    Equality and hashing read one integer key, ``(dim, D, scaled
+    numerators)``, where D is the lcm of the vertex denominators and each
+    coordinate x is stored as x * D.  Two polytopes have equal keys exactly
+    when their vertex tuples are equal, so a memo lookup that meets an equal
+    polytope built again compares integers, not ``Fraction``s.
+    """
 
     dim: int
     vertices: tuple[Vec, ...]
@@ -79,11 +86,22 @@ class VPolytope:
         for u, v in zip(self.vertices, self.vertices[1:]):
             if not u < v:
                 raise ValueError("vertices must be strictly lex-ascending (use from_points)")
-        # Hashed once: the memos keyed by polytopes would re-hash every Fraction.
-        object.__setattr__(self, "_hash", hash((self.dim, self.vertices)))
+        # Keyed and hashed once: the memos keyed by polytopes would otherwise
+        # hash and compare every Fraction.
+        scaled, denom = _hull._scale_to_int(self.vertices)
+        key = (self.dim, denom, tuple(scaled))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, VPolytope):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
 
     @staticmethod
     def from_points(points, dim: int | None = None) -> "VPolytope":
@@ -211,10 +229,12 @@ def reflect(p: VPolytope, signs) -> VPolytope:
     signs = tuple(int(s) for s in signs)
     if len(signs) != p.dim or any(s not in (-1, 1) for s in signs):
         raise ValueError("sign vector must be +/-1 of matching dimension")
-    verts = tuple(sorted(tuple(s * x for s, x in zip(signs, v)) for v in p.vertices))
+    verts = tuple(sorted(tuple(x if s > 0 else -x for s, x in zip(signs, v))
+                         for v in p.vertices))
     return VPolytope(p.dim, verts)
 
 
+@cache
 def negate(p: VPolytope) -> VPolytope:
     return reflect(p, (-1,) * p.dim)
 

@@ -1,17 +1,28 @@
 """Exact convex hull, volume, and facet machinery in dimensions 1 through 8.
 
 The engine is an incremental beneath-beyond construction.  The input points
-are scaled to integers once, at entry (``_scale_to_int``); after that no
-``Fraction`` is built until the result, and every predicate (visibility,
-extremeness, facet activity) is an exact integer comparison.  The initial
-simplex comes from a fraction-free greedy elimination over the difference
-rows (``_affine_basis``).  Only the n+1 boundary pieces of the initial
-simplex get their plane from minors (``hyperplane_normal``).  Every later
-piece is cut through a horizon ridge and the new point p, and its plane is
-the ridge's two planes rotated onto p: a nonnegative integer combination of
-the visible and the hidden plane, divided by the gcd of its normal, which is
-the same primitive plane the minors give, in O(n) integer work.  Under
+are scaled to integers once, at entry (``_scale_to_int``), and deduped there
+as integer tuples, each keeping its first occurrence; after that no
+``Fraction`` is built, the input vectors of the extreme points are returned as
+the vertices, and every predicate (visibility, extremeness, facet activity)
+is an exact integer comparison.  The initial simplex comes from a
+fraction-free greedy elimination over the difference rows
+(``_affine_basis``).  Only the n+1 boundary pieces of the initial simplex get
+their plane from minors (``hyperplane_normal``).  Every later piece is cut
+through a horizon ridge and the new point p, and its plane is the ridge's two
+planes rotated onto p: a nonnegative integer combination of the visible and
+the hidden plane, divided by the gcd of its normal, which is the same
+primitive plane the minors give, in O(n) integer work.  Under
 ``strict_checks`` every rotated plane is compared with the minors.
+
+The boundary keeps neighbour arrays, the Quickhull representation
+(Barber-Dobkin-Huhdanpaa 1996): neighbour k of a piece lies across the ridge
+that omits the piece's vertex k.  An insertion finds the horizon as the
+hidden neighbours of the visible pieces, gives each new piece its hidden
+neighbour and rewrites that neighbour's back-pointer, and joins the new
+pieces to each other across the (n-2)-faces they share.  Under
+``strict_checks`` every live piece's neighbours are checked after each
+insertion.
 
 The triangulation is the one placing makes: the initial simplex, then the
 cell conv(F u p) for every piece F visible from each placed point p.  Each
@@ -66,12 +77,7 @@ class HullData:
 
 
 def as_vec(point) -> Vec:
-    return tuple(Fraction(x) for x in point)
-
-
-def _ridge_keys(verts: tuple[int, ...]) -> list[frozenset[int]]:
-    """The ridges of a boundary piece, each keyed by its vertex set."""
-    return [frozenset(verts[:k] + verts[k + 1:]) for k in range(len(verts))]
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in point)
 
 
 class _Placing:
@@ -85,7 +91,8 @@ class _Placing:
         self.osum = tuple(sum(points[i][j] for i in simplex_ids) for j in range(n))
         self.pieces: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self.alive: set[int] = set()
-        self.ridges: dict[frozenset[int], set[int]] = {}
+        # nbrs[pid][k]: the piece across the ridge of pid that omits verts[k].
+        self.nbrs: list[list[int]] = []
         self.content: list[int] = []  # lattice content g, by piece id
         self._next_id = 0
         self._max_coord = max((abs(c) for p in points for c in p), default=1)
@@ -98,11 +105,12 @@ class _Placing:
         simplex = tuple(simplex_ids)
         det = self._simplex_det(simplex)
         self.cells: list[Cell] = [(simplex, det)]
-        for omit in range(n + 1):
+        for omit in range(n + 1):  # piece `omit` gets id omit
             verts = tuple(simplex_ids[i] for i in range(n + 1) if i != omit)
             normal, offset = self._oriented_plane(verts)
             self._add_piece(verts, normal, offset,
-                            self._content(det, normal, offset, simplex_ids[omit]))
+                            self._content(det, normal, offset, simplex_ids[omit]),
+                            [m for m in range(n + 1) if m != omit])
 
     def _simplex_det(self, ids: tuple[int, ...]) -> int:
         base = self.points[ids[-1]]
@@ -138,8 +146,8 @@ class _Placing:
             offset = -offset
         return normal, offset
 
-    def _rotated_plane(self, visible: int, invisible: int,
-                       p: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    def _rotated_plane(self, visible: int, invisible: int, p: tuple[int, ...],
+                       s_v: int) -> tuple[tuple[int, ...], int]:
         """Outward plane through the ridge of two adjacent pieces and p.
 
         With s_v = a_v.p - b_v > 0 (p beyond the visible piece) and
@@ -150,7 +158,6 @@ class _Placing:
         """
         _, a_v, b_v = self.pieces[visible]
         _, a_i, b_i = self.pieces[invisible]
-        s_v = sum(a * x for a, x in zip(a_v, p)) - b_v
         s_i = b_i - sum(a * x for a, x in zip(a_i, p))
         normal = [s_i * x + s_v * y for x, y in zip(a_v, a_i)]
         g = vec_gcd(normal)
@@ -166,14 +173,13 @@ class _Placing:
         return normal, offset
 
     def _add_piece(self, verts: tuple[int, ...], normal: tuple[int, ...], offset: int,
-                   content: int) -> int:
+                   content: int, nbrs: list[int]) -> int:
         pid = self._next_id
         self._next_id += 1
         self.pieces[pid] = (verts, normal, offset)
         self.content.append(content)
+        self.nbrs.append(nbrs)
         self.alive.add(pid)
-        for key in _ridge_keys(verts):
-            self.ridges.setdefault(key, set()).add(pid)
         mag = max(map(abs, normal))
         if mag > self._max_normal:
             self._max_normal = mag
@@ -189,16 +195,9 @@ class _Placing:
         return pid
 
     def _kill_piece(self, pid: int) -> None:
-        verts, _, _ = self.pieces[pid]
         self.alive.discard(pid)
         if self._buf is not None:
             self._live[pid] = False
-        for key in _ridge_keys(verts):
-            incident = self.ridges.get(key)
-            if incident is not None:
-                incident.discard(pid)
-                if not incident:
-                    del self.ridges[key]
 
     # -- scans -------------------------------------------------------------
 
@@ -225,33 +224,62 @@ class _Placing:
         if not visible:
             return False
         visible_set = set(visible)
-        horizon: list[tuple[frozenset[int], tuple[int, ...], int, int]] = []
+        # One entry per horizon ridge: (ridge, visible piece, hidden piece, plane, content).
+        horizon: list[tuple[tuple[int, ...], int, int, tuple[int, ...], int, int]] = []
         for pid in visible:
             verts, a, b = self.pieces[pid]
             cell = verts + (pid_new,)
-            det = self.content[pid] * (sum(x * y for x, y in zip(a, p)) - b)
+            s_v = sum(x * y for x, y in zip(a, p)) - b
+            det = self.content[pid] * s_v
             if strict_checks and det != self._simplex_det(cell):
                 raise AssertionError(f"cell {cell} has |det| {det} by content")
             self.cells.append((cell, det))
-            for q, key in zip(verts, _ridge_keys(verts)):
-                for other in self.ridges[key] - visible_set:
-                    normal, offset = self._rotated_plane(pid, other, p)
-                    horizon.append((key, normal, offset, self._content(det, normal, offset, q)))
+            for k, other in enumerate(self.nbrs[pid]):
+                if other in visible_set:
+                    continue
+                normal, offset = self._rotated_plane(pid, other, p, s_v)
+                ridge = tuple(sorted(verts[:k] + verts[k + 1:]))
+                horizon.append((ridge, pid, other, normal, offset,
+                                self._content(det, normal, offset, verts[k])))
         for pid in visible:
             self._kill_piece(pid)
-        for key, normal, offset, content in horizon:
-            verts = tuple(sorted(key)) + (pid_new,)
+        # The new pieces meet each other across the (n-2)-faces of the horizon,
+        # each shared by two horizon ridges: (new piece, slot) of the first seen.
+        faces: dict[tuple[int, ...], tuple[int, int]] = {}
+        for ridge, pid, other, normal, offset, content in horizon:
+            verts = ridge + (pid_new,)
             if strict_checks and (normal, offset) != self._oriented_plane(verts):
                 raise AssertionError(f"rotated plane of {verts} differs from its minors")
-            self._add_piece(verts, normal, offset, content)
+            new = self._next_id
+            nbrs = [-1] * self.n
+            nbrs[-1] = other
+            back = self.nbrs[other]
+            back[back.index(pid)] = new
+            for k in range(self.n - 1):
+                face = ridge[:k] + ridge[k + 1:]
+                mate = faces.pop(face, None)
+                if mate is None:
+                    faces[face] = (new, k)
+                else:
+                    nbrs[k] = mate[0]
+                    self.nbrs[mate[0]][mate[1]] = new
+            self._add_piece(verts, normal, offset, content, nbrs)
         if strict_checks:
             self._check_closed()
         return True
 
     def _check_closed(self) -> None:
-        for key, incident in self.ridges.items():
-            if len(incident) != 2:
-                raise AssertionError(f"ridge {sorted(key)} bounds {len(incident)} pieces")
+        """Every live piece's neighbour k is alive, contains the ridge, and points back."""
+        for pid in self.alive:
+            verts = self.pieces[pid][0]
+            for k, other in enumerate(self.nbrs[pid]):
+                ridge = set(verts[:k] + verts[k + 1:])
+                other_verts = self.pieces[other][0] if other in self.alive else ()
+                off = [i for i, v in enumerate(other_verts) if v not in ridge]
+                if len(off) != 1 or self.nbrs[other][off[0]] != pid:
+                    raise AssertionError(
+                        f"piece {pid} and its neighbour {other} across {sorted(ridge)} "
+                        "do not meet in that ridge")
 
     # -- extraction ----------------------------------------------------------
 
@@ -387,21 +415,21 @@ def hull_of_points(points, dim: int) -> HullData:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    unique: list[Vec] = []
-    seen = set()
-    for p in points:
-        v = as_vec(p)
+    vecs = [as_vec(p) for p in points]
+    for v in vecs:
         if len(v) != dim:
             raise ValueError(f"point of dimension {len(v)} in dimension-{dim} hull")
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    if not unique:
+    if not vecs:
         raise ValueError("empty point set")
-    if len(unique) == 1:
-        return HullData(dim, 0, (unique[0],), Fraction(0))
+    scaled_points, denom = _scale_to_int(vecs)
+    # Deduped on the integer points; each keeps the index of its first occurrence.
+    first: dict[tuple[int, ...], int] = {}
+    for i, q in enumerate(scaled_points):
+        first.setdefault(q, i)
+    if len(first) == 1:
+        return HullData(dim, 0, (vecs[0],), Fraction(0))
 
-    int_points, denom = _scale_to_int(unique)
+    int_points = list(first)
     independent, pivots = _affine_basis(int_points, dim)
     rank = len(pivots)
     if rank < dim:
@@ -409,6 +437,7 @@ def hull_of_points(points, dim: int) -> HullData:
         # onto R^rank, so the hull is taken there; ambient volume 0.
         int_points = [tuple(p[c] for c in pivots) for p in int_points]
     extreme, scaled = _hull_full_rank(rank, int_points, independent)
-    verts = tuple(sorted(unique[i] for i in extreme))
+    source = list(first.values())
+    verts = tuple(sorted(vecs[source[i]] for i in extreme))
     volume = Fraction(scaled, factorial(dim) * denom**dim) if rank == dim else Fraction(0)
     return HullData(dim, rank, verts, volume)

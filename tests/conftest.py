@@ -11,12 +11,23 @@ import random
 import pytest
 from hypothesis import settings
 
+from cornervol import hull as hull_mod
 from cornervol import random_ab_body, random_assembly
 
 # Property tests draw the same examples on every run, and a failure prints the
 # blob that reproduces it.  Each test's own @settings still sets max_examples.
 settings.register_profile("tier1", derandomize=True, print_blob=True)
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def strict_hull():
+    """The hull engine's structural self-checks, on for one test."""
+    hull_mod.strict_checks = True
+    try:
+        yield
+    finally:
+        hull_mod.strict_checks = False
 
 
 def spread(counts: dict[int, int]) -> list[int]:

@@ -1,5 +1,6 @@
 """Command-line interface: behavior, exit codes, deterministic reports."""
 
+import dataclasses
 import json
 
 import pytest
@@ -139,6 +140,22 @@ class TestGodbersen:
         rep = json.loads(out)
         assert {rec["style"] for rec in rep["records"]} == {"glued"}
         assert next(rec["ratio"] for rec in rep["records"] if rec["j"] == 1) != "1/4"
+
+    def test_mirror_j_disagreement_exits_4(self, capsys, monkeypatch):
+        # V(K[j], -K[n-j]) = V(K[n-j], -K[j]), so a record at j that differs
+        # from the one at n-j is caught as a disagreement.
+        real = cli.godbersen_check
+
+        def skewed(assembly, j):
+            rep = real(assembly, j)
+            return dataclasses.replace(rep, mixed=rep.mixed + 1) if j == 1 else rep
+
+        monkeypatch.setattr(cli, "godbersen_check", skewed)
+        code, out, err = run(capsys, "godbersen", "--dim", "3", "--style", "glued",
+                             "--trials", "1", "--seed", "0")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert "V(K[1], -K[2])" in err
 
     def test_equality_family_flag(self, capsys):
         code, out, _ = run(capsys, "godbersen", "--family", "equality-1", "--trials", "4",

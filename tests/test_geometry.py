@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cornervol import hull as hull_mod
@@ -67,6 +67,34 @@ def rand_points(rng, n, count, lo=-4, hi=4):
 coords = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
 
 
+@st.composite
+def polytope_pairs(draw):
+    """Raw polytopes P and Q with entries given as ints or Fractions.
+
+    Q spells P's values again (ints where the denominator is 1), changes one
+    denominator, reverses the order of P's denominators, or is drawn afresh.
+    """
+    n = draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(-3, 3), st.sampled_from((1, 2, 3, 4)))
+    rows_of = st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4)
+
+    def build(rows, spell=F):
+        return VPolytope(n, tuple(sorted({tuple(spell(a, b) for a, b in r) for r in rows})))
+
+    rows = draw(rows_of)
+    variant = draw(st.sampled_from(("spelling", "one-denominator", "reversed", "fresh")))
+    if variant == "spelling":
+        return build(rows), build(rows, lambda a, b: a if b == 1 else F(a, b))
+    if variant == "one-denominator":
+        (a, b), *rest = rows[0]
+        other = draw(st.sampled_from([d for d in (1, 2, 3, 4) if d != b]))
+        return build(rows), build([((a, other), *rest)] + rows[1:])
+    if variant == "reversed":
+        denoms = iter([b for r in rows for _, b in r][::-1])
+        return build(rows), build([tuple((a, next(denoms)) for a, _ in r) for r in rows])
+    return build(rows), build(draw(rows_of))
+
+
 def keep_of(draw, n):
     """A nonempty strictly ascending tuple of coordinates in range(n)."""
     return tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))))
@@ -120,6 +148,17 @@ class TestConvexHull:
             VPolytope(2, (b, a))
         with pytest.raises(ValueError, match="lex-ascending"):
             VPolytope(2, (a, b, b))
+
+    @given(polytope_pairs())
+    @example((VPolytope(1, ((F(1, 2),),)), VPolytope(1, ((F(1, 3),),))))
+    @example((VPolytope(2, ((F(1, 2), F(1, 3)),)), VPolytope(2, ((F(1, 3), F(1, 2)),))))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_exactly_when_vertex_tuples_are_equal(self, pair):
+        p, q = pair
+        same = p.vertices == q.vertices
+        assert (p == q) == same and (q == p) == same
+        if same:
+            assert hash(p) == hash(q)
 
     def test_point_order_gives_one_key(self):
         # The hash is stored at construction; equal polytopes must share it, so

@@ -15,18 +15,11 @@ from cornervol.hull import hull_of_points
 from cornervol.linalg import rank_rows
 
 
-@pytest.fixture
-def strict():
-    hull_mod.strict_checks = True
-    yield
-    hull_mod.strict_checks = False
-
-
 def rand_pts(rng, n, count, lo=-5, hi=5):
     return [tuple(F(rng.randint(lo, hi)) for _ in range(n)) for _ in range(count)]
 
 
-def test_closed_boundary_on_random_inputs(strict):
+def test_closed_boundary_on_random_inputs(strict_hull):
     rng = random.Random(17)
     for n in (2, 3, 4):
         for _ in range(12):
@@ -35,7 +28,7 @@ def test_closed_boundary_on_random_inputs(strict):
             assert data.volume >= 0
 
 
-def test_structured_degenerate_inputs(strict):
+def test_structured_degenerate_inputs(strict_hull):
     # Grids and boxes exercise the coplanar facet-extension path.
     grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
     data = hull_of_points(grid, 3)
@@ -115,6 +108,16 @@ def test_duplicate_points_collapse():
     assert len(data.vertices) == 2
 
 
+def test_equal_points_in_any_form_collapse_to_one_fraction_vertex():
+    data = hull_of_points([(1, 0), (F(2, 2), 0), ("1", "0")], 2)
+    assert data.rank == 0
+    assert data.vertices == ((F(1), F(0)),)
+    assert all(type(x) is F for x in data.vertices[0])
+    data = hull_of_points([(1, 0), (F(2, 2), 0), ("1", "0"), ("0", F(0))], 2)
+    assert data.vertices == ((F(0), F(0)), (F(1), F(0)))
+    assert all(type(x) is F for v in data.vertices for x in v)
+
+
 def test_single_point():
     data = hull_of_points([(3, 4, 5)], 3)
     assert data.rank == 0
@@ -127,7 +130,7 @@ def test_fraction_coordinates_scaled_exactly():
     assert data.volume == F(1, 3)
 
 
-def test_numpy_fallback_on_huge_coordinates(strict):
+def test_numpy_fallback_on_huge_coordinates(strict_hull):
     # Coordinates big enough to trip the int64 guard; results stay exact.
     big = 10**12
     pts = [(0, 0, 0), (big, 0, 0), (0, big, 0), (0, 0, big), (big, big, big)]
@@ -180,7 +183,7 @@ def brute_volume(pts, n):
     return total
 
 
-def test_volume_against_bruteforce_oracle(strict):
+def test_volume_against_bruteforce_oracle(strict_hull):
     rng = random.Random("oracle")
     cases = []
     for n in (2, 3):
@@ -236,6 +239,38 @@ def moment_curve(n, ts):
     return [tuple(F(t**k) for k in range(1, n + 1)) for t in ts]
 
 
+def gale_facets(m, n):
+    """Facets of the cyclic polytope of m moment-curve points in R^n, as index sets.
+
+    Gale's evenness condition: an n-set S is a facet when every two indices
+    outside S have an even number of members of S between them.
+    """
+    facets = set()
+    for s in itertools.combinations(range(m), n):
+        outside = [i for i in range(m) if i not in s]
+        if all(sum(1 for x in s if a < x < b) % 2 == 0
+               for a, b in itertools.combinations(outside, 2)):
+            facets.add(frozenset(s))
+    return facets
+
+
+def test_cyclic_polytope_pieces_and_neighbours(strict_hull):
+    # Moment-curve points are in general position, so the live pieces are the
+    # facets; each piece's neighbour k must be the one other facet that holds
+    # the ridge omitting its vertex k.
+    for n in (2, 3, 4, 5):
+        m = n + 5
+        placing = placed(moment_curve(n, range(m)), n)
+        pieces = {frozenset(placing.pieces[pid][0]): pid for pid in placing.alive}
+        assert len(pieces) == len(placing.alive)
+        assert set(pieces) == gale_facets(m, n)
+        for facet, pid in pieces.items():
+            verts = placing.pieces[pid][0]
+            for k, other in enumerate(placing.nbrs[pid]):
+                ridge = facet - {verts[k]}
+                assert [pieces[f] for f in pieces if ridge < f and f != facet] == [other]
+
+
 def sphere_with_escapes():
     """Lattice points of radius 3 scaled by 2^31, then two points just beyond.
 
@@ -263,21 +298,21 @@ def moment_cases():
             for n, count in ((2, 40), (3, 12), (4, 8), (5, 6))]
 
 
-def test_scan_buffer_grows_past_its_capacity(strict):
+def test_scan_buffer_grows_past_its_capacity(strict_hull):
     for n, pts in moment_cases():
         placing = placed(pts, n)
         assert placing._next_id > hull_mod._Placing.INITIAL_ROWS
         assert placing._buf is not None and len(placing._buf) >= placing._next_id
 
 
-def test_int64_guard_trips_partway(strict):
+def test_int64_guard_trips_partway(strict_hull):
     base, escapes = sphere_with_escapes()
     placing = placed(base, 3)
     assert placing._buf is not None and len(placing.alive) >= 32
     assert placed(base + escapes, 3)._buf is None
 
 
-def test_scans_agree_with_pure_int_fallback(strict, monkeypatch):
+def test_scans_agree_with_pure_int_fallback(strict_hull, monkeypatch):
     base, escapes = sphere_with_escapes()
     cases = moment_cases() + [(3, base + escapes)]
     scanned = [(hull_of_points(pts, n), hull_mod.triangulate(pts, n)) for n, pts in cases]

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from contextlib import contextmanager
 from fractions import Fraction as F
 from math import factorial
 
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornervol import hull as hull_mod
 from cornervol import mixed
 from cornervol import (
     convex_hull,
@@ -64,15 +62,6 @@ class TestVolumePolynomial:
             volume_polynomial(standard_simplex(2), standard_simplex(3))
 
 
-@contextmanager
-def strict_hull():
-    hull_mod.strict_checks = True
-    try:
-        yield
-    finally:
-        hull_mod.strict_checks = False
-
-
 # Rationals with mixed denominators, so the Cayley points need real scaling.
 coords = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
 
@@ -101,24 +90,24 @@ def body_pairs(draw):
 class TestRouteAgreement:
     """The Cayley engine against the independent probe-interpolation oracle."""
 
+    @pytest.mark.usefixtures("strict_hull")
     @given(body_pairs())
     @settings(max_examples=80, deadline=None)
     def test_cayley_equals_probes(self, pair):
         shape, k, t = pair
-        with strict_hull():
-            cayley = volume_polynomial(k, t)
-            probes = mixed.volume_polynomial_by_probes(k, t)
+        cayley = volume_polynomial(k, t)
+        probes = mixed.volume_polynomial_by_probes(k, t)
         assert cayley.coeffs == probes.coeffs
         if shape == "flat-sum":
             assert all(c == 0 for c in cayley.coeffs)
 
+    @pytest.mark.usefixtures("strict_hull")
     @given(body_pairs())
     @settings(max_examples=40, deadline=None)
     def test_swap_reverses_coefficients(self, pair):
         _, k, t = pair
-        with strict_hull():
-            forward = volume_polynomial(k, t)
-            backward = volume_polynomial(t, k)
+        forward = volume_polynomial(k, t)
+        backward = volume_polynomial(t, k)
         assert backward.coeffs == forward.coeffs[::-1]
 
     def test_dim4_hull_against_negation(self):
