@@ -21,12 +21,12 @@ from .geometry import (
     Vec,
     as_vec,
     convex_hull,
+    hull_data,
     join_hull,
     negate,
     shadow,
     volume,
 )
-from .hull import hull_of_points
 from .mixed import mixed_volume_pair
 
 
@@ -82,27 +82,32 @@ def ab_hull(generators, dim: int | None = None) -> AntiBlockingBody:
 def validate_ab(poly: VPolytope) -> bool:
     """Is the polytope down-closed inside the nonnegative orthant?
 
-    With no negative coordinate, P = conv(V) is down-closed iff every single-
-    coordinate masking of every vertex lies in P: maskings compose to every
-    coordinate projection, and by convexity the projection of P is then a
-    subset of P (projections equal sections).  The maskings M all lie in P
-    exactly when conv(V u M) = conv(V), i.e. when hull(V u M) has the same
-    vertex set as P, so one hull decides it.  A raw VPolytope may list a
-    redundant point, hence a miss is compared with hull(V) before rejecting.
+    A full-dimensional polytope in R^n_+ is down-closed exactly when each of
+    its facets is a coordinate facet x_i >= 0 or has a nonnegative outward
+    normal (Fulkerson 1971).  If: for a facet a.x <= b with a >= 0, lowering
+    coordinates does not raise a.x.  Only if: on a facet whose normal has
+    a_i < 0, a relative-interior point with x_i > 0 could be lowered in x_i
+    and leave the body, so x_i vanishes on the whole facet, which is then
+    x_i = 0.  A body that is not full-dimensional is down-closed exactly when
+    its affine hull is the coordinate subspace of its support (it contains
+    the origin and a segment along every support axis) and it is down-closed
+    there; the hull engine measures such a set in its pivot coordinates, and
+    those equal the support exactly in that case.  A single point is
+    down-closed exactly when it is the origin.  The facets come from the
+    memoized hull, free for a polytope built by ``from_points`` and paid
+    once for one built raw, whose vertex list may hold redundant points.
     """
     verts = poly.vertices
     if any(x < 0 for v in verts for x in v):
         return False
-    maskings = {
-        v[:i] + (Fraction(0),) + v[i + 1:]
-        for v in verts
-        for i, x in enumerate(v)
-        if x != 0
-    }
-    if maskings <= set(verts):
-        return True
-    closed = hull_of_points(verts + tuple(maskings), poly.dim).vertices
-    return closed == verts or closed == hull_of_points(verts, poly.dim).vertices
+    if len(verts) == 1:
+        return not any(verts[0])
+    data = hull_data(poly)
+    support = tuple(i for i in range(poly.dim) if any(v[i] for v in verts))
+    if data.pivots != support:
+        return False
+    return all(min(a) >= 0 or (b == 0 and sum(1 for c in a if c) == 1)
+               for a, b in data.facets)
 
 
 def projected_volume(body: AntiBlockingBody, indices: tuple[int, ...]) -> Fraction:

@@ -15,6 +15,7 @@ verdict on the inequality.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from dataclasses import dataclass, field
@@ -457,7 +458,13 @@ def cmd_decompose(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing never changes it: every ``parse_args`` call fills a new namespace
+    from the declared defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="cornervol",
         description="Exact mixed volumes, anti-blocking decompositions, and "
@@ -526,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

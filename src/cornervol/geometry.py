@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache, reduce
 
 from . import hull as _hull
-from .hull import Vec, as_vec, hull_of_points
+from .hull import HullData, Vec, as_vec, hull_of_points
 from .linalg import det_fraction
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "CoordSubspace",
     "convex_hull",
     "volume",
+    "hull_data",
     "relative_volume",
     "shadow",
     "minkowski_sum",
@@ -116,7 +117,7 @@ class VPolytope:
             )
         data = hull_of_points(pts, n)
         poly = VPolytope(n, data.vertices)
-        _volume_cache[poly] = data.volume
+        _hull_cache[poly] = data
         return poly
 
     def translate(self, t) -> "VPolytope":
@@ -149,7 +150,19 @@ class CoordSubspace:
 
 
 # Hand-written rather than functools.cache so that from_points can seed it.
-_volume_cache: dict[VPolytope, Fraction] = {}
+_hull_cache: dict[VPolytope, HullData] = {}
+
+
+def hull_data(poly: VPolytope) -> HullData:
+    """The hull engine's data for the polytope's vertices, memoized.
+
+    Free for a polytope built by ``from_points``, which stores the hull it
+    built; a polytope built raw pays for one hull, once.
+    """
+    data = _hull_cache.get(poly)
+    if data is None:
+        data = _hull_cache[poly] = hull_of_points(poly.vertices, poly.dim)
+    return data
 
 
 def convex_hull(points, dim: int | None = None) -> VPolytope:
@@ -159,11 +172,7 @@ def convex_hull(points, dim: int | None = None) -> VPolytope:
 
 def volume(poly: VPolytope) -> Fraction:
     """Exact dim-dimensional Lebesgue volume (0 for lower-dimensional bodies)."""
-    val = _volume_cache.get(poly)
-    if val is None:
-        val = hull_of_points(poly.vertices, poly.dim).volume
-        _volume_cache[poly] = val
-    return val
+    return hull_data(poly).volume
 
 
 def relative_volume(poly: VPolytope, sub: CoordSubspace) -> Fraction:
@@ -283,8 +292,9 @@ def member(p: VPolytope, point) -> bool:
 
     Decided by rational phase-1 simplex (Bland's rule, no tolerance), kept
     independent of the hull engine so the two can cross-check each other.
-    The library decides down-closure by a hull identity
-    (``antiblocking.validate_ab``); this LP is the tests' oracle for it.
+    The library decides down-closure from the signs of the hull's facet
+    normals (``antiblocking.validate_ab``) and reads the vertices off the
+    hull's boundary; this LP is the tests' oracle for both.
     """
     x = as_vec(point)
     if len(x) != p.dim:

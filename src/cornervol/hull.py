@@ -4,10 +4,9 @@ The engine is an incremental beneath-beyond construction.  The input points
 are scaled to integers once, at entry (``_scale_to_int``), and deduped there
 as integer tuples, each keeping its first occurrence; after that no
 ``Fraction`` is built, the input vectors of the extreme points are returned as
-the vertices, and every predicate (visibility, extremeness, facet activity)
-is an exact integer comparison.  The initial simplex comes from a
-fraction-free greedy elimination over the difference rows
-(``_affine_basis``).  Only the n+1 boundary pieces of the initial simplex get
+the vertices, and every predicate (visibility, extremeness) is an exact
+integer comparison.  The initial simplex comes from a fraction-free greedy
+elimination over the difference rows (``_affine_basis``).  Only the n+1 boundary pieces of the initial simplex get
 their plane from minors (``hyperplane_normal``).  Every later piece is cut
 through a horizon ridge and the new point p, and its plane is the ridge's two
 planes rotated onto p: a nonnegative integer combination of the visible and
@@ -34,16 +33,26 @@ is the sum of the cells, and ``triangulate`` returns them.  Under
 ``strict_checks`` every cell's |det| is compared with its determinant and
 every content division must be exact.
 
-numpy int64 is used purely as an accelerator for the visibility and
-facet-activity scans.  Piece planes go into an append-only int64 buffer,
-grown by doubling, with a mask of the live rows; it is dropped for the rest
-of a construction once a magnitude bound shows that int64 could overflow,
-and the scans go on in Python integers, so results never depend on floating
-point or machine word size.
+The result is read off the final boundary.  The facets are the distinct
+planes of the live pieces; ``HullData`` returns them, so a caller can decide
+a facet-sign property (down-closure, in ``antiblocking.validate_ab``) without
+another hull.  A point is a vertex when it is a vertex of some live piece and
+the distinct normals of the live pieces at it have rank n: the pieces at a
+boundary point lie in exactly the facets through it.  Under ``strict_checks``
+these vertices are compared with a scan of every input point against every
+facet, which also asserts that no input point lies outside its hull.
+
+numpy int64 is used purely as an accelerator for the visibility scans.
+Piece planes go into an append-only int64 buffer, grown by doubling, with a
+mask of the live rows; it is dropped for the rest of a construction once a
+magnitude bound shows that int64 could overflow, and the scans go on in
+Python integers, so results never depend on floating point or machine word
+size.
 
 Degenerate inputs (affine rank r below the ambient dimension) keep only the
 r pivot coordinates of that elimination, which map their affine hull
-one-to-one onto R^r; their ambient volume is zero.
+one-to-one onto R^r; their ambient volume is zero, and their facets are
+planes in those coordinates.  In R^1 the facets are the two endpoints.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ from .linalg import det_int, hyperplane_normal, rank_int_rows, vec_gcd
 
 Vec = tuple[Fraction, ...]
 Cell = tuple[tuple[int, ...], int]
+Plane = tuple[tuple[int, ...], int]  # (a, b): the half-space a.x <= b
 
 MAX_DIM = 8
 
@@ -70,10 +80,22 @@ strict_checks = False
 
 @dataclass(frozen=True)
 class HullData:
+    """A hull's vertices and volume, and its facets in the pivot coordinates.
+
+    ``pivots`` are the coordinates, ascending, that map the affine hull one-to-
+    one onto R^rank (all of them at full rank, none at rank 0).  ``facets``
+    are the distinct planes a.x <= b, sorted, of the hull taken there: a
+    primitive integer normal a and an offset b in the input scaled to
+    integers, so the signs of a and whether b is 0 are those of the rational
+    facet.  Rank 0 has no facet.
+    """
+
     dim: int
     rank: int
     vertices: tuple[Vec, ...]
     volume: Fraction
+    pivots: tuple[int, ...]
+    facets: tuple[Plane, ...]
 
 
 def as_vec(point) -> Vec:
@@ -283,40 +305,48 @@ class _Placing:
 
     # -- extraction ----------------------------------------------------------
 
-    def facet_planes(self) -> list[tuple[tuple[int, ...], int]]:
-        seen = {}
-        for pid in self.alive:
-            _, a, b = self.pieces[pid]
-            seen[(a, b)] = None
-        return [k for k in seen]
+    def facet_planes(self) -> list[Plane]:
+        """The distinct planes (a, b), a.x <= b, of the live pieces, sorted."""
+        return sorted({self.pieces[pid][1:] for pid in self.alive})
 
-    def extreme_ids(self, candidate_ids: list[int]) -> list[int]:
-        planes = self.facet_planes()
+    def extreme_ids(self) -> list[int]:
+        """Ids of the extreme points, read off the final boundary.
+
+        Every extreme point is a vertex of some live piece, and the live
+        pieces at a boundary point p lie in exactly the facets through p (the
+        boundary is a triangulated sphere, and a piece meeting a facet's
+        relative interior lies in that facet).  So p is extreme exactly when
+        the distinct normals of its live pieces have rank n.  Under
+        ``strict_checks`` the result is compared with a scan of every point
+        against every facet.
+        """
+        normals: dict[int, set[tuple[int, ...]]] = {}
+        for pid in self.alive:
+            verts, a, _ = self.pieces[pid]
+            for v in verts:
+                normals.setdefault(v, set()).add(a)
         n = self.n
-        if len(candidate_ids) * len(planes) >= 2048 and self._numpy_ok():
-            mat = np.array([a + (b,) for a, b in planes], dtype=np.int64)
-            pts = np.array([self.points[i] for i in candidate_ids], dtype=np.int64)
-            vals = pts @ mat[:, :-1].T - mat[:, -1]
-            if strict_checks and (vals > 0).any():
-                raise AssertionError("input point outside its own hull")
-            active_lists = [np.nonzero(vals[r] == 0)[0].tolist() for r in range(len(candidate_ids))]
-        else:
-            active_lists = []
-            for i in candidate_ids:
-                p = self.points[i]
-                active = []
-                for idx, (a, b) in enumerate(planes):
-                    v = sum(x * y for x, y in zip(a, p)) - b
-                    if strict_checks and v > 0:
-                        raise AssertionError("input point outside its own hull")
-                    if v == 0:
-                        active.append(idx)
-                active_lists.append(active)
+        out = sorted(v for v, rows in normals.items()
+                     if len(rows) >= n and rank_int_rows(list(rows)) == n)
+        if strict_checks:
+            scanned = self._scan_extreme_ids()
+            if out != scanned:
+                raise AssertionError(f"extreme points {out} by incidence, {scanned} by scan")
+        return out
+
+    def _scan_extreme_ids(self) -> list[int]:
+        """Extreme points by testing every input point against every facet."""
+        planes = self.facet_planes()
         out = []
-        for i, active in zip(candidate_ids, active_lists):
-            if len(active) < n:
-                continue
-            if rank_int_rows([planes[idx][0] for idx in active]) == n:
+        for i, p in enumerate(self.points):
+            active = []
+            for a, b in planes:
+                v = sum(x * y for x, y in zip(a, p)) - b
+                if v > 0:
+                    raise AssertionError("input point outside its own hull")
+                if v == 0:
+                    active.append(a)
+            if len(active) >= self.n and rank_int_rows(active) == self.n:
                 out.append(i)
         return out
 
@@ -381,14 +411,16 @@ def _place(dim: int, points: list[tuple[int, ...]], independent: list[int]) -> _
 
 
 def _hull_full_rank(dim: int, points: list[tuple[int, ...]],
-                    independent: list[int]) -> tuple[list[int], int]:
-    """Extreme point ids, and dim! times the volume, of spanning integer points."""
+                    independent: list[int]) -> tuple[list[int], int, list[Plane]]:
+    """Extreme point ids, dim! times the volume, and the facet planes of
+    spanning integer points."""
     if dim == 1:
         vals = [p[0] for p in points]
         lo, hi = min(vals), max(vals)
-        return [vals.index(lo), vals.index(hi)], hi - lo
+        return [vals.index(lo), vals.index(hi)], hi - lo, [((-1,), -lo), ((1,), hi)]
     placing = _place(dim, points, independent)
-    return placing.extreme_ids(list(range(len(points)))), sum(d for _, d in placing.cells)
+    return (placing.extreme_ids(), sum(d for _, d in placing.cells),
+            placing.facet_planes())
 
 
 def triangulate(points: list[Vec], dim: int) -> tuple[list[Cell], int] | None:
@@ -427,7 +459,7 @@ def hull_of_points(points, dim: int) -> HullData:
     for i, q in enumerate(scaled_points):
         first.setdefault(q, i)
     if len(first) == 1:
-        return HullData(dim, 0, (vecs[0],), Fraction(0))
+        return HullData(dim, 0, (vecs[0],), Fraction(0), (), ())
 
     int_points = list(first)
     independent, pivots = _affine_basis(int_points, dim)
@@ -436,8 +468,8 @@ def hull_of_points(points, dim: int) -> HullData:
         # Degenerate set: its pivot coordinates map its affine hull one-to-one
         # onto R^rank, so the hull is taken there; ambient volume 0.
         int_points = [tuple(p[c] for c in pivots) for p in int_points]
-    extreme, scaled = _hull_full_rank(rank, int_points, independent)
+    extreme, scaled, facets = _hull_full_rank(rank, int_points, independent)
     source = list(first.values())
     verts = tuple(sorted(vecs[source[i]] for i in extreme))
     volume = Fraction(scaled, factorial(dim) * denom**dim) if rank == dim else Fraction(0)
-    return HullData(dim, rank, verts, volume)
+    return HullData(dim, rank, verts, volume, tuple(pivots), tuple(facets))

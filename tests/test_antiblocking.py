@@ -1,7 +1,9 @@
 """Anti-blocking bodies: construction, validation, decomposition identities."""
 
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction as F
 from math import comb, factorial
 from unittest.mock import patch
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornervol import antiblocking, assembly, geometry
 from cornervol import hull as hull_mod
 from cornervol import (
     AntiBlockingBody,
@@ -21,8 +24,10 @@ from cornervol import (
     member,
     mixed_volume_pair,
     negate,
+    origin,
     project,
     random_ab_body,
+    random_assembly,
     reverse_kleitman_check,
     rs_projection_check,
     standard_simplex,
@@ -32,6 +37,7 @@ from cornervol import (
 )
 from cornervol.antiblocking import join_with_negation, projected_volume
 from cornervol.geometry import VPolytope
+from cornervol.io import assembly_from_obj, assembly_to_obj, dumps
 
 
 def lp_oracle(poly):
@@ -166,6 +172,102 @@ class TestValidateAb:
     def test_from_polytope_gate(self):
         with pytest.raises(ValueError):
             AntiBlockingBody.from_polytope(convex_hull([(1, 0), (0, 1)]))
+
+
+def count_hull_calls(monkeypatch):
+    """Record the dimension of every hull_of_points call, in every module binding it."""
+    calls = []
+    real = hull_mod.hull_of_points
+
+    def counting(points, dim):
+        calls.append(dim)
+        return real(points, dim)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cornervol") and getattr(module, "hull_of_points", None) is real:
+            monkeypatch.setattr(module, "hull_of_points", counting)
+    return calls
+
+
+class TestFacetRoute:
+    """Edge cases of the facet-sign route, each decided by the LP oracle too."""
+
+    @staticmethod
+    def check(poly, expected):
+        assert lp_oracle(poly) == expected
+        assert validate_ab(poly) == expected
+
+    def test_origin_against_a_point_off_it(self):
+        self.check(origin(3), True)
+        self.check(convex_hull([(0, 0, 0)]), True)
+        self.check(convex_hull([(0, 1, 0)]), False)
+        self.check(VPolytope(2, ((F(1, 2), F(0)),)), False)
+
+    def test_intervals(self):
+        self.check(convex_hull([(0,), (F(5, 2),)]), True)
+        self.check(convex_hull([(0,), (1,), (3,)]), True)
+        self.check(convex_hull([(1,), (3,)]), False)
+        self.check(convex_hull([(F(1, 3),), (F(1, 2),)]), False)
+        # The same intervals along an axis of R^3.
+        self.check(convex_hull([(0, 0, 0), (0, 0, 2)]), True)
+        self.check(convex_hull([(0, 0, 1), (0, 0, 2)]), False)
+
+    def test_antidiagonal_segment(self):
+        self.check(convex_hull([(1, 0), (0, 1)]), False)
+        self.check(convex_hull([(0, 0), (1, 1)]), False)
+
+    def test_flat_in_a_coordinate_hyperplane(self):
+        self.check(ab_hull([(0, 2, 1), (0, 1, 2)], 3).body, True)
+        self.check(ab_hull([(0, 3, 0), (0, 0, 1)], 3).body, True)
+        self.check(convex_hull([(0, 1, 1), (0, 2, 1), (0, 1, 2)]), False)
+        # Flat, holding the origin, but its plane is no coordinate subspace.
+        self.check(convex_hull([(0, 0, 0), (1, 1, 0), (0, 0, 1)]), False)
+
+    def test_raw_and_from_points_agree(self, monkeypatch):
+        # Built raw, a polytope misses the hull memo and pays one hull, once;
+        # built by from_points, it seeded the memo and validation pays none.
+        good = ab_hull([(2, 1, 0), (1, 0, 2), (0, 1, 1)], 3).vertices
+        shifted = tuple((v[0] + 1,) + v[1:] for v in good)  # off the origin
+        calls = count_hull_calls(monkeypatch)
+        for verts, expected in ((good, True), (shifted, False)):
+            monkeypatch.setattr(geometry, "_hull_cache", {})
+            raw = VPolytope(3, verts)
+            self.check(raw, expected)
+            self.check(raw, expected)
+            assert calls == [3]
+            monkeypatch.setattr(geometry, "_hull_cache", {})
+            self.check(convex_hull(verts, 3), expected)
+            assert calls == [3, 3]
+            calls.clear()
+        h = F(1, 2)
+        redundant = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (h, h), (F(1), F(0))))
+        self.check(redundant, True)
+        assert calls == [2]
+
+    def test_from_points_polytope_needs_no_hull(self, monkeypatch):
+        poly = ab_hull([(2, 1), (1, 2)], 2).body
+        bad = convex_hull([(0, 0), (2, 0), (1, 2)])
+        calls = count_hull_calls(monkeypatch)
+        assert validate_ab(poly)
+        assert not validate_ab(bad)
+        assert calls == []
+
+    def test_loading_a_glued_assembly_hulls_nothing_inside_validation(self, monkeypatch):
+        text = dumps(assembly_to_obj(random_assembly("facet-route-load", 3, "glued")))
+        calls = count_hull_calls(monkeypatch)
+        inside = []
+        real = antiblocking.validate_ab
+
+        def tracking(poly):
+            before = len(calls)
+            ok = real(poly)
+            inside.append(len(calls) - before)
+            return ok
+
+        monkeypatch.setattr(antiblocking, "validate_ab", tracking)
+        monkeypatch.setattr(assembly, "validate_ab", tracking)
+        assembly_from_obj(json.loads(text))
+        assert inside == [0] * 8
 
 
 class TestOppositeMixed:

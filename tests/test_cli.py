@@ -377,3 +377,38 @@ class TestExitCodeContract:
         assert code == EXIT_OK
         assert out == ""
         assert out_path.read_text().strip() == "1/2"
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call; no call's flags leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_godbersen_defaults_after_glued(self, capsys):
+        code, out, _ = run(capsys, "godbersen", "--style", "glued", "--trials", "1",
+                           "--seed", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["style"] == "glued"
+        code, out, _ = run(capsys, "godbersen")
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["config"] == {"seed": 0, "dim": 2, "trials": 10,
+                                 "style": "unconditional", "family": None}
+        assert {rec["style"] for rec in rep["records"]} == {"unconditional"}
+
+    def test_mixvol_cross_check_does_not_stick(self, capsys, monkeypatch,
+                                               square_file, triangle_file):
+        probes = []
+        real = cli.volume_polynomial_by_probes
+
+        def counting(k, t):
+            probes.append((k, t))
+            return real(k, t)
+
+        monkeypatch.setattr(cli, "volume_polynomial_by_probes", counting)
+        assert run(capsys, "mixvol", square_file, triangle_file, "--j", "1",
+                   "--cross-check")[:2] == (EXIT_OK, "1\n")
+        assert len(probes) == 1
+        assert run(capsys, "mixvol", square_file, triangle_file, "--j", "1")[:2] == (EXIT_OK, "1\n")
+        assert len(probes) == 1

@@ -223,6 +223,47 @@ def test_vertices_against_membership_oracle():
             assert list(data.vertices) == expected
 
 
+@st.composite
+def coplanar_rich_sets(draw):
+    """Points of the grid {0, 1, 2}^n with edge midpoints and facet centres.
+
+    Grid points already sit in the middle of edges and at the centres of the
+    faces of the cube [0, 2]^n.  Half the sets hold the cube's corner simplex
+    conv(0, 2e_1, ..., 2e_n), so they span R^n; the others are often flat.
+    The midpoints of drawn pairs and the centroids of drawn n-sets add points
+    inside the faces and edges of the drawn hull.
+    """
+    n = draw(st.integers(2, 5))
+    grid = st.tuples(*[st.integers(0, 2)] * n)
+    pts = draw(st.lists(grid, min_size=2, max_size=9, unique=True))
+    if draw(st.booleans()):  # the corner simplex of the cube: full rank
+        pts += [tuple(2 * (i == j) for j in range(n)) for i in range(-1, n)]
+    idx = st.integers(0, len(pts) - 1)
+    for i, j in draw(st.lists(st.tuples(idx, idx), max_size=3)):
+        pts.append(tuple(F(a + b, 2) for a, b in zip(pts[i], pts[j])))
+    for group in draw(st.lists(st.lists(idx, min_size=n, max_size=n), max_size=2)):
+        pts.append(tuple(F(sum(c), n) for c in zip(*(pts[i] for i in group))))
+    return n, sorted({hull_mod.as_vec(p) for p in pts})
+
+
+@pytest.mark.usefixtures("strict_hull")
+@given(coplanar_rich_sets())
+@settings(max_examples=100, deadline=None)
+def test_incidence_vertices_on_coplanar_inputs(case):
+    # Under strict_checks the incidence vertices are also compared with the
+    # scan of every point against every facet.
+    from cornervol import member
+    from cornervol.geometry import VPolytope
+
+    n, pts = case
+    data = hull_of_points(pts, n)
+    expected = tuple(
+        v for v in pts
+        if len(pts) == 1 or not member(VPolytope(n, tuple(w for w in pts if w != v)), v)
+    )
+    assert data.vertices == expected
+
+
 def test_dimension_bounds(monkeypatch):
     from cornervol import convex_hull
 

@@ -46,3 +46,20 @@ def test_audit_reports_match_pool_digests(seed, tmp_path, capsys):
     for j in range(4):
         assert cli.main(["audit", str(path), "--j", str(j)]) == 0
         assert sha256(capsys.readouterr().out) == digests[f"seed={seed} j={j}"]
+
+
+# Glued reports validate every piece they build or load.  These digests were
+# recorded while validation still hulled the vertices with their coordinate
+# maskings, so a change of validation route cannot move them unseen.
+GLUED = {
+    ("godbersen", "--dim", "3", "--style", "glued", "--trials", "3", "--seed", "0"):
+        "933967615c89926b6168b895f40b2c90d4d69c4ad5ca15e7f1c57baa94f20fcb",
+    ("gen", "--style", "glued", "--dim", "4", "--seed", "0"):
+        "88bf8f27a7fd6df3c5718a2509eae492059ef5a80b242cb7fe17199132758b2a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GLUED), ids=" ".join)
+def test_glued_report_matches_recorded_digest(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    assert sha256(capsys.readouterr().out) == GLUED[argv]
