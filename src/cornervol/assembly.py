@@ -14,8 +14,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
+from . import geometry
+from . import hull as _hull
 from .antiblocking import (
     AntiBlockingBody,
     ab_hull,
@@ -27,10 +29,12 @@ from .antiblocking import (
 from .geometry import (
     VPolytope,
     convex_hull,
+    hull_data,
     negate,
     shadow,
     volume,
 )
+from .hull import HullData
 from .mixed import mixed_volume_pair
 
 SignVector = tuple[int, ...]
@@ -68,6 +72,31 @@ class OrthantAssembly:
 
     @cached_property
     def hull(self) -> VPolytope:
+        """The convex body: the hull of every reflected piece.
+
+        When every orthant holds the same anti-blocking piece P, the body is
+        K = {x : |x| in P}, and its hull data are derived from P's with no
+        hull taken (``_unconditional_hull``).  Its vertices are the vertices
+        w of P reflected over their support T, except each w for which P has
+        a vertex w + c e_k, c > 0, at some k outside T.  Proof: if P has such
+        a vertex, w +- c e_k lie in K and w is not extreme.  If it has none,
+        no point w + c e_k lies in P either (masking x_k in a convex
+        combination of vertices giving it yields w, a vertex, so every vertex
+        used is w + c_i e_k, some with c_i > 0).  By down-closure, P then meets {x : x_T = w_T}
+        only in w, so the fibre of K over each reflection s of w_T is one
+        point.  And w_T is a vertex of P's section on T, and s lies in an
+        open orthant of R^T, where K's section is that section reflected; so
+        s is a vertex of K's section on T, which is also K's projection on T,
+        and a vertex of the projection whose fibre is one point is a vertex
+        of K.  Every vertex of K reflects a vertex of P, so there are no
+        others.
+
+        Otherwise, and for equal pieces that are not down-closed, the
+        reflected vertices of all pieces go through the hull engine.
+        """
+        first = self.pieces[0][1]
+        if all(piece == first for _, piece in self.pieces) and validate_ab(first.body):
+            return _unconditional_hull(first.body)
         pts = set()
         for sign, piece in self.pieces:
             for v in piece.vertices:
@@ -76,6 +105,63 @@ class OrthantAssembly:
 
     def is_full_dimensional(self) -> bool:
         return volume(self.hull) > 0
+
+
+def _reflections(v: tuple, support: list[int]):
+    """v with the signs of its coordinates in ``support`` flipped every way."""
+    for flips in itertools.product((False, True), repeat=len(support)):
+        r = list(v)
+        for i, flip in zip(support, flips):
+            if flip:
+                r[i] = -r[i]
+        yield tuple(r)
+
+
+def _support(v: tuple) -> list[int]:
+    return [i for i, x in enumerate(v) if x]
+
+
+def _unconditional_hull(p: VPolytope) -> VPolytope:
+    """K = {x : |x| in P} for an anti-blocking P, its hull data read off P's.
+
+    The vertices follow the rule in ``OrthantAssembly.hull``.  The volume is
+    2^n Vol(P); rank and pivots are P's, since both span the coordinate
+    subspace of P's support.  Facets (Fulkerson 1971): K is cut out by
+    a.|x| <= b over P's facets with a >= 0, that is by every reflection of a
+    over the signs of its support, and each is a facet, since in each orthant
+    it meets the reflected piece in the reflected facet.  P's coordinate
+    facets lie inside K, where two orthant pieces meet, and drop out.
+    Offsets move from the denominator lcm of P's vertices to that of K's.
+
+    Under ``hull.strict_checks`` the derived data are compared with the
+    engine's hull of every reflected vertex of P.
+    """
+    n = p.dim
+    data = hull_data(p)
+    # Vertices are compared and sorted as integers scaled by d_p: hashing and
+    # comparing Fractions costs several times more.
+    scaled, d_p = _hull._scale_to_int(data.vertices)
+    # w is covered when it is the k-masking of a vertex u with u_k > 0.
+    covered = {u[:k] + (0,) + u[k + 1:] for u in scaled for k in _support(u)}
+    kept = [(w, v) for w, v in zip(scaled, data.vertices) if w not in covered]
+    reflected = sorted(pair for w, v in kept
+                       for pair in zip(_reflections(w, _support(w)), _reflections(v, _support(v))))
+    body = VPolytope(n, tuple(v for _, v in reflected))
+    d_k = lcm(*(x.denominator for _, v in kept for x in v))
+    facets = tuple(sorted(
+        (r, b * d_k // d_p)
+        for a, b in data.facets if min(a) >= 0
+        for r in _reflections(a, _support(a))
+    ))
+    derived = HullData(n, data.rank, body.vertices, 2**n * data.volume, data.pivots, facets)
+    if _hull.strict_checks:
+        engine = _hull.hull_of_points(
+            [r for w in data.vertices for r in _reflections(w, _support(w))], n)
+        if derived != engine:
+            raise AssertionError(f"hull data derived from the piece {derived} differ "
+                                 f"from the engine's {engine}")
+    geometry._hull_cache[body] = derived
+    return body
 
 
 def _normalize_pieces(dim: int, pieces) -> tuple[tuple[SignVector, AntiBlockingBody], ...]:

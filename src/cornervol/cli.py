@@ -283,6 +283,9 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
                 f"V(K[{j}], -K[{n - j}]) = {reports[j].mixed} != "
                 f"V(K[{n - j}], -K[{j}]) = {reports[n - j].mixed}"
             )
+    # Equality at 1 <= j <= n-1 holds only for simplices (the paper's second
+    # theorem), so on a body with more than n+1 vertices it is a violation.
+    simplex = len(assembly.hull.vertices) == n + 1
     records = []
     for j, rep in enumerate(reports):
         rec = dict(desc)
@@ -291,7 +294,7 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
             lhs=_rat(rep.mixed),
             rhs=_rat(rep.bound),
             ratio=_rat(rep.ratio) if rep.ratio is not None else None,
-            holds=rep.mixed <= rep.bound,
+            holds=rep.mixed <= rep.bound and (rep.trivial or not rep.is_equality or simplex),
             is_equality=rep.is_equality,
             trivial=rep.trivial,
         )

@@ -85,9 +85,11 @@ class HullData:
     ``pivots`` are the coordinates, ascending, that map the affine hull one-to-
     one onto R^rank (all of them at full rank, none at rank 0).  ``facets``
     are the distinct planes a.x <= b, sorted, of the hull taken there: a
-    primitive integer normal a and an offset b in the input scaled to
-    integers, so the signs of a and whether b is 0 are those of the rational
-    facet.  Rank 0 has no facet.
+    primitive integer normal a and an offset b in the coordinates scaled by
+    the lcm D of the vertex denominators (the D of ``VPolytope``'s key), so
+    they depend on the polytope and not on redundant input points, and the
+    signs of a and whether b is 0 are those of the rational facet.  Rank 0
+    has no facet.
     """
 
     dim: int
@@ -471,5 +473,10 @@ def hull_of_points(points, dim: int) -> HullData:
     extreme, scaled, facets = _hull_full_rank(rank, int_points, independent)
     source = list(first.values())
     verts = tuple(sorted(vecs[source[i]] for i in extreme))
+    # Offsets move from the input's scale to the vertices': b * D / denom is
+    # an integer, a times a vertex on the facet scaled by D.
+    vdenom = lcm(*(x.denominator for v in verts for x in v))
+    if vdenom != denom:
+        facets = [(a, b * vdenom // denom) for a, b in facets]
     volume = Fraction(scaled, factorial(dim) * denom**dim) if rank == dim else Fraction(0)
     return HullData(dim, rank, verts, volume, tuple(pivots), tuple(facets))

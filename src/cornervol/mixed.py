@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .geometry import VPolytope, minkowski_sum, scale, sum_polytopes, volume
+from .geometry import VPolytope, minkowski_sum, negate, scale, sum_polytopes, volume
 from .hull import triangulate
 from .linalg import solve_linear
 
@@ -70,9 +70,25 @@ def _checked(k: VPolytope, t: VPolytope, coeffs, route: str) -> VolumePolynomial
 
 @cache
 def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
-    """Exact expansion of Vol(K + sT) in s, from one Cayley triangulation."""
+    """Exact expansion of Vol(K + sT) in s, from one Cayley triangulation.
+
+    Swapping K and T reverses the coefficients and negating both keeps them,
+    so the four pairs (K, T), (T, K), (-K, -T), (-T, -K) share the one
+    triangulation of whichever has the least polytope keys.  The endpoints
+    are still checked against the hull volumes of the pair asked for.
+    """
     if k.dim != t.dim:
         raise ValueError("dimension mismatch")
+    nk, nt = negate(k), negate(t)
+    candidates = (((k, t), False), ((t, k), True), ((nk, nt), False), ((nt, nk), True))
+    (a, b), swapped = min(candidates, key=lambda c: (c[0][0]._key, c[0][1]._key))
+    coeffs = _cayley_coeffs(a, b)
+    return _checked(k, t, coeffs[::-1] if swapped else coeffs, "Cayley")
+
+
+@cache
+def _cayley_coeffs(k: VPolytope, t: VPolytope) -> tuple[Fraction, ...]:
+    """C(n, a) V(K[a], T[n-a]) for a = 0..n, summed over the Cayley cells."""
     n = k.dim
     lifted = [v + (Fraction(0),) for v in k.vertices]
     lifted += [w + (Fraction(1),) for w in t.vertices]
@@ -92,7 +108,7 @@ def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
             Fraction(s, factorial(a) * factorial(n - a) * scale_n1)
             for a, s in enumerate(by_type)
         ]
-    return _checked(k, t, coeffs, "Cayley")
+    return tuple(coeffs)
 
 
 def volume_polynomial_by_probes(k: VPolytope, t: VPolytope) -> VolumePolynomial:

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cornervol import mixed
 from cornervol import (
     AntiBlockingBody,
     AssemblyError,
+    OrthantAssembly,
     ab_hull,
     all_signs,
     assemble,
@@ -21,12 +25,15 @@ from cornervol import (
     negate,
     negate_assembly,
     proof_chain_audit,
+    random_ab_body,
     random_assembly,
     reflect,
     standard_simplex,
     unit_cube,
     volume,
 )
+from cornervol.geometry import hull_data
+from cornervol.hull import hull_of_points
 
 
 class TestAssemble:
@@ -115,6 +122,48 @@ class TestFromUnconditional:
         a = from_unconditional(k)
         assert lab_volume(a) == 2**3 * volume(k.body)
         assert volume(a.hull) == lab_volume(a)
+
+
+# Rationals with mixed denominators for the rational generators.
+coords = st.builds(F, st.integers(0, 4), st.sampled_from((1, 2, 3, 5)))
+PIECE_KINDS = ("random", "random-flat", "cube", "simplex", "rational")
+
+
+@st.composite
+def unconditional_pieces(draw):
+    """An anti-blocking piece in dimension 1 to 5: seeded random bodies (full or
+    possibly flat), the unit cube, the standard simplex, or the down-closure of
+    rational generators (possibly flat or the origin alone)."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(PIECE_KINDS))
+    if kind.startswith("random"):
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        return random_ab_body(rng, n, draw(st.integers(1, 3)), full_dim=kind == "random")
+    if kind == "cube":
+        return AntiBlockingBody(unit_cube(n))
+    if kind == "simplex":
+        return AntiBlockingBody(standard_simplex(n))
+    return ab_hull(draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=3)), n)
+
+
+class TestUnconditionalHull:
+    """The hull of equal pieces is derived from the piece, not hulled."""
+
+    @pytest.mark.usefixtures("strict_hull")
+    @given(unconditional_pieces())
+    @settings(max_examples=60, deadline=None)
+    def test_derived_hull_data_match_the_engine(self, piece):
+        n = piece.dim
+        reflected = sorted({tuple(s * x for s, x in zip(sign, v))
+                            for sign in all_signs(n) for v in piece.vertices})
+        assert hull_data(from_unconditional(piece).hull) == hull_of_points(reflected, n)
+
+    def test_non_downclosed_equal_pieces_take_the_engine_hull(self):
+        # Not a valid piece: K is the hull of its reflections, which the
+        # derivation for anti-blocking pieces would get wrong.
+        piece = AntiBlockingBody(convex_hull([(0, 0), (2, 0), (1, 1)], 2))
+        a = OrthantAssembly(2, tuple((s, piece) for s in sorted(all_signs(2))))
+        assert a.hull == convex_hull([(2, 0), (-2, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)], 2)
 
 
 class TestEqualityFamily:
@@ -267,6 +316,21 @@ class TestProofChainAudit:
         assert audit.ratio == F(1, 2)
         slack_steps = [s.name for s in audit.steps if s.relation == "<=" and s.slack > 0]
         assert slack_steps == ["projection-product-bound"]
+
+    def test_swapped_pairs_share_one_triangulation(self, monkeypatch):
+        # (P_s, P_-s) and (P_-s, P_s) are one pair swapped, and the relaxed
+        # (P_s, -P_-s) and (P_-s, -P_s) one pair swapped and negated: a glued
+        # dim-3 body triangulates 4 pairs for each sum, not 8.
+        calls = []
+        real = mixed.triangulate
+        monkeypatch.setattr(mixed, "triangulate",
+                            lambda points, dim: calls.append(dim) or real(points, dim))
+        a = random_assembly("shared-pairs", 3, "glued")
+        split = lab_mixed(a, negate_assembly(a), 1)
+        assert len(calls) == 4
+        audit = proof_chain_audit(a, 1)
+        assert len(calls) == 4 + 1 + 4  # the direct pair, then the relaxed sum
+        assert audit.steps[0].rhs == split and audit.all_hold
 
     def test_exact_steps_on_random_assemblies(self, glued_bank):
         for a in glued_bank[:6]:

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import runpy
 
 import pytest
 
-from cornervol import cli, mixed
+from cornervol import cli, geometry, mixed
+from cornervol import hull as hull_mod
 from cornervol.assembly import GenerationError
 from cornervol.cli import (
     EXIT_INAPPLICABLE,
@@ -165,6 +167,48 @@ class TestGodbersen:
         for rec in rep["records"]:
             assert rec["is_equality"]
             assert "vertices" in rec  # equality records carry the instance
+
+    def test_equality_family_2_flag(self, capsys):
+        code, out, _ = run(capsys, "godbersen", "--family", "equality-2", "--trials", "3",
+                           "--dim", "3", "--seed", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["summary"]["violations"] == 0
+
+    def test_equality_on_a_non_simplex_is_a_violation(self, capsys, monkeypatch):
+        # Equality at 1 <= j <= n-1 holds only for simplices; a cube made to
+        # report it is a would-be counterexample, and only its records change.
+        real = cli.godbersen_check
+
+        def tight(assembly, j):
+            rep = real(assembly, j)
+            return dataclasses.replace(rep, mixed=rep.bound, ratio=1, is_equality=True)
+
+        code, honest, _ = run(capsys, "godbersen", "--family", "cube", "--dim", "3")
+        assert code == EXIT_OK
+        monkeypatch.setattr(cli, "godbersen_check", tight)
+        code, out, _ = run(capsys, "godbersen", "--family", "cube", "--dim", "3")
+        assert code == EXIT_VIOLATION
+        rep = json.loads(out)
+        assert rep["summary"]["violations"] == 2
+        for rec, before in zip(rep["records"], json.loads(honest)["records"]):
+            assert rec["holds"] == (rec["j"] in (0, 3))
+            assert len(rec["vertices"]) == 8
+            assert rec.keys() == before.keys() | {"vertices"}
+
+    def test_one_hull_per_unconditional_item(self, capsys, monkeypatch):
+        # The piece is hulled once; the body's hull is derived from it.
+        calls = []
+        real = hull_mod.hull_of_points
+
+        def counting(points, dim):
+            calls.append(dim)
+            return real(points, dim)
+
+        monkeypatch.setattr(hull_mod, "hull_of_points", counting)
+        monkeypatch.setattr(geometry, "hull_of_points", counting)
+        code, _, _ = run(capsys, "godbersen", "--dim", "4", "--trials", "1", "--seed", "91")
+        assert code == EXIT_OK
+        assert calls == [4]
 
     def test_cube_family_strict(self, capsys):
         code, out, _ = run(capsys, "godbersen", "--family", "cube", "--dim", "3")
@@ -377,6 +421,21 @@ class TestExitCodeContract:
         assert code == EXIT_OK
         assert out == ""
         assert out_path.read_text().strip() == "1/2"
+
+
+class TestModuleEntryPoint:
+    """``python -m cornervol`` runs ``cli.main`` and exits with its code."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["godbersen", "--family", "cube", "--dim", "2"], EXIT_OK),
+        (["godbersen", "--dim", "9"], EXIT_PARSE),
+    ])
+    def test_exit_code_passes_through(self, capsys, monkeypatch, argv, code):
+        monkeypatch.delenv("CORNER_MIXVOL_MAX_DIM", raising=False)
+        monkeypatch.setattr("sys.argv", ["cornervol"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("cornervol", run_name="__main__")
+        assert exc.value.code == code
 
 
 class TestParserReuse:

@@ -130,6 +130,14 @@ def test_fraction_coordinates_scaled_exactly():
     assert data.volume == F(1, 3)
 
 
+def test_facet_offsets_do_not_depend_on_redundant_points():
+    # A redundant point with denominator 3 must not rescale the offsets: they
+    # are in the vertices' denominator lcm, here 1, as when built from them.
+    data = hull_of_points([(0, 0), (2, 0), (0, 2), (2, 2), (F(1, 3), F(1, 3))], 2)
+    assert data.facets == hull_of_points(data.vertices, 2).facets
+    assert data.facets == (((-1, 0), 0), ((0, -1), 0), ((0, 1), 2), ((1, 0), 2))
+
+
 def test_numpy_fallback_on_huge_coordinates(strict_hull):
     # Coordinates big enough to trip the int64 guard; results stay exact.
     big = 10**12

@@ -63,3 +63,24 @@ GLUED = {
 def test_glued_report_matches_recorded_digest(argv, capsys):
     assert cli.main(list(argv)) == 0
     assert sha256(capsys.readouterr().out) == GLUED[argv]
+
+
+# Equal-piece bodies get their hull derived from the piece; their equality
+# rows print its vertices.  Recorded while that hull still came from the
+# engine over every reflected vertex.
+UNCONDITIONAL = {
+    ("godbersen", "--family", "cube", "--dim", "3"):
+        "dbeb5530f0f9a28595f6e647aeee6597fc504a229a6453f24d0829335f564fa8",
+    ("godbersen", "--family", "cross", "--dim", "4"):
+        "23070cb5567d3633d7539ed08b24278e2a94b74f6aef972e39d30adc46447aab",
+    ("godbersen", "--dim", "3", "--style", "mixed", "--trials", "10", "--seed", "4"):
+        "54a7fedfd70ccda930cf314c77f292f121ed3dafcc0295dc01864ba26aded420",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(UNCONDITIONAL), ids=" ".join)
+def test_unconditional_report_matches_recorded_digest(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    report = capsys.readouterr().out
+    assert sha256(report) == UNCONDITIONAL[argv]
+    assert any("vertices" in rec for rec in json.loads(report)["records"])
