@@ -106,8 +106,15 @@ def validate_ab(poly: VPolytope) -> bool:
     support = tuple(i for i in range(poly.dim) if any(v[i] for v in verts))
     if data.pivots != support:
         return False
-    return all(min(a) >= 0 or (b == 0 and sum(1 for c in a if c) == 1)
-               for a, b in data.facets)
+    return all(fulkerson_facet(a, b) for a, b in data.facets)
+
+
+def fulkerson_facet(a: tuple[int, ...], b: int) -> bool:
+    """Can a.x <= b be a facet of a full-dimensional anti-blocking body?
+
+    Yes for a nonnegative normal and for a coordinate facet x_i >= 0.
+    """
+    return min(a) >= 0 or (b == 0 and sum(1 for c in a if c) == 1)
 
 
 def projected_volume(body: AntiBlockingBody, indices: tuple[int, ...]) -> Fraction:

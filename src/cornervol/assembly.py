@@ -16,12 +16,15 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 
+import numpy as np
+
 from . import geometry
 from . import hull as _hull
 from .antiblocking import (
     AntiBlockingBody,
     ab_hull,
     ab_opposite_mixed,
+    fulkerson_facet,
     projected_volume,
     random_ab_body,
     validate_ab,
@@ -72,96 +75,168 @@ class OrthantAssembly:
 
     @cached_property
     def hull(self) -> VPolytope:
-        """The convex body: the hull of every reflected piece.
+        """The convex body K: the union of the reflected pieces s.P_s.
 
-        When every orthant holds the same anti-blocking piece P, the body is
-        K = {x : |x| in P}, and its hull data are derived from P's with no
-        hull taken (``_unconditional_hull``).  Its vertices are the vertices
-        w of P reflected over their support T, except each w for which P has
-        a vertex w + c e_k, c > 0, at some k outside T.  Proof: if P has such
-        a vertex, w +- c e_k lie in K and w is not extreme.  If it has none,
-        no point w + c e_k lies in P either (masking x_k in a convex
-        combination of vertices giving it yields w, a vertex, so every vertex
-        used is w + c_i e_k, some with c_i > 0).  By down-closure, P then meets {x : x_T = w_T}
-        only in w, so the fibre of K over each reflection s of w_T is one
-        point.  And w_T is a vertex of P's section on T, and s lies in an
-        open orthant of R^T, where K's section is that section reflected; so
-        s is a vertex of K's section on T, which is also K's projection on T,
-        and a vertex of the projection whose fibre is one point is a vertex
-        of K.  Every vertex of K reflects a vertex of P, so there are no
-        others.
+        When every piece is down-closed and full-dimensional, or all pieces
+        are equal and down-closed (flat ones too), K and its hull data are
+        derived from the pieces' memoized hull data with no hull taken
+        (``_derived_hull``); any other assembly, and one whose scan below
+        fails, goes through the hull engine over every reflected vertex.
 
-        Otherwise, and for equal pieces that are not down-closed, the
-        reflected vertices of all pieces go through the hull engine.
+        Facets.  A full-dimensional down-closed piece P_s is cut out of the
+        orthant by its facets a.x <= b with a >= 0 (Fulkerson 1971).  Let H
+        be the intersection of the half-spaces (s.a).x <= b over every
+        piece's such facets.  The scan checks every reflected vertex of every
+        piece against every one of them.  If all hold, the union lies in H,
+        and H meets each closed orthant s inside s.P_s, so H is the union:
+        the union is convex, K meets orthant s in exactly s.P_s, and the
+        planes are K's facets (each meets K in the (n-1)-dimensional facet
+        of a piece, and every facet of K meets some orthant in a facet of
+        that piece, which is not a coordinate facet because every piece is
+        full-dimensional).  For equal pieces K = {x : |x| in P} is convex by
+        construction, so the scan is skipped; P's coordinate facets lie
+        inside K, where two orthant pieces meet, and drop out.
+
+        Vertices.  Every vertex of K is s.w for a vertex w of P_s, and s can
+        be taken +1 off supp(w), since the point lies in all those orthants;
+        each reflected point is enumerated once that way.  Say w is covered
+        along k when the piece has a vertex w + c e_k, c > 0 (equivalently
+        it contains such a point: masking x_k in a convex combination of
+        vertices giving w + c e_k yields the vertex w, so every vertex used
+        is w + c_i e_k).  s.w is dropped exactly when some k outside supp(w)
+        covers w in both P_s and P_(s^k), s^k being s with its k-th sign
+        flipped; then s.w +- c e_k lie in K.  Otherwise s.w is a vertex.
+        Proof: let T = supp(w).  K's section on R^T equals its projection
+        there (the pieces are down-closed), and near s.w_T it is the section
+        of s.P_s, of which w_T is a vertex; so s.w_T is a vertex of the
+        projection.  The fibre of K over it is a locally anti-blocking body
+        in the other coordinates, and 0 is extreme in such a body unless it
+        contains +-c e_k for some k: a segment through 0 has an end x and
+        an end -t x, and masking both to one k in supp(x) keeps them in the
+        body.  Its points c e_k and -c e_k are w + c e_k in P_s and in
+        P_(s^k), which exist exactly when w is covered along k there.  A
+        point extreme in its fibre over a vertex of the projection is
+        extreme in K.
+
+        Volume is the sum of the pieces' volumes; rank and pivots are the
+        pieces' (n and every coordinate unless all pieces are one flat P).
+        Under ``hull.strict_checks`` the derived data are compared with the
+        engine's hull of every reflected vertex.
         """
-        first = self.pieces[0][1]
-        if all(piece == first for _, piece in self.pieces) and validate_ab(first.body):
-            return _unconditional_hull(first.body)
-        pts = set()
-        for sign, piece in self.pieces:
-            for v in piece.vertices:
-                pts.add(tuple(x if s > 0 else -x for s, x in zip(sign, v)))
-        return convex_hull(pts, self.dim)
+        return _derived_hull(self) or convex_hull(_reflected_vertices(self), self.dim)
 
     def is_full_dimensional(self) -> bool:
         return volume(self.hull) > 0
 
 
-def _reflections(v: tuple, support: list[int]):
-    """v with the signs of its coordinates in ``support`` flipped every way."""
-    for flips in itertools.product((False, True), repeat=len(support)):
-        r = list(v)
-        for i, flip in zip(support, flips):
-            if flip:
-                r[i] = -r[i]
-        yield tuple(r)
+def _reflected_vertices(a: OrthantAssembly) -> set[tuple]:
+    """Every vertex of every piece, reflected into its orthant."""
+    return {tuple(x if s > 0 else -x for s, x in zip(sign, v))
+            for sign, piece in a.pieces for v in piece.vertices}
 
 
-def _support(v: tuple) -> list[int]:
-    return [i for i, x in enumerate(v) if x]
+def _mask(v) -> int:
+    """Bit i set for each nonzero coordinate i."""
+    return sum(1 << i for i, x in enumerate(v) if x)
 
 
-def _unconditional_hull(p: VPolytope) -> VPolytope:
-    """K = {x : |x| in P} for an anti-blocking P, its hull data read off P's.
+def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
+    """K with its ``HullData`` read off the pieces', or None for the engine.
 
-    The vertices follow the rule in ``OrthantAssembly.hull``.  The volume is
-    2^n Vol(P); rank and pivots are P's, since both span the coordinate
-    subspace of P's support.  Facets (Fulkerson 1971): K is cut out by
-    a.|x| <= b over P's facets with a >= 0, that is by every reflection of a
-    over the signs of its support, and each is a facet, since in each orthant
-    it meets the reflected piece in the reflected facet.  P's coordinate
-    facets lie inside K, where two orthant pieces meet, and drop out.
-    Offsets move from the denominator lcm of P's vertices to that of K's.
-
-    Under ``hull.strict_checks`` the derived data are compared with the
-    engine's hull of every reflected vertex of P.
+    The rule and its proofs are in ``OrthantAssembly.hull``.  Signs are bit
+    masks of their negative coordinates.  Points and offsets are integers
+    over the lcm of the pieces' vertex denominators, and K's offsets move to
+    the lcm of its own.  The result seeds ``geometry._hull_cache``.
     """
-    n = p.dim
-    data = hull_data(p)
-    # Vertices are compared and sorted as integers scaled by d_p: hashing and
-    # comparing Fractions costs several times more.
-    scaled, d_p = _hull._scale_to_int(data.vertices)
-    # w is covered when it is the k-masking of a vertex u with u_k > 0.
-    covered = {u[:k] + (0,) + u[k + 1:] for u in scaled for k in _support(u)}
-    kept = [(w, v) for w, v in zip(scaled, data.vertices) if w not in covered]
-    reflected = sorted(pair for w, v in kept
-                       for pair in zip(_reflections(w, _support(w)), _reflections(v, _support(v))))
-    body = VPolytope(n, tuple(v for _, v in reflected))
-    d_k = lcm(*(x.denominator for _, v in kept for x in v))
-    facets = tuple(sorted(
-        (r, b * d_k // d_p)
-        for a, b in data.facets if min(a) >= 0
-        for r in _reflections(a, _support(a))
-    ))
-    derived = HullData(n, data.rank, body.vertices, 2**n * data.volume, data.pivots, facets)
+    n = a.dim
+    data = {piece.body: hull_data(piece.body) for _, piece in a.pieces}
+    equal = len(data) == 1
+    if equal:
+        if not validate_ab(a.pieces[0][1].body):
+            return None
+    elif any(d.rank < n or not all(fulkerson_facet(c, b) for c, b in d.facets)
+             for d in data.values()):
+        return None  # some piece is flat or not down-closed
+    scaled = {p: _hull._scale_to_int(d.vertices) for p, d in data.items()}
+    denom = lcm(*(d_p for _, d_p in scaled.values()))
+    # Per piece: its vertices over denom with their support masks; its
+    # nonnegative-normal facets with offsets over denom and support masks in
+    # R^n; and covered[w], whose bit k says a vertex w + c e_k, c > 0, exists.
+    # frac maps a coordinate over denom to its Fraction.
+    verts, facets, covered, frac = {}, {}, {}, {}
+    for p, d in data.items():
+        ws, d_p = scaled[p]
+        f = denom // d_p
+        ws = [tuple(x * f for x in w) for w in ws] if f > 1 else ws
+        verts[p] = [(w, _mask(w)) for w in ws]
+        for w, v in zip(ws, d.vertices):
+            frac.update(zip(w, v))
+        facets[p] = [(c, b * f, sum(1 << d.pivots[i] for i, x in enumerate(c) if x))
+                     for c, b in d.facets if min(c) >= 0]
+        cov = covered[p] = {}
+        for u in ws:
+            for k, x in enumerate(u):
+                if x:
+                    w = u[:k] + (0,) + u[k + 1:]
+                    cov[w] = cov.get(w, 0) | 1 << k
+    at = {_mask([s < 0 for s in sign]): piece.body for sign, piece in a.pieces}
+    kept, planes = [], set()
+    for neg, p in at.items():
+        flip = [neg >> i & 1 for i in range(n)]
+        pivots = data[p].pivots
+        for c, b, supp in facets[p]:
+            # Equal pieces give each reflection once, from the sign + off supp(c).
+            if not (equal and neg & ~supp):
+                planes.add((tuple([-x if flip[i] else x for i, x in zip(pivots, c)]), b))
+        cov = covered[p]
+        for w, supp in verts[p]:
+            if neg & ~supp:
+                continue  # enumerated from the sign that is + off supp(w)
+            bits = cov.get(w, 0)
+            if bits and (equal or any(
+                    bits >> k & 1 and covered[at[neg | 1 << k]].get(w, 0) >> k & 1
+                    for k in range(n))):
+                continue
+            kept.append(tuple([-x if f else x for f, x in zip(flip, w)]))
+    if not equal and not _scan(planes, [(sign, [w for w, _ in verts[piece.body]])
+                                        for sign, piece in a.pieces]):
+        return None
+    kept.sort()
+    for c in list(frac):
+        frac.setdefault(-c, -frac[c])
+    body = VPolytope(n, tuple(tuple([frac[c] for c in w]) for w in kept))
+    d_k = body._key[1]
+    first = data[a.pieces[0][1].body]
+    derived = HullData(
+        n, first.rank, body.vertices,
+        sum((data[piece.body].volume for _, piece in a.pieces), Fraction(0)),
+        first.pivots, tuple(sorted((c, b * d_k // denom) for c, b in planes)))
     if _hull.strict_checks:
-        engine = _hull.hull_of_points(
-            [r for w in data.vertices for r in _reflections(w, _support(w))], n)
+        engine = _hull.hull_of_points(_reflected_vertices(a), n)
         if derived != engine:
-            raise AssertionError(f"hull data derived from the piece {derived} differ "
+            raise AssertionError(f"hull data derived from the pieces {derived} differ "
                                  f"from the engine's {engine}")
     geometry._hull_cache[body] = derived
     return body
+
+
+def _scan(planes, pieces) -> bool:
+    """Does every reflected point satisfy every plane a.x <= b?
+
+    ``pieces`` holds (sign vector, integer points) pairs.  One int64 product
+    while a magnitude bound rules out overflow, Python integers otherwise.
+    """
+    mag = (max(abs(x) for _, ws in pieces for w in ws for x in w)
+           * max(abs(x) for c, _ in planes for x in c))
+    if (len(pieces[0][0]) * mag < _hull._INT64_BOUND
+            and max(abs(b) for _, b in planes) < _hull._INT64_BOUND):
+        pts = np.concatenate([np.array(ws, dtype=np.int64) * np.array(s, dtype=np.int64)
+                              for s, ws in pieces])
+        normals = np.array([c for c, _ in planes], dtype=np.int64)
+        offsets = np.array([b for _, b in planes], dtype=np.int64)
+        return bool((normals @ pts.T <= offsets[:, None]).all())
+    return all(sum(x * y * z for x, y, z in zip(c, s, w)) <= b
+               for c, b in planes for s, ws in pieces for w in ws)
 
 
 def _normalize_pieces(dim: int, pieces) -> tuple[tuple[SignVector, AntiBlockingBody], ...]:

@@ -43,6 +43,13 @@ def _vec_in(raw, dim: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in raw)
 
 
+def _dim_in(dim) -> int:
+    # bool is an int subclass, so JSON true would otherwise load as dimension 1.
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError(f"bad dimension {dim!r}")
+    return dim
+
+
 def polytope_to_obj(p: VPolytope) -> dict:
     return {"dim": p.dim, "vertices": [_vec_out(v) for v in p.vertices]}
 
@@ -50,9 +57,7 @@ def polytope_to_obj(p: VPolytope) -> dict:
 def polytope_from_obj(obj) -> VPolytope:
     if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
         raise ParseError("polytope object needs 'dim' and 'vertices'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError(f"bad dimension {dim!r}")
+    dim = _dim_in(obj["dim"])
     verts = obj["vertices"]
     if not isinstance(verts, list) or not verts:
         raise ParseError("empty vertex list")
@@ -67,9 +72,7 @@ def ab_to_obj(body: AntiBlockingBody) -> dict:
 
 def ab_from_obj(obj) -> AntiBlockingBody:
     if isinstance(obj, dict) and "generators" in obj:
-        dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ParseError(f"bad dimension {dim!r}")
+        dim = _dim_in(obj.get("dim"))
         gens = [_vec_in(g, dim) for g in obj["generators"]]
         if not gens:
             raise ParseError("empty generator list")
@@ -97,9 +100,7 @@ def assembly_to_obj(a: OrthantAssembly) -> dict:
 def assembly_from_obj(obj) -> OrthantAssembly:
     if not isinstance(obj, dict) or "dim" not in obj or "pieces" not in obj:
         raise ParseError("assembly object needs 'dim' and 'pieces'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError(f"bad dimension {dim!r}")
+    dim = _dim_in(obj["dim"])
     pieces = {}
     for key, raw in obj["pieces"].items():
         sign = sign_from_str(key, dim)

@@ -225,6 +225,15 @@ class TestGodbersen:
         assert code == EXIT_PARSE
         assert "CORNER_MIXVOL_MAX_DIM" in err
 
+    def test_sweep_cap_is_five(self, capsys, monkeypatch):
+        monkeypatch.delenv("CORNER_MIXVOL_MAX_DIM", raising=False)
+        code, out, _ = run(capsys, "godbersen", "--dim", "5", "--trials", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["summary"]["records"] == 6
+        code, _, err = run(capsys, "godbersen", "--dim", "6", "--trials", "1")
+        assert code == EXIT_PARSE
+        assert "sweep cap 5" in err
+
     def test_env_var_raises_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "8")
         code, out, _ = run(capsys, "simplex", "--alphas", "1,1,1,1,1,1,1", "--j", "2")
@@ -293,6 +302,19 @@ class TestAuditAndGen:
         code, _, err = run(capsys, "audit", str(path), "--j", "1")
         assert code == EXIT_PARSE
         assert "projection mismatch" in err
+
+    def test_boolean_dimension_exit_2(self, capsys, tmp_path, triangle_file):
+        segment = {"dim": 1, "vertices": [["1"], ["0"]]}
+        asm = tmp_path / "asm.json"
+        asm.write_text(json.dumps({"dim": True, "pieces": {"+": segment, "-": segment}}))
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({**segment, "dim": True}))
+        for argv in (["audit", str(asm), "--j", "0"],
+                     ["mixvol", str(poly), str(poly), "--j", "0"]):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert "bad dimension True" in err
 
     def _audit_pieces(self, capsys, tmp_path, pieces):
         path = tmp_path / "asm.json"

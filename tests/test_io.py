@@ -139,3 +139,15 @@ def test_assembly_load_validates_each_piece_once(monkeypatch):
     calls.clear()
     assembly_from_obj(json.loads(dumps(assembly_to_obj(a))))
     assert len(calls) == len(a.pieces)
+
+
+@pytest.mark.parametrize("load, obj", [
+    (polytope_from_obj, {"dim": True, "vertices": [["1"], ["0"]]}),
+    (ab_from_obj, {"dim": True, "vertices": [["1"], ["0"]]}),
+    (ab_from_obj, {"dim": True, "generators": [["1"]]}),
+    (assembly_from_obj, {"dim": True, "pieces": {"+": {"dim": 1, "vertices": [["1"], ["0"]]}}}),
+], ids=["polytope", "ab", "ab-generators", "assembly"])
+def test_boolean_dimension_rejected(load, obj):
+    # JSON true is a Python bool, an int subclass equal to 1.
+    with pytest.raises(ParseError, match="bad dimension True"):
+        load(obj)

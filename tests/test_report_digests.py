@@ -56,6 +56,10 @@ GLUED = {
         "933967615c89926b6168b895f40b2c90d4d69c4ad5ca15e7f1c57baa94f20fcb",
     ("gen", "--style", "glued", "--dim", "4", "--seed", "0"):
         "88bf8f27a7fd6df3c5718a2509eae492059ef5a80b242cb7fe17199132758b2a",
+    # Its j = 0 and j = n rows print K's vertices.  Recorded while a glued
+    # body's hull still came from the engine over every reflected vertex.
+    ("godbersen", "--dim", "4", "--style", "glued", "--trials", "2", "--seed", "1"):
+        "439af3017ef85379bb64ccc4068da3e3e28273d78ce89cfa33cee78f25e01246",
 }
 
 
