@@ -166,12 +166,12 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     verts, facets, covered, frac = {}, {}, {}, {}
     for p, d in data.items():
         ws, d_p = scaled[p]
-        f = denom // d_p
-        ws = [tuple(x * f for x in w) for w in ws] if f > 1 else ws
+        up = denom // d_p
+        ws = [tuple(x * up for x in w) for w in ws] if up > 1 else ws
         verts[p] = [(w, _mask(w)) for w in ws]
         for w, v in zip(ws, d.vertices):
             frac.update(zip(w, v))
-        facets[p] = [(c, b * f, sum(1 << d.pivots[i] for i, x in enumerate(c) if x))
+        facets[p] = [(c, b * up, sum(1 << d.pivots[i] for i, x in enumerate(c) if x))
                      for c, b in d.facets if min(c) >= 0]
         cov = covered[p] = {}
         for u in ws:
