@@ -106,6 +106,15 @@ class VPolytope:
 
     @staticmethod
     def from_points(points, dim: int | None = None) -> "VPolytope":
+        """The hull of the points, with its data stored in ``hull_data``'s memo.
+
+        Points already strictly lex-ascending (the order that ``io`` writes)
+        are looked up in the memo first, and returned without a hull when it
+        holds them as their own hull: the engine's vertices are a subset of
+        its input, so a memoized vertex count equal to the list's length
+        means the list is irredundant.  Under ``hull.strict_checks`` such a
+        hit is still compared with the engine's hull.
+        """
         pts = [as_vec(p) for p in points]
         if not pts:
             raise ValueError("empty point set")
@@ -115,6 +124,16 @@ class VPolytope:
                 f"dimension {n} exceeds cap {max_dim()} "
                 "(set CORNER_MIXVOL_MAX_DIM to override)"
             )
+        # Points the engine would reject skip the lookup, so they still raise its error.
+        if n >= 1 and all(len(v) == n for v in pts) and all(
+                u < v for u, v in zip(pts, pts[1:])):
+            poly = VPolytope(n, tuple(pts))
+            data = _hull_cache.get(poly)
+            if data is not None and len(data.vertices) == len(pts):
+                if _hull.strict_checks and hull_of_points(pts, n) != data:
+                    raise AssertionError(f"memoized hull {data} of {poly} differs "
+                                         "from the engine's")
+                return poly
         data = hull_of_points(pts, n)
         poly = VPolytope(n, data.vertices)
         _hull_cache[poly] = data

@@ -2,7 +2,9 @@
 
 Rationals are serialized as exact strings ("3", "-1/2"); vertex lists are
 emitted in canonical order, so parse -> serialize round-trips are
-byte-identical on canonical objects.
+byte-identical on canonical objects.  A canonical vertex list that the process
+has already hulled loads without another hull (``VPolytope.from_points``), so
+a file loaded again costs no piece hull.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ def assembly_from_obj(obj) -> OrthantAssembly:
     if not isinstance(obj, dict) or "dim" not in obj or "pieces" not in obj:
         raise ParseError("assembly object needs 'dim' and 'pieces'")
     dim = _dim_in(obj["dim"])
+    if not isinstance(obj["pieces"], dict):
+        raise ParseError("assembly 'pieces' must be an object keyed by sign strings")
     pieces = {}
     for key, raw in obj["pieces"].items():
         sign = sign_from_str(key, dim)

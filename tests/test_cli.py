@@ -321,6 +321,12 @@ class TestAuditAndGen:
         path.write_text(json.dumps({"dim": 2, "pieces": pieces}))
         return run(capsys, "audit", str(path), "--j", "1")
 
+    def test_audit_rejects_pieces_list_exit_2(self, capsys, tmp_path):
+        code, out, err = self._audit_pieces(capsys, tmp_path, [])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "'pieces' must be an object" in err
+
     def test_audit_rejects_non_downclosed_piece(self, capsys, tmp_path):
         code, out, err = self._audit_pieces(capsys, tmp_path, {
             "++": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},

@@ -27,6 +27,7 @@ from cornervol import (
     unit_cube,
     volume,
 )
+from cornervol import geometry
 from cornervol.geometry import VPolytope, matrix_det, shadow
 
 
@@ -109,6 +110,20 @@ def shadow_cases(draw):
     return convex_hull(pts, n), outer, keep_of(draw, len(outer))
 
 
+@st.composite
+def point_sets(draw):
+    """Points in dims 1-4: general, flat (the last coordinate copies the
+    first), or one point repeated."""
+    n = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(("general", "flat", "point")))
+    if kind == "flat" and n > 1:
+        pts = [p[:-1] + (p[0],) for p in pts]
+    if kind == "point":
+        pts = pts[:1] * 3
+    return n, pts
+
+
 class TestConvexHull:
     def test_interior_point_removed(self):
         p = convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 4))])
@@ -176,6 +191,36 @@ class TestConvexHull:
         assert mixed.volume_polynomial(q, t) is first
         after = mixed.volume_polynomial.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_ascending_mixed_dimensions_raise_the_engines_error(self):
+        with pytest.raises(ValueError, match="point of dimension 2 in dimension-1 hull"):
+            convex_hull([(0,), (0, 1)])
+
+    def test_cap_holds_for_a_memoized_list(self, monkeypatch):
+        cube = unit_cube(3)
+        assert convex_hull(cube.vertices, 3) == cube
+        monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "2")
+        with pytest.raises(ValueError, match="dimension 3 exceeds cap 2"):
+            convex_hull(cube.vertices, 3)
+
+    @given(point_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_canonical_list_takes_no_hull(self, case):
+        n, pts = case
+        p = convex_hull(pts, n)
+        calls = []
+
+        def counting(points, dim):
+            calls.append(dim)
+            return hull_mod.hull_of_points(points, dim)
+
+        with patch.object(geometry, "hull_of_points", counting):
+            assert convex_hull(p.vertices, n) == p
+            assert calls == []
+            # Under strict checks a hit is compared with one engine hull.
+            with patch.object(hull_mod, "strict_checks", True):
+                assert convex_hull(p.vertices, n) == p
+            assert calls == [n]
 
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
                     min_size=1, max_size=12))

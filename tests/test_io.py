@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from cornervol import ab_hull, convex_hull, equality_family, random_assembly
+from cornervol import ab_hull, convex_hull, equality_family, geometry, random_assembly
+from cornervol import hull as hull_mod
+from cornervol.geometry import VPolytope, hull_data
 from cornervol.io import (
     ParseError,
     ab_from_obj,
@@ -91,6 +93,45 @@ def test_assembly_round_trip_bit_exact():
         again = assembly_from_obj(json.loads(text))
         assert again == a
         assert dumps(assembly_to_obj(again)) == text
+
+
+def test_redundant_memoized_list_loads_to_its_hull():
+    # (1, 0) is the midpoint of an edge.  The raw polytope on all four points
+    # sits in the hull memo with three vertices, so the list is not a hit.
+    verts = [["0", "0"], ["0", "2"], ["1", "0"], ["2", "0"]]
+    raw = VPolytope(2, tuple(tuple(F(x) for x in v) for v in verts))
+    assert len(hull_data(raw).vertices) == 3
+    p = polytope_from_obj({"dim": 2, "vertices": verts})
+    assert p == convex_hull([(0, 0), (0, 2), (2, 0)])
+
+
+def test_reloaded_assembly_takes_no_hull(monkeypatch):
+    a = random_assembly("io-reload", 3, "glued")
+    text = dumps(assembly_to_obj(a))
+    calls = []
+    real = hull_mod.hull_of_points
+
+    def counting(points, dim):
+        calls.append(dim)
+        return real(points, dim)
+
+    monkeypatch.setattr(hull_mod, "hull_of_points", counting)
+    monkeypatch.setattr(geometry, "hull_of_points", counting)
+    # An empty memo, as in a process that has not seen these pieces yet.
+    monkeypatch.setattr(geometry, "_hull_cache", {})
+    first = assembly_from_obj(json.loads(text))
+    # Equal pieces share one hull.
+    assert len(calls) >= len({piece.body for _, piece in a.pieces}) > 1
+    calls.clear()
+    again = assembly_from_obj(json.loads(text))
+    assert calls == []
+    assert again == first == a
+
+
+def test_assembly_pieces_must_be_an_object():
+    for pieces in ([], "++", None):
+        with pytest.raises(ParseError, match="'pieces' must be an object"):
+            assembly_from_obj({"dim": 2, "pieces": pieces})
 
 
 def test_assembly_validation_on_load():

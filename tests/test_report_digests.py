@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cornervol import cli
+from cornervol import cli, geometry
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
 POOL = POOLS / "sweep-d4.json"
@@ -46,6 +46,25 @@ def test_audit_reports_match_pool_digests(seed, tmp_path, capsys):
     for j in range(4):
         assert cli.main(["audit", str(path), "--j", str(j)]) == 0
         assert sha256(capsys.readouterr().out) == digests[f"seed={seed} j={j}"]
+
+
+@pytest.mark.usefixtures("strict_hull")
+def test_reloaded_audit_file_matches_pool_digests(tmp_path, capsys, monkeypatch):
+    # The hull memo is emptied after gen, so the first audit hulls the pieces;
+    # every later one, the whole second pass included, reloads lists the
+    # process has already hulled and takes them from the memo (compared with
+    # the engine under strict checks).
+    digests = json.loads((POOLS / "audit-d3.json").read_text(encoding="utf-8"))["digests"]
+    assert cli.main(["gen", "--style", "glued", "--dim", "3", "--seed", "2028"]) == 0
+    text = capsys.readouterr().out
+    assert sha256(text) == digests["seed=2028 gen"]
+    path = tmp_path / "assembly-2028.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(geometry, "_hull_cache", {})
+    for _ in range(2):
+        for j in range(4):
+            assert cli.main(["audit", str(path), "--j", str(j)]) == 0
+            assert sha256(capsys.readouterr().out) == digests[f"seed=2028 j={j}"]
 
 
 # Glued reports validate every piece they build or load.  These digests were
