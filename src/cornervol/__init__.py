@@ -22,7 +22,6 @@ from .assembly import (
     AssemblyError,
     AuditStep,
     EngineDisagreementError,
-    GenerationError,
     GodbersenReport,
     OrthantAssembly,
     ProofChainAudit,

@@ -32,13 +32,18 @@ from .mixed import mixed_volume_pair
 
 @dataclass(frozen=True)
 class AntiBlockingBody:
-    """A validated down-closed polytope in the nonnegative orthant."""
+    """A down-closed polytope in the nonnegative orthant.
+
+    The constructor runs ``validate_ab`` and raises ValueError, naming a
+    witness, on any other polytope; so every piece of an assembly is
+    down-closed by type.
+    """
 
     body: VPolytope
 
     def __post_init__(self):
-        if any(x < 0 for v in self.body.vertices for x in v):
-            raise ValueError("anti-blocking body has a negative coordinate")
+        if not validate_ab(self.body):
+            raise ValueError(_rejection(self.body))
 
     @property
     def dim(self) -> int:
@@ -48,11 +53,25 @@ class AntiBlockingBody:
     def vertices(self) -> tuple[Vec, ...]:
         return self.body.vertices
 
-    @staticmethod
-    def from_polytope(poly: VPolytope) -> "AntiBlockingBody":
-        if not validate_ab(poly):
-            raise ValueError("polytope is not down-closed")
-        return AntiBlockingBody(poly)
+
+def _fmt(v: Vec) -> str:
+    return "(" + ", ".join(str(x) for x in v) + ")"
+
+
+def _rejection(poly: VPolytope) -> str:
+    """Why ``validate_ab`` rejects the polytope, with a witness point.
+
+    A body that is not down-closed misses a masking of one coordinate of a
+    vertex, and a missing masking is a vertex of the hull of the vertices
+    and all their maskings.
+    """
+    verts = poly.vertices
+    negative = [v for v in verts if min(v) < 0]
+    if negative:
+        return f"polytope is not down-closed: vertex {_fmt(negative[0])} has a negative coordinate"
+    below = {v[:i] + (0,) + v[i + 1:]: v for v in verts for i, x in enumerate(v) if x}
+    missing = min(set(convex_hull([*verts, *below], poly.dim).vertices) - set(verts))
+    return f"polytope is not down-closed: it holds {_fmt(below[missing])} but not {_fmt(missing)}"
 
 
 def ab_hull(generators, dim: int | None = None) -> AntiBlockingBody:
@@ -106,15 +125,8 @@ def validate_ab(poly: VPolytope) -> bool:
     support = tuple(i for i in range(poly.dim) if any(v[i] for v in verts))
     if data.pivots != support:
         return False
-    return all(fulkerson_facet(a, b) for a, b in data.facets)
-
-
-def fulkerson_facet(a: tuple[int, ...], b: int) -> bool:
-    """Can a.x <= b be a facet of a full-dimensional anti-blocking body?
-
-    Yes for a nonnegative normal and for a coordinate facet x_i >= 0.
-    """
-    return min(a) >= 0 or (b == 0 and sum(1 for c in a if c) == 1)
+    return all(min(a) >= 0 or (b == 0 and sum(1 for c in a if c) == 1)
+               for a, b in data.facets)
 
 
 def projected_volume(body: AntiBlockingBody, indices: tuple[int, ...]) -> Fraction:

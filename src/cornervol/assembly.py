@@ -2,9 +2,10 @@
 
 A body of this class is stored as its family of orthant pieces, each kept in
 positive-orthant coordinates; the geometric piece for a sign vector is the
-reflection of the stored piece.  Validation enforces both the shared-projection
-consistency between orthants and convexity of the glued union, so every
-accepted assembly really is a convex body.
+reflection of the stored piece.  Every piece is down-closed by type
+(``AntiBlockingBody``), and validation enforces the shared-projection
+consistency between orthants, from which convexity of the glued union follows
+(``assemble``), so every accepted assembly really is a convex body.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .antiblocking import (
     AntiBlockingBody,
     ab_hull,
     ab_opposite_mixed,
-    fulkerson_facet,
     projected_volume,
     random_ab_body,
-    validate_ab,
 )
 from .geometry import (
     VPolytope,
@@ -77,11 +76,11 @@ class OrthantAssembly:
     def hull(self) -> VPolytope:
         """The convex body K: the union of the reflected pieces s.P_s.
 
-        When every piece is down-closed and full-dimensional, or all pieces
-        are equal and down-closed (flat ones too), K and its hull data are
-        derived from the pieces' memoized hull data with no hull taken
-        (``_derived_hull``); any other assembly, and one whose scan below
-        fails, goes through the hull engine over every reflected vertex.
+        When every (down-closed) piece is full-dimensional, or all pieces
+        are equal (flat ones too), K and its hull data are derived from the
+        pieces' memoized hull data with no hull taken (``_derived_hull``);
+        any other assembly, and one whose scan below fails (never one built
+        by ``assemble``), goes through the hull engine over every vertex.
 
         Facets.  A full-dimensional down-closed piece P_s is cut out of the
         orthant by its facets a.x <= b with a >= 0 (Fulkerson 1971).  Let H
@@ -151,12 +150,8 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     n = a.dim
     data = {piece.body: hull_data(piece.body) for _, piece in a.pieces}
     equal = len(data) == 1
-    if equal:
-        if not validate_ab(a.pieces[0][1].body):
-            return None
-    elif any(d.rank < n or not all(fulkerson_facet(c, b) for c, b in d.facets)
-             for d in data.values()):
-        return None  # some piece is flat or not down-closed
+    if not equal and any(d.rank < n for d in data.values()):
+        return None  # some piece is flat
     scaled = {p: _hull._scale_to_int(d.vertices) for p, d in data.items()}
     denom = lcm(*(d_p for _, d_p in scaled.values()))
     # Per piece: its vertices over denom with their support masks; its
@@ -248,9 +243,10 @@ def _normalize_pieces(dim: int, pieces) -> tuple[tuple[SignVector, AntiBlockingB
         if piece.dim != dim:
             raise AssemblyError("piece dimension mismatch")
         table[sv] = piece
-    filler = _origin_piece(dim)
-    full = tuple((sv, table.get(sv, filler)) for sv in sorted(all_signs(dim)))
-    return full
+    for sv in all_signs(dim):
+        if sv not in table:
+            table[sv] = _origin_piece(dim)
+    return tuple(sorted(table.items()))
 
 
 def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) -> None:
@@ -304,18 +300,25 @@ def _check_convex_union(piece_map: dict[SignVector, AntiBlockingBody], hull: VPo
 def assemble(dim: int, pieces) -> OrthantAssembly:
     """Validate and build an assembly from a sign-to-piece mapping.
 
-    Missing orthants default to the degenerate piece {0}.  Raises
-    AssemblyError on a down-closure failure, a projection mismatch between
-    orthants, or a non-convex union.
+    Missing orthants default to the degenerate piece {0}.  Every piece is
+    down-closed by type, so the one check left is that the pieces agree on
+    their shared coordinate subspaces; it raises AssemblyError on a mismatch.
+    Down-closed pieces that agree there always glue to a convex body.  At a
+    point p of the union, a short step e from p into another piece s'.P_s'
+    keeps every facet (s.a).x <= b of s.P_s active at p: p vanishes on the
+    coordinates E where s and s' differ, so with a >= 0 the masking m of e
+    off E has (s.a).e <= (s.a).m, and p + m lies in the section of s'.P_s'
+    off E, which the pieces share, so (s.a).m <= 0.  The union is thus
+    locally convex, hence convex (Tietze-Nakajima).  Under
+    ``hull.strict_checks`` it is still compared with its hull by volume
+    (``_check_convex_union``), as an oracle for this argument.
     """
     full = _normalize_pieces(dim, pieces)
     piece_map = dict(full)
-    for sign, piece in full:
-        if not validate_ab(piece.body):
-            raise AssemblyError(f"piece at {sign_to_str(sign)} is not anti-blocking")
     _check_consistency(dim, piece_map)
     assembly = OrthantAssembly(dim, full)
-    _check_convex_union(piece_map, assembly.hull)
+    if _hull.strict_checks:
+        _check_convex_union(piece_map, assembly.hull)
     return assembly
 
 
@@ -547,10 +550,6 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     return ProofChainAudit(n, j, steps, bound, direct / bound)
 
 
-class GenerationError(RuntimeError):
-    pass
-
-
 def random_assembly(seed, n: int, style: str = "unconditional",
                     generators: int | None = None, coord_max: int = 4) -> OrthantAssembly:
     """Deterministic random assembly of the requested style.
@@ -565,26 +564,25 @@ def random_assembly(seed, n: int, style: str = "unconditional",
     if style != "glued":
         raise ValueError(f"unknown style {style!r}")
     k = generators if generators is not None else n
-    for _ in range(64):
-        per_sign = [
-            [
-                {1: rng.randint(0, coord_max), -1: rng.randint(0, coord_max)}
-                for _ in range(n)
-            ]
-            for _ in range(k)
-        ]
-        # One generator kept positive everywhere so each orthant piece is full-dim.
-        anchor = [
-            {1: rng.randint(1, coord_max), -1: rng.randint(1, coord_max)}
+    per_sign = [
+        [
+            {1: rng.randint(0, coord_max), -1: rng.randint(0, coord_max)}
             for _ in range(n)
         ]
-        per_sign.append(anchor)
-        pieces = {}
-        for sv in all_signs(n):
-            gens = [tuple(Fraction(slot[i][sv[i]]) for i in range(n)) for slot in per_sign]
-            pieces[sv] = ab_hull(gens, n)
-        try:
-            return assemble(n, pieces)
-        except AssemblyError:
-            continue
-    raise GenerationError("failed to generate a valid glued assembly")
+        for _ in range(k)
+    ]
+    # One generator kept positive everywhere so each orthant piece is full-dim.
+    anchor = [
+        {1: rng.randint(1, coord_max), -1: rng.randint(1, coord_max)}
+        for _ in range(n)
+    ]
+    per_sign.append(anchor)
+    pieces = {}
+    for sv in all_signs(n):
+        gens = [tuple(Fraction(slot[i][sv[i]]) for i in range(n)) for slot in per_sign]
+        pieces[sv] = ab_hull(gens, n)
+    try:
+        return assemble(n, pieces)
+    except AssemblyError as exc:
+        # The pieces agree on their shared subspaces by construction.
+        raise RuntimeError(f"generated assembly failed validation: {exc}") from exc

@@ -8,8 +8,8 @@ Exit codes: 0 all checks pass; 1 a verified inequality was violated (a
 would-be counterexample, i.e. an engine bug worth reporting); 2 parse or
 configuration failure; 3 requested method inapplicable to the input class;
 4 cross-check disagreement between independent computation paths; 5 internal
-error (a failed engine self-check or a generator that gave up), never a
-verdict on the inequality.
+error (a failed engine self-check, or a generated assembly that failed
+validation), never a verdict on the inequality.
 """
 
 from __future__ import annotations
@@ -74,15 +74,6 @@ def _check_dim(n: int, kind: str) -> None:
             f"dimension {n} above the {kind} cap {cap} "
             "(set CORNER_MIXVOL_MAX_DIM to override, at your own risk)",
         )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    dim: int = 2
-    trials: int = 1
-    output_format: str = "json"
-    approx: bool = False
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:
@@ -198,8 +189,8 @@ def cmd_mixvol(args) -> int:
 
     def by_decomposition() -> Fraction:
         try:
-            kb = AntiBlockingBody.from_polytope(k)
-            tb = AntiBlockingBody.from_polytope(negate(t))
+            kb = AntiBlockingBody(k)
+            tb = AntiBlockingBody(negate(t))
         except ValueError as exc:
             raise CliError(
                 EXIT_INAPPLICABLE,
@@ -246,16 +237,16 @@ def cmd_mixvol(args) -> int:
 # ---------------------------------------------------------------------------
 # godbersen
 
-def _family_assemblies(args, config: RunConfig):
+def _family_assemblies(args):
     fam = args.family
     if fam in ("cube", "cross"):
-        piece = unit_cube(config.dim) if fam == "cube" else standard_simplex(config.dim)
-        yield {"family": fam, "dim": config.dim}, from_unconditional(AntiBlockingBody(piece))
+        piece = unit_cube(args.dim) if fam == "cube" else standard_simplex(args.dim)
+        yield {"family": fam, "dim": args.dim}, from_unconditional(AntiBlockingBody(piece))
         return
     case = 1 if fam == "equality-1" else 2
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        alphas = [Fraction(rng.randint(1, 8), rng.choice((1, 2))) for _ in range(config.dim)]
+    for trial in range(args.trials):
+        rng = trial_rng(args.seed, trial)
+        alphas = [Fraction(rng.randint(1, 8), rng.choice((1, 2))) for _ in range(args.dim)]
         beta = Fraction(rng.randint(1, 8), rng.choice((1, 2))) if case == 2 else None
         desc = {"family": fam, "trial": trial,
                 "alphas": [_rat(a) for a in alphas]}
@@ -264,13 +255,13 @@ def _family_assemblies(args, config: RunConfig):
         yield desc, equality_family(case, alphas, beta)
 
 
-def _random_assemblies(args, config: RunConfig):
-    for trial in range(config.trials):
+def _random_assemblies(args):
+    for trial in range(args.trials):
         style = args.style
         if style == "mixed":
             style = "glued" if trial % 2 else "unconditional"
-        rng = trial_rng(config.seed, trial)
-        yield {"style": style, "trial": trial}, random_assembly(rng, config.dim, style)
+        rng = trial_rng(args.seed, trial)
+        yield {"style": style, "trial": trial}, random_assembly(rng, args.dim, style)
 
 
 def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
@@ -305,18 +296,16 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
 
 
 def cmd_godbersen(args) -> int:
-    config = RunConfig(args.seed, args.dim, args.trials, args.format, args.approx)
-    _check_dim(config.dim, "sweep")
+    _check_dim(args.dim, "sweep")
     report = SweepReport("godbersen", {
-        "seed": config.seed, "dim": config.dim, "trials": config.trials,
+        "seed": args.seed, "dim": args.dim, "trials": args.trials,
         "style": args.style, "family": args.family,
     })
-    instances = (_family_assemblies(args, config) if args.family
-                 else _random_assemblies(args, config))
+    instances = _family_assemblies(args) if args.family else _random_assemblies(args)
     for desc, assembly in instances:
         report.records.extend(_godbersen_records(desc, assembly))
     report.finalize()
-    _emit(report.to_text(config.output_format, config.approx), args.out)
+    _emit(report.to_text(args.format, args.approx), args.out)
     return EXIT_OK if report.summary["violations"] == 0 else EXIT_VIOLATION
 
 
@@ -542,20 +531,14 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except cio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except EngineDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except AssemblyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RuntimeError as exc:
-        # GenerationError and failed engine self-checks.  This comes after
+        # Failed self-checks and generated assemblies.  This comes after
         # EngineDisagreementError, a RuntimeError that keeps its own code.
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

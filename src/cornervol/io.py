@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .antiblocking import AntiBlockingBody, ab_hull
-from .assembly import OrthantAssembly, assemble, sign_to_str
+from .assembly import AssemblyError, OrthantAssembly, assemble, sign_to_str
 from .geometry import VPolytope, convex_hull
 
 
@@ -79,9 +79,7 @@ def ab_from_obj(obj) -> AntiBlockingBody:
         if not gens:
             raise ParseError("empty generator list")
         return ab_hull(gens, dim)
-    poly = polytope_from_obj(obj)
-    body = AntiBlockingBody.from_polytope(poly)
-    return body
+    return AntiBlockingBody(polytope_from_obj(obj))
 
 
 def sign_from_str(s: str, dim: int) -> tuple[int, ...]:
@@ -108,8 +106,11 @@ def assembly_from_obj(obj) -> OrthantAssembly:
     pieces = {}
     for key, raw in obj["pieces"].items():
         sign = sign_from_str(key, dim)
-        # The down-closure check runs once, inside assemble.
-        pieces[sign] = AntiBlockingBody(polytope_from_obj(raw))
+        poly = polytope_from_obj(raw)
+        try:
+            pieces[sign] = AntiBlockingBody(poly)
+        except ValueError as exc:
+            raise AssemblyError(f"piece at {key} is not anti-blocking: {exc}") from exc
     return assemble(dim, pieces)
 
 

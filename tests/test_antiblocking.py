@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornervol import antiblocking, assembly, geometry
+from cornervol import antiblocking, geometry
 from cornervol import hull as hull_mod
 from cornervol import (
     AntiBlockingBody,
@@ -171,7 +171,25 @@ class TestValidateAb:
 
     def test_from_polytope_gate(self):
         with pytest.raises(ValueError):
-            AntiBlockingBody.from_polytope(convex_hull([(1, 0), (0, 1)]))
+            AntiBlockingBody(convex_hull([(1, 0), (0, 1)]))
+
+
+class TestAntiBlockingBody:
+    """The type enforces down-closure and names a witness when it refuses."""
+
+    @pytest.mark.parametrize("points, reason", [
+        ([(1, 0), (0, 1)], r"it holds \(1, 0\) but not \(0, 0\)"),
+        ([(1, 1), (2, 1), (1, 2)], r"it holds \(2, 1\) but not \(0, 1\)"),
+        ([(0, 0), (-1, 0), (0, 1)], r"vertex \(-1, 0\) has a negative coordinate"),
+    ], ids=["segment", "translated-simplex", "negative-vertex"])
+    def test_rejects_with_a_witness(self, points, reason):
+        with pytest.raises(ValueError, match=f"^polytope is not down-closed: {reason}$"):
+            AntiBlockingBody(convex_hull(points))
+
+    def test_accepts_a_raw_list_with_a_redundant_point(self):
+        h = F(1, 2)
+        raw = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (h, h), (F(1), F(0))))
+        assert AntiBlockingBody(raw).body is raw
 
 
 def count_hull_calls(monkeypatch):
@@ -265,7 +283,6 @@ class TestFacetRoute:
             return ok
 
         monkeypatch.setattr(antiblocking, "validate_ab", tracking)
-        monkeypatch.setattr(assembly, "validate_ab", tracking)
         assembly_from_obj(json.loads(text))
         assert inside == [0] * 8
 

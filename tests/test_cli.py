@@ -6,9 +6,9 @@ import runpy
 
 import pytest
 
-from cornervol import cli, geometry, mixed
+from cornervol import assembly, cli, geometry, mixed
 from cornervol import hull as hull_mod
-from cornervol.assembly import GenerationError
+from cornervol.assembly import AssemblyError
 from cornervol.cli import (
     EXIT_INAPPLICABLE,
     EXIT_INTERNAL,
@@ -424,13 +424,21 @@ class TestExitCodeContract:
         assert err.startswith("error: internal:") and len(err.splitlines()) == 1
 
     def test_generation_failure_exit_5(self, capsys, monkeypatch):
-        def give_up(*args, **kwargs):
-            raise GenerationError("failed to generate a valid glued assembly")
+        # A generated assembly that fails validation is a fault, reported
+        # once: there is no retry.
+        calls = []
 
-        monkeypatch.setattr(cli, "random_assembly", give_up)
-        code, _, err = run(capsys, "gen", "--style", "glued", "--dim", "2")
+        def reject(*args, **kwargs):
+            calls.append(args)
+            raise AssemblyError("projection mismatch")
+
+        monkeypatch.setattr(assembly, "assemble", reject)
+        code, out, err = run(capsys, "gen", "--style", "glued", "--dim", "2")
         assert code == EXIT_INTERNAL
-        assert err == "error: internal: failed to generate a valid glued assembly\n"
+        assert out == ""
+        assert err.startswith("error: internal: generated assembly failed validation")
+        assert len(err.splitlines()) == 1
+        assert len(calls) == 1
 
     def test_engine_disagreement_keeps_exit_4(self, capsys, monkeypatch):
         from cornervol import EngineDisagreementError
