@@ -29,6 +29,9 @@ from .geometry import (
 )
 from .mixed import mixed_volume_pair
 
+# Largest coordinate of the seeded random generators.
+COORD_MAX = 4
+
 
 @dataclass(frozen=True)
 class AntiBlockingBody:
@@ -207,15 +210,15 @@ def rs_projection_check(k: AntiBlockingBody, sub: CoordSubspace) -> RSProjection
 
 
 def random_ab_body(rng: random.Random, n: int, generators: int | None = None,
-                   coord_max: int = 4, full_dim: bool = True) -> AntiBlockingBody:
+                   full_dim: bool = True) -> AntiBlockingBody:
     """Seeded random anti-blocking body: down-closure of integer generators.
 
-    Samples `generators` points with coordinates in [0, coord_max]; when
-    full_dim is requested and no generator is positive everywhere, one extra
-    point with all coordinates >= 1 is added.
+    Samples `generators` points (n by default) with coordinates in
+    [0, COORD_MAX]; when full_dim is requested and no generator is positive
+    everywhere, one extra point with all coordinates >= 1 is added.
     """
     k = generators if generators is not None else n
-    gens = [tuple(rng.randint(0, coord_max) for _ in range(n)) for _ in range(k)]
+    gens = [tuple(rng.randint(0, COORD_MAX) for _ in range(n)) for _ in range(k)]
     if full_dim and not any(all(x >= 1 for x in g) for g in gens):
-        gens.append(tuple(rng.randint(1, max(coord_max, 1)) for _ in range(n)))
+        gens.append(tuple(rng.randint(1, COORD_MAX) for _ in range(n)))
     return ab_hull(gens, n)

@@ -3,9 +3,9 @@
 A body of this class is stored as its family of orthant pieces, each kept in
 positive-orthant coordinates; the geometric piece for a sign vector is the
 reflection of the stored piece.  Every piece is down-closed by type
-(``AntiBlockingBody``), and validation enforces the shared-projection
-consistency between orthants, from which convexity of the glued union follows
-(``assemble``), so every accepted assembly really is a convex body.
+(``AntiBlockingBody``), and the ``OrthantAssembly`` constructor enforces the
+shared-projection consistency between orthants, from which convexity of the
+glued union follows (``assemble``), so every assembly really is a convex body.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 
-import numpy as np
-
 from . import geometry
 from . import hull as _hull
 from .antiblocking import (
+    COORD_MAX,
     AntiBlockingBody,
     ab_hull,
     ab_opposite_mixed,
@@ -54,16 +53,36 @@ def all_signs(n: int) -> list[SignVector]:
     return [s for s in itertools.product((1, -1), repeat=n)]
 
 
-def _origin_piece(n: int) -> AntiBlockingBody:
-    return AntiBlockingBody(VPolytope(n, ((Fraction(0),) * n,)))
-
-
 @dataclass(frozen=True)
 class OrthantAssembly:
-    """Sign-indexed family of anti-blocking pieces forming a convex body."""
+    """Sign-indexed family of anti-blocking pieces forming a convex body.
+
+    ``pieces`` may be given as a mapping or a sequence of (sign, piece)
+    pairs; the constructor fills every missing orthant with the degenerate
+    piece {0}, stores the pairs sorted by sign, and raises AssemblyError
+    unless the pieces agree on their shared coordinate subspaces
+    (``_check_consistency``).  Every piece is down-closed by type, so every
+    assembly is a convex body (the proof is in ``assemble``).
+    """
 
     dim: int
     pieces: tuple[tuple[SignVector, AntiBlockingBody], ...]
+
+    def __post_init__(self):
+        table: dict[SignVector, AntiBlockingBody] = {}
+        for sign, piece in dict(self.pieces).items():
+            sv = tuple(int(s) for s in sign)
+            if len(sv) != self.dim or any(s not in (-1, 1) for s in sv):
+                raise AssemblyError(f"bad sign vector {sign}")
+            if piece.dim != self.dim:
+                raise AssemblyError("piece dimension mismatch")
+            table[sv] = piece
+        missing = [sv for sv in all_signs(self.dim) if sv not in table]
+        if missing:
+            filler = AntiBlockingBody(VPolytope(self.dim, ((Fraction(0),) * self.dim,)))
+            table.update((sv, filler) for sv in missing)
+        object.__setattr__(self, "pieces", tuple(sorted(table.items())))
+        _check_consistency(self.dim, table)
 
     @cached_property
     def piece_map(self) -> dict[SignVector, AntiBlockingBody]:
@@ -79,22 +98,23 @@ class OrthantAssembly:
         When every (down-closed) piece is full-dimensional, or all pieces
         are equal (flat ones too), K and its hull data are derived from the
         pieces' memoized hull data with no hull taken (``_derived_hull``);
-        any other assembly, and one whose scan below fails (never one built
-        by ``assemble``), goes through the hull engine over every vertex.
+        any other assembly goes through the hull engine over every vertex.
 
         Facets.  A full-dimensional down-closed piece P_s is cut out of the
-        orthant by its facets a.x <= b with a >= 0 (Fulkerson 1971).  Let H
-        be the intersection of the half-spaces (s.a).x <= b over every
-        piece's such facets.  The scan checks every reflected vertex of every
-        piece against every one of them.  If all hold, the union lies in H,
-        and H meets each closed orthant s inside s.P_s, so H is the union:
-        the union is convex, K meets orthant s in exactly s.P_s, and the
-        planes are K's facets (each meets K in the (n-1)-dimensional facet
-        of a piece, and every facet of K meets some orthant in a facet of
-        that piece, which is not a coordinate facet because every piece is
-        full-dimensional).  For equal pieces K = {x : |x| in P} is convex by
-        construction, so the scan is skipped; P's coordinate facets lie
-        inside K, where two orthant pieces meet, and drop out.
+        orthant by its facets a.x <= b with a >= 0 (Fulkerson 1971).  The
+        union of the pieces is convex (the proof is in ``assemble``), so it
+        is K, and K meets each closed orthant s in exactly s.P_s, since
+        another piece meets that orthant only in a section it shares with
+        P_s.  Such a facet is not a coordinate facet, so near a point of its
+        relative interior off every coordinate hyperplane K is s.P_s, which
+        lies on one side of the plane (s.a).x = b; the plane therefore
+        supports the convex K, and it meets K in that (n-1)-dimensional
+        facet.  Every facet of K meets some orthant in a facet of that
+        piece, which is not a coordinate facet because every piece is
+        full-dimensional.  So K's facets are exactly the reflected
+        nonnegative-normal facets of the pieces.  Equal pieces, flat ones
+        too, give K = {x : |x| in P}; P's coordinate facets lie inside K,
+        where two orthant pieces meet, and drop out.
 
         Vertices.  Every vertex of K is s.w for a vertex w of P_s, and s can
         be taken +1 off supp(w), since the point lies in all those orthants;
@@ -193,9 +213,6 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
                     for k in range(n))):
                 continue
             kept.append(tuple([-x if f else x for f, x in zip(flip, w)]))
-    if not equal and not _scan(planes, [(sign, [w for w, _ in verts[piece.body]])
-                                        for sign, piece in a.pieces]):
-        return None
     kept.sort()
     for c in list(frac):
         frac.setdefault(-c, -frac[c])
@@ -215,53 +232,25 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     return body
 
 
-def _scan(planes, pieces) -> bool:
-    """Does every reflected point satisfy every plane a.x <= b?
-
-    ``pieces`` holds (sign vector, integer points) pairs.  One int64 product
-    while a magnitude bound rules out overflow, Python integers otherwise.
-    """
-    mag = (max(abs(x) for _, ws in pieces for w in ws for x in w)
-           * max(abs(x) for c, _ in planes for x in c))
-    if (len(pieces[0][0]) * mag < _hull._INT64_BOUND
-            and max(abs(b) for _, b in planes) < _hull._INT64_BOUND):
-        pts = np.concatenate([np.array(ws, dtype=np.int64) * np.array(s, dtype=np.int64)
-                              for s, ws in pieces])
-        normals = np.array([c for c, _ in planes], dtype=np.int64)
-        offsets = np.array([b for _, b in planes], dtype=np.int64)
-        return bool((normals @ pts.T <= offsets[:, None]).all())
-    return all(sum(x * y * z for x, y, z in zip(c, s, w)) <= b
-               for c, b in planes for s, ws in pieces for w in ws)
-
-
-def _normalize_pieces(dim: int, pieces) -> tuple[tuple[SignVector, AntiBlockingBody], ...]:
-    table: dict[SignVector, AntiBlockingBody] = {}
-    for sign, piece in dict(pieces).items():
-        sv = tuple(int(s) for s in sign)
-        if len(sv) != dim or any(s not in (-1, 1) for s in sv):
-            raise AssemblyError(f"bad sign vector {sign}")
-        if piece.dim != dim:
-            raise AssemblyError("piece dimension mismatch")
-        table[sv] = piece
-    for sv in all_signs(dim):
-        if sv not in table:
-            table[sv] = _origin_piece(dim)
-    return tuple(sorted(table.items()))
-
-
 def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) -> None:
-    # Shared projections between orthants: comparing each adjacent sign flip on
-    # the full complementary subspace covers every subspace pair by projection
-    # composition and transitivity.  In dimension 1 that subspace is {0}.
-    if dim == 1:
-        return
+    """Raise AssemblyError unless every adjacent pair of pieces agrees along e_i.
+
+    The projection of a down-closed piece along e_i is its face x_i = 0,
+    whose vertices are the piece's vertices with x_i = 0; so two pieces
+    agree there exactly when those vertex lists do.  They are read off the
+    memoized hull, since a raw piece may list redundant points.  Comparing
+    each single-sign flip on the complementary subspace covers every
+    subspace pair by projection composition and transitivity.
+    """
     for i in range(dim):
-        keep = tuple(j for j in range(dim) if j != i)
         for sign in all_signs(dim):
             if sign[i] != 1:
                 continue
-            other = tuple(-s if j == i else s for j, s in enumerate(sign))
-            if shadow(piece_map[sign].body, keep) != shadow(piece_map[other].body, keep):
+            other = sign[:i] + (-1,) + sign[i + 1:]
+            p, q = piece_map[sign].body, piece_map[other].body
+            if p is not q and ([v for v in hull_data(p).vertices if not v[i]]
+                               != [v for v in hull_data(q).vertices if not v[i]]):
+                keep = tuple(j for j in range(dim) if j != i)
                 raise AssemblyError(
                     f"projection mismatch between orthants {sign_to_str(sign)} and "
                     f"{sign_to_str(other)} on the coordinates {keep}"
@@ -298,27 +287,23 @@ def _check_convex_union(piece_map: dict[SignVector, AntiBlockingBody], hull: VPo
 
 
 def assemble(dim: int, pieces) -> OrthantAssembly:
-    """Validate and build an assembly from a sign-to-piece mapping.
+    """Build an assembly from a sign-to-piece mapping, and under
+    ``hull.strict_checks`` compare its union with its hull by volume.
 
-    Missing orthants default to the degenerate piece {0}.  Every piece is
-    down-closed by type, so the one check left is that the pieces agree on
-    their shared coordinate subspaces; it raises AssemblyError on a mismatch.
-    Down-closed pieces that agree there always glue to a convex body.  At a
-    point p of the union, a short step e from p into another piece s'.P_s'
-    keeps every facet (s.a).x <= b of s.P_s active at p: p vanishes on the
-    coordinates E where s and s' differ, so with a >= 0 the masking m of e
-    off E has (s.a).e <= (s.a).m, and p + m lies in the section of s'.P_s'
-    off E, which the pieces share, so (s.a).m <= 0.  The union is thus
-    locally convex, hence convex (Tietze-Nakajima).  Under
-    ``hull.strict_checks`` it is still compared with its hull by volume
-    (``_check_convex_union``), as an oracle for this argument.
+    The constructor fills missing orthants with {0} and raises
+    AssemblyError unless the pieces agree on their shared coordinate
+    subspaces.  Down-closed pieces that agree there always glue to a convex
+    body.  At a point p of the union, a short step e from p into another
+    piece s'.P_s' keeps every facet (s.a).x <= b of s.P_s active at p: p
+    vanishes on the coordinates E where s and s' differ, so with a >= 0 the
+    masking m of e off E has (s.a).e <= (s.a).m, and p + m lies in the
+    section of s'.P_s' off E, which the pieces share, so (s.a).m <= 0.  The
+    union is thus locally convex, hence convex (Tietze-Nakajima).
+    ``_check_convex_union`` is the oracle for this argument.
     """
-    full = _normalize_pieces(dim, pieces)
-    piece_map = dict(full)
-    _check_consistency(dim, piece_map)
-    assembly = OrthantAssembly(dim, full)
+    assembly = OrthantAssembly(dim, pieces)
     if _hull.strict_checks:
-        _check_convex_union(piece_map, assembly.hull)
+        _check_convex_union(assembly.piece_map, assembly.hull)
     return assembly
 
 
@@ -329,7 +314,7 @@ def sign_to_str(sign: SignVector) -> str:
 def from_unconditional(k_plus: AntiBlockingBody) -> OrthantAssembly:
     """The sign-symmetric body whose every orthant piece equals the given one."""
     n = k_plus.dim
-    return OrthantAssembly(n, tuple((sv, k_plus) for sv in sorted(all_signs(n))))
+    return OrthantAssembly(n, [(sv, k_plus) for sv in all_signs(n)])
 
 
 def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
@@ -394,11 +379,17 @@ def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
 
 def negate_assembly(a: OrthantAssembly) -> OrthantAssembly:
     """Pointwise negation: the piece at each sign comes from the opposite sign."""
-    flipped = tuple(
-        (sv, a.piece(tuple(-s for s in sv)))
-        for sv in sorted(all_signs(a.dim))
-    )
-    return OrthantAssembly(a.dim, flipped)
+    return OrthantAssembly(a.dim, [(sv, a.piece(tuple(-s for s in sv))) for sv, _ in a.pieces])
+
+
+def _orthant_split(a: OrthantAssembly, j: int) -> Fraction:
+    """V(K[j], -K[n-j]) orthant by orthant: the sum over s of V(P_s[j], P_-s[n-j]).
+
+    ``lab_mixed(a, negate_assembly(a), j)`` without building -K's assembly.
+    """
+    piece = a.piece_map
+    return sum((mixed_volume_pair(p.body, piece[tuple(-x for x in s)].body, j)
+                for s, p in a.pieces), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -422,7 +413,7 @@ def godbersen_check(a: OrthantAssembly, j: int) -> GodbersenReport:
         raise ValueError("copy count out of range")
     if not a.is_full_dimensional():
         raise ValueError("assembly must be full-dimensional")
-    via_orthants = lab_mixed(a, negate_assembly(a), j)
+    via_orthants = _orthant_split(a, j)
     hull = a.hull
     direct = mixed_volume_pair(hull, negate(hull), j)
     if via_orthants != direct:
@@ -483,11 +474,7 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     piece = a.piece_map
 
     direct = mixed_volume_pair(hull, negate(hull), j)
-    split_sum = sum(
-        (mixed_volume_pair(piece[s].body, piece[tuple(-x for x in s)].body, j)
-         for s in signs),
-        Fraction(0),
-    )
+    split_sum = _orthant_split(a, j)
     relaxed_sum = sum(
         (mixed_volume_pair(piece[s].body, negate(piece[tuple(-x for x in s)].body), j)
          for s in signs),
@@ -550,30 +537,29 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     return ProofChainAudit(n, j, steps, bound, direct / bound)
 
 
-def random_assembly(seed, n: int, style: str = "unconditional",
-                    generators: int | None = None, coord_max: int = 4) -> OrthantAssembly:
+def random_assembly(seed, n: int, style: str = "unconditional") -> OrthantAssembly:
     """Deterministic random assembly of the requested style.
 
     "unconditional" reflects one random down-closed piece into every orthant;
-    "glued" samples, for every generator slot and coordinate, one value per
-    sign, which makes adjacent orthant projections agree by construction.
+    "glued" samples, for each of n generator slots and every coordinate, one
+    value per sign in [0, COORD_MAX] (in [1, COORD_MAX] for one more, anchor
+    slot), which makes adjacent orthant projections agree by construction.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(f"assembly:{seed}")
     if style == "unconditional":
-        return from_unconditional(random_ab_body(rng, n, generators, coord_max))
+        return from_unconditional(random_ab_body(rng, n))
     if style != "glued":
         raise ValueError(f"unknown style {style!r}")
-    k = generators if generators is not None else n
     per_sign = [
         [
-            {1: rng.randint(0, coord_max), -1: rng.randint(0, coord_max)}
+            {1: rng.randint(0, COORD_MAX), -1: rng.randint(0, COORD_MAX)}
             for _ in range(n)
         ]
-        for _ in range(k)
+        for _ in range(n)
     ]
     # One generator kept positive everywhere so each orthant piece is full-dim.
     anchor = [
-        {1: rng.randint(1, coord_max), -1: rng.randint(1, coord_max)}
+        {1: rng.randint(1, COORD_MAX), -1: rng.randint(1, COORD_MAX)}
         for _ in range(n)
     ]
     per_sign.append(anchor)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornervol import assembly, geometry, mixed
-from cornervol import hull as hull_mod
 from cornervol import (
     AntiBlockingBody,
     AssemblyError,
@@ -34,7 +33,7 @@ from cornervol import (
     unit_cube,
     volume,
 )
-from cornervol.geometry import hull_data
+from cornervol.geometry import VPolytope, hull_data
 from cornervol.hull import hull_of_points
 
 
@@ -167,30 +166,28 @@ class TestUnconditionalHull:
             AntiBlockingBody(convex_hull([(0, 0), (2, 0), (1, 1)], 2))
 
 
-GLUED_KINDS = ("glued", "negated", "missing-orthant", "flat")
-FALLBACK_KINDS = ("missing-orthant", "flat")
+GLUED_KINDS = ("glued", "negated", "equality", "flat")
+FALLBACK_KINDS = ("equality", "flat")
 
 
 @st.composite
 def glued_candidates(draw):
     """(kind, assembly): a glued assembly in dimension 1 to 4 or its negation,
-    or one whose hull must come from the engine: an orthant left to the
-    origin, or the flat padded assembly."""
+    or one whose hull must come from the engine because its pieces differ and
+    some are flat: a case-1 equality family, or the flat padded assembly."""
     kind = draw(st.sampled_from(GLUED_KINDS))
     if kind == "flat":
-        return kind, OrthantAssembly(3, tuple(sorted(flat_assembly_pieces().items())))
+        return kind, OrthantAssembly(3, flat_assembly_pieces())
     n = draw(st.integers(1, 4))
+    if kind == "equality":
+        return kind, equality_family(1, draw(st.lists(coords.filter(bool), min_size=n, max_size=n)))
     glued = random_assembly(f"derived-{draw(st.integers(0, 2**16))}", n, "glued")
-    if kind == "negated":
-        return kind, negate_assembly(glued)
-    pieces = dict(glued.pieces)
-    if kind == "missing-orthant":
-        pieces[draw(st.sampled_from(sorted(pieces)))] = AntiBlockingBody(origin(n))
-    return kind, OrthantAssembly(n, tuple(sorted(pieces.items())))
+    return kind, glued if kind == "glued" else negate_assembly(glued)
 
 
 class TestGluedHull:
-    """A glued body's hull is derived from its pieces, proven convex by a scan."""
+    """A glued body's hull is derived from its pieces, which glue to a convex
+    body because the constructor checks their shared projections."""
 
     @pytest.mark.usefixtures("strict_hull")
     @given(glued_candidates())
@@ -203,9 +200,19 @@ class TestGluedHull:
         shifted = a.pieces[-1][1].body.translate((1,) * a.dim)
         with pytest.raises(ValueError, match="not down-closed"):
             AntiBlockingBody(shifted)
+        # Every glued piece is full-dimensional, so from dimension 2 on an
+        # orthant left to the origin disagrees with its neighbours.
+        if kind == "glued" and a.dim >= 2:
+            pieces = dict(a.pieces)
+            pieces[a.pieces[0][0]] = AntiBlockingBody(origin(a.dim))
+            with pytest.raises(AssemblyError, match="projection mismatch"):
+                OrthantAssembly(a.dim, pieces)
 
     def test_assemble_takes_no_hull_of_the_body(self, monkeypatch):
+        # The consistency check reads the pieces' memoized vertex lists, and
+        # the body's hull is derived from their hull data: no hull at all.
         pieces = dict(random_assembly("derived-count", 3, "glued").pieces)
+        geometry._shadow.cache_clear()
         dims = []
         real = geometry.hull_of_points
 
@@ -216,30 +223,36 @@ class TestGluedHull:
         monkeypatch.setattr(geometry, "hull_of_points", recording)
         a = assemble(3, pieces)
         assert volume(a.hull) == lab_volume(a)
-        assert 3 not in dims
+        assert dims == []
 
-    @pytest.mark.parametrize("int64", [True, False], ids=["int64", "python-int"])
-    def test_scan_decides_the_route(self, monkeypatch, int64):
-        if not int64:
-            monkeypatch.setattr(hull_mod, "_INT64_BOUND", 0)
-        glued = random_assembly("derived-scan", 3, "glued")
-        derived = assembly._derived_hull(OrthantAssembly(3, glued.pieces))
-        assert derived == convex_hull(assembly._reflected_vertices(glued), 3)
-        # Pieces that agree on their shared coordinate subspaces always glue to
-        # a convex body (``random_assembly`` never retries), so a failing scan
-        # needs pieces that disagree there: a box beside three triangles.
-        # ``assemble`` reports the mismatch first; the convexity check still
-        # rejects the engine's hull of them.
+    def test_inconsistent_pieces_are_no_assembly(self):
+        # A box beside three triangles: the pieces disagree on their shared
+        # coordinate subspaces, so they are no assembly, and their union is
+        # not convex either.
         triangle = AntiBlockingBody(standard_simplex(2))
         pieces = {s: triangle for s in all_signs(2)}
         pieces[(1, 1)] = ab_hull([(2, 2)])
-        a = OrthantAssembly(2, tuple(sorted(pieces.items())))
-        assert assembly._derived_hull(a) is None
-        assert a.hull == convex_hull([(2, 2), (2, 0), (0, 2), (-1, 0), (0, -1)])
-        with pytest.raises(AssemblyError, match="union of pieces is not convex"):
-            assembly._check_convex_union(pieces, a.hull)
         with pytest.raises(AssemblyError, match="projection mismatch"):
-            assemble(2, pieces)
+            OrthantAssembly(2, pieces)
+        reflected = {tuple(s * x for s, x in zip(sign, v))
+                     for sign, piece in pieces.items() for v in piece.vertices}
+        hull = convex_hull(reflected, 2)
+        assert hull == convex_hull([(2, 2), (2, 0), (0, 2), (-1, 0), (0, -1)])
+        with pytest.raises(AssemblyError, match="union of pieces is not convex"):
+            assembly._check_convex_union(pieces, hull)
+
+    def test_redundant_raw_piece_assembles(self):
+        # The raw piece lists (0, 1), which is no vertex of its hull; the
+        # consistency check reads the canonical vertices, so it agrees with
+        # its hull at the other signs.
+        raw = AntiBlockingBody(VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (F(0), F(2)), (F(1), F(0)))))
+        hull = AntiBlockingBody(convex_hull(raw.vertices, 2))
+        pieces = {s: hull for s in all_signs(2)}
+        pieces[(1, 1)] = raw
+        a = assemble(2, pieces)
+        assert a == OrthantAssembly(2, pieces)
+        assert a.hull == convex_hull([(1, 0), (0, 2), (-1, 0), (0, -2)])
+        assert lab_volume(a) == volume(a.hull) == 4
 
 
 CONSISTENT_KINDS = ("glued", "negated", "flat", "equality", "unconditional")
@@ -377,6 +390,24 @@ class TestSharedProjections:
                         groups.setdefault(key, []).append(project(piece.body, sub))
                     for projections in groups.values():
                         assert all(p == projections[0] for p in projections)
+
+
+class TestFaces:
+    @pytest.mark.usefixtures("strict_hull")
+    @given(unconditional_pieces())
+    @settings(max_examples=60, deadline=None)
+    def test_face_is_the_projection(self, piece):
+        # The consistency check compares a down-closed piece's face x_i = 0
+        # in place of its projection along e_i.  In dimension 1 that face is
+        # the origin, for every piece.
+        n = piece.dim
+        for i in range(n):
+            face = [v[:i] + v[i + 1:] for v in hull_data(piece.body).vertices if not v[i]]
+            if n == 1:
+                assert face == [()]
+            else:
+                keep = tuple(k for k in range(n) if k != i)
+                assert face == list(geometry.shadow(piece.body, keep).vertices)
 
 
 class TestNegation:
