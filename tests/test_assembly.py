@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornervol import assembly, geometry, mixed
+from cornervol import hull as hull_mod
 from cornervol import (
     AntiBlockingBody,
     AssemblyError,
@@ -225,7 +226,19 @@ class TestGluedHull:
         assert volume(a.hull) == lab_volume(a)
         assert dims == []
 
-    def test_inconsistent_pieces_are_no_assembly(self):
+    @pytest.mark.parametrize("int64", [True, False], ids=["int64", "python-int"])
+    def test_scan_decides_the_route(self, monkeypatch, int64):
+        # With the engine's scans in int64 or in Python ints, a glued body's
+        # hull is derived from its pieces and a flat one's is the engine's;
+        # either way it is the engine's hull of the reflected vertices.
+        if not int64:
+            monkeypatch.setattr(hull_mod, "_INT64_BOUND", 0)
+        glued = random_assembly("derived-scan", 3, "glued")
+        derived = assembly._derived_hull(OrthantAssembly(3, glued.pieces))
+        assert derived == convex_hull(assembly._reflected_vertices(glued), 3)
+        flat = OrthantAssembly(3, flat_assembly_pieces())
+        assert assembly._derived_hull(flat) is None
+        assert flat.hull == convex_hull(assembly._reflected_vertices(flat), 3)
         # A box beside three triangles: the pieces disagree on their shared
         # coordinate subspaces, so they are no assembly, and their union is
         # not convex either.
