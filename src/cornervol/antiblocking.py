@@ -118,14 +118,17 @@ def validate_ab(poly: VPolytope) -> bool:
     down-closed exactly when it is the origin.  The facets come from the
     memoized hull, free for a polytope built by ``from_points`` and paid
     once for one built raw, whose vertex list may hold redundant points.
+    The signs and the support are read off the integer rows of the
+    polytope's key (its vertices times D > 0), so no ``Fraction`` is
+    compared.
     """
-    verts = poly.vertices
-    if any(x < 0 for v in verts for x in v):
+    rows = poly._key[2]
+    if min(map(min, rows)) < 0:
         return False
-    if len(verts) == 1:
-        return not any(verts[0])
+    if len(rows) == 1:
+        return not any(rows[0])
     data = hull_data(poly)
-    support = tuple(i for i in range(poly.dim) if any(v[i] for v in verts))
+    support = tuple(i for i, column in enumerate(zip(*rows)) if any(column))
     if data.pivots != support:
         return False
     return all(min(a) >= 0 or (b == 0 and sum(1 for c in a if c) == 1)

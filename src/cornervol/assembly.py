@@ -172,7 +172,9 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     equal = len(data) == 1
     if not equal and any(d.rank < n for d in data.values()):
         return None  # some piece is flat
-    scaled = {p: _hull._scale_to_int(d.vertices) for p, d in data.items()}
+    # A canonical piece's key holds its vertices over their lcm D already.
+    scaled = {p: (p._key[2], p._key[1]) if len(d.vertices) == len(p.vertices)
+              else _hull._scale_to_int(d.vertices) for p, d in data.items()}
     denom = lcm(*(d_p for _, d_p in scaled.values()))
     # Per piece: its vertices over denom with their support masks; its
     # nonnegative-normal facets with offsets over denom and support masks in
@@ -228,7 +230,7 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
         if derived != engine:
             raise AssertionError(f"hull data derived from the pieces {derived} differ "
                                  f"from the engine's {engine}")
-    geometry._hull_cache[body] = derived
+    geometry._hull_cache[body._key] = (body, derived)
     return body
 
 
@@ -241,15 +243,30 @@ def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) 
     memoized hull, since a raw piece may list redundant points.  Comparing
     each single-sign flip on the complementary subspace covers every
     subspace pair by projection composition and transitivity.
+
+    A canonical piece's vertices are its hull's, and its key holds them as
+    integer rows over their lcm D; two canonical pieces with one D compare
+    their faces as those rows, any other pair as ``Fraction`` vertices.
     """
+    # The key of each canonical piece by its sign, None for a raw piece.
+    keys = {sign: piece.body._key
+            if len(hull_data(piece.body).vertices) == len(piece.body.vertices) else None
+            for sign, piece in piece_map.items()}
     for i in range(dim):
         for sign in all_signs(dim):
             if sign[i] != 1:
                 continue
             other = sign[:i] + (-1,) + sign[i + 1:]
             p, q = piece_map[sign].body, piece_map[other].body
-            if p is not q and ([v for v in hull_data(p).vertices if not v[i]]
-                               != [v for v in hull_data(q).vertices if not v[i]]):
+            if p is q:
+                continue
+            kp, kq = keys[sign], keys[other]
+            if kp is not None and kq is not None and kp[1] == kq[1]:
+                agree = [r for r in kp[2] if not r[i]] == [r for r in kq[2] if not r[i]]
+            else:
+                agree = ([v for v in hull_data(p).vertices if not v[i]]
+                         == [v for v in hull_data(q).vertices if not v[i]])
+            if not agree:
                 keep = tuple(j for j in range(dim) if j != i)
                 raise AssemblyError(
                     f"projection mismatch between orthants {sign_to_str(sign)} and "

@@ -25,6 +25,7 @@ __all__ = [
     "convex_hull",
     "volume",
     "hull_data",
+    "memoized",
     "relative_volume",
     "shadow",
     "minkowski_sum",
@@ -82,14 +83,15 @@ class VPolytope:
         for v in self.vertices:
             if len(v) != self.dim:
                 raise ValueError("vertex dimension mismatch")
-        # Canonical order is what makes ==, hash and the vertex-keyed caches
-        # sound; irredundancy is the constructors' job and is not re-checked.
-        for u, v in zip(self.vertices, self.vertices[1:]):
-            if not u < v:
-                raise ValueError("vertices must be strictly lex-ascending (use from_points)")
         # Keyed and hashed once: the memos keyed by polytopes would otherwise
         # hash and compare every Fraction.
         scaled, denom = _hull._scale_to_int(self.vertices)
+        # Canonical order is what makes ==, hash and the vertex-keyed caches
+        # sound; irredundancy is the constructors' job and is not re-checked.
+        # The scaled rows keep the order of the vertices, since D > 0.
+        for u, v in zip(scaled, scaled[1:]):
+            if not u < v:
+                raise ValueError("vertices must be strictly lex-ascending (use from_points)")
         key = (self.dim, denom, tuple(scaled))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -109,11 +111,11 @@ class VPolytope:
         """The hull of the points, with its data stored in ``hull_data``'s memo.
 
         Points already strictly lex-ascending (the order that ``io`` writes)
-        are looked up in the memo first, and returned without a hull when it
-        holds them as their own hull: the engine's vertices are a subset of
-        its input, so a memoized vertex count equal to the list's length
-        means the list is irredundant.  Under ``hull.strict_checks`` such a
-        hit is still compared with the engine's hull.
+        are looked up in the memo first by their integer key (``memoized``),
+        and the memoized polytope is returned without a hull when the memo
+        holds the list as its own hull.  ``io`` makes the same lookup for an
+        all-integer vertex list straight from its strings, building no
+        ``Fraction`` and no ``VPolytope``.
         """
         pts = [as_vec(p) for p in points]
         if not pts:
@@ -127,16 +129,12 @@ class VPolytope:
         # Points the engine would reject skip the lookup, so they still raise its error.
         if n >= 1 and all(len(v) == n for v in pts) and all(
                 u < v for u, v in zip(pts, pts[1:])):
-            poly = VPolytope(n, tuple(pts))
-            data = _hull_cache.get(poly)
-            if data is not None and len(data.vertices) == len(pts):
-                if _hull.strict_checks and hull_of_points(pts, n) != data:
-                    raise AssertionError(f"memoized hull {data} of {poly} differs "
-                                         "from the engine's")
+            poly = memoized(VPolytope(n, tuple(pts))._key)
+            if poly is not None:
                 return poly
         data = hull_of_points(pts, n)
         poly = VPolytope(n, data.vertices)
-        _hull_cache[poly] = data
+        _hull_cache[poly._key] = (poly, data)
         return poly
 
     def translate(self, t) -> "VPolytope":
@@ -169,7 +167,9 @@ class CoordSubspace:
 
 
 # Hand-written rather than functools.cache so that from_points can seed it.
-_hull_cache: dict[VPolytope, HullData] = {}
+# Keyed by ``VPolytope._key``, so that a vertex list read as integers finds
+# its polytope without building one; each entry is (polytope, hull data).
+_hull_cache: dict[tuple, tuple[VPolytope, HullData]] = {}
 
 
 def hull_data(poly: VPolytope) -> HullData:
@@ -178,10 +178,30 @@ def hull_data(poly: VPolytope) -> HullData:
     Free for a polytope built by ``from_points``, which stores the hull it
     built; a polytope built raw pays for one hull, once.
     """
-    data = _hull_cache.get(poly)
-    if data is None:
-        data = _hull_cache[poly] = hull_of_points(poly.vertices, poly.dim)
-    return data
+    hit = _hull_cache.get(poly._key)
+    if hit is None:
+        hit = _hull_cache[poly._key] = (poly, hull_of_points(poly.vertices, poly.dim))
+    return hit[1]
+
+
+def memoized(key: tuple) -> VPolytope | None:
+    """The memoized polytope with this ``VPolytope._key``, when the memo holds
+    its vertex list as its own hull; else None.
+
+    The engine's vertices are a subset of its input, so a memoized vertex
+    count equal to the list's length means the list is irredundant; a raw
+    polytope with a redundant vertex, memoized by ``hull_data``, is no hit.
+    Under ``hull.strict_checks`` a hit is compared with the engine's hull.
+    """
+    hit = _hull_cache.get(key)
+    if hit is None:
+        return None
+    poly, data = hit
+    if len(data.vertices) != len(key[2]):
+        return None
+    if _hull.strict_checks and hull_of_points(poly.vertices, poly.dim) != data:
+        raise AssertionError(f"memoized hull {data} of {poly} differs from the engine's")
+    return poly
 
 
 def convex_hull(points, dim: int | None = None) -> VPolytope:

@@ -2,9 +2,16 @@
 
 Rationals are serialized as exact strings ("3", "-1/2"); vertex lists are
 emitted in canonical order, so parse -> serialize round-trips are
-byte-identical on canonical objects.  A canonical vertex list that the process
-has already hulled loads without another hull (``VPolytope.from_points``), so
-a file loaded again costs no piece hull.
+byte-identical on canonical objects.  An exponent ("1e9") is refused: the
+value it spells can be too large to compute.
+
+A canonical vertex list that the process has already hulled loads without
+another hull.  When every coordinate is a plain integer string, as in every
+file ``gen`` writes, the list is read straight into ``VPolytope``'s integer
+key and looked up in the hull memo (``geometry.memoized``); a hit returns the
+memoized polytope itself, so a file loaded again builds no ``Fraction``, no
+``VPolytope`` and no hull.  Any other list is parsed to ``Fraction``s and goes
+through ``VPolytope.from_points``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from fractions import Fraction
 
 from .antiblocking import AntiBlockingBody, ab_hull
 from .assembly import AssemblyError, OrthantAssembly, assemble, sign_to_str
-from .geometry import VPolytope, convex_hull
+from .geometry import VPolytope, convex_hull, max_dim, memoized
 
 
 class ParseError(ValueError):
@@ -29,8 +36,12 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    text = str(s).strip()
+    # Fraction would compute 10**exp, which hangs on an exponent like 1e999999999.
+    if "e" in text or "E" in text:
+        raise ParseError(f"bad rational {s!r}: exponents are not accepted")
     try:
-        return Fraction(str(s).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}") from exc
 
@@ -63,7 +74,33 @@ def polytope_from_obj(obj) -> VPolytope:
     verts = obj["vertices"]
     if not isinstance(verts, list) or not verts:
         raise ParseError("empty vertex list")
-    return convex_hull([_vec_in(v, dim) for v in verts], dim)
+    key = _integer_key(verts, dim)
+    poly = memoized(key) if key is not None else None
+    if poly is None:
+        poly = convex_hull([_vec_in(v, dim) for v in verts], dim)
+    return poly
+
+
+def _integer_key(verts: list, dim: int) -> tuple | None:
+    """``VPolytope._key`` of a strictly lex-ascending list of plain integer
+    strings (``-?[0-9]+``) under the dimension cap, else None."""
+    if any(type(v) is not list or len(v) != dim for v in verts):
+        return None
+    try:
+        text = ",".join([x for v in verts for x in v])
+    except TypeError:
+        return None  # a coordinate that is not a string
+    # With only ASCII digits, '-' and ',' in the text, int() accepts a
+    # coordinate exactly when it matches -?[0-9]+.
+    if not (text.isascii() and text.replace("-", "").replace(",", "").isdigit()):
+        return None
+    try:
+        rows = tuple([tuple(map(int, v)) for v in verts])
+    except ValueError:
+        return None
+    if dim > max_dim() or not all(u < v for u, v in zip(rows, rows[1:])):
+        return None
+    return (dim, 1, rows)
 
 
 def ab_to_obj(body: AntiBlockingBody) -> dict:

@@ -59,6 +59,17 @@ class TestAssemble:
         with pytest.raises(AssemblyError, match="projection mismatch"):
             assemble(2, pieces)
 
+    def test_faces_compared_across_denominators(self):
+        # The pieces at ++ and -+ have vertex denominators 2 and 1, so their
+        # faces x_0 = 0 are compared as Fractions, not as key rows.
+        notched = ab_hull([(1, 0), (F(1, 2), 1), (0, 1)])
+        square = ab_hull([(1, 1)])
+        pieces = {(1, 1): notched, (1, -1): notched, (-1, 1): square, (-1, -1): square}
+        assert volume(assemble(2, pieces).hull) == 2 * F(3, 4) + 2
+        pieces[(-1, 1)] = pieces[(-1, -1)] = ab_hull([(1, 2)])
+        with pytest.raises(AssemblyError, match=r"orthants \+\+ and -\+ on the coordinates \(1,\)"):
+            assemble(2, pieces)
+
     def test_non_downclosed_piece_rejected(self):
         # The piece type refuses it before assemble can see it.
         with pytest.raises(ValueError, match="not down-closed"):

@@ -336,6 +336,15 @@ class TestAuditAndGen:
         assert out == ""
         assert "piece at +- is not anti-blocking" in err
 
+    def test_audit_rejects_exponent_exit_2(self, capsys, tmp_path):
+        # Read as a Fraction, the coordinate would make audit compute 10**999999999.
+        code, out, err = self._audit_pieces(capsys, tmp_path, {
+            "++": {"dim": 2, "vertices": [["0", "0"], ["1e999999999", "0"], ["0", "1"]]},
+        })
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "bad rational '1e999999999'" in err
+
     def test_audit_rejects_negative_coordinate_piece(self, capsys, tmp_path):
         code, out, err = self._audit_pieces(capsys, tmp_path, {
             "++": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},

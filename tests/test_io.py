@@ -2,11 +2,15 @@
 
 import json
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornervol import ab_hull, convex_hull, equality_family, geometry, random_assembly
 from cornervol import hull as hull_mod
+from cornervol import io as cio
 from cornervol.geometry import VPolytope, hull_data
 from cornervol.io import (
     ParseError,
@@ -33,6 +37,17 @@ def test_rational_strings():
         parse_rational("1/0")
     with pytest.raises(ParseError):
         parse_rational("x")
+
+
+def test_exponent_refused():
+    # Fraction would compute 10**999999999 for the first two.
+    for s in ("1e999999999", "1e-999999999", "1E5", "2.5e3", " 1e2 "):
+        with pytest.raises(ParseError, match=f"bad rational {s!r}: exponents are not accepted"):
+            parse_rational(s)
+    # Everything else Fraction reads is still accepted.
+    for s, x in (("1.5", F(3, 2)), (" -3/4 ", F(-3, 4)), ("+7", 7), ("007", 7),
+                 ("1_000", 1000), (".5", F(1, 2)), ("-0", 0)):
+        assert parse_rational(s) == x
 
 
 def test_polytope_round_trip_bit_exact():
@@ -106,26 +121,94 @@ def test_redundant_memoized_list_loads_to_its_hull():
 
 
 def test_reloaded_assembly_takes_no_hull(monkeypatch):
+    # A second load reads every piece's integer strings straight into its key
+    # and returns the memoized piece: no hull, no Fraction, no VPolytope.
     a = random_assembly("io-reload", 3, "glued")
     text = dumps(assembly_to_obj(a))
-    calls = []
-    real = hull_mod.hull_of_points
+    calls = {"hull": 0, "parse": 0, "polytope": 0}
 
-    def counting(points, dim):
-        calls.append(dim)
-        return real(points, dim)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(hull_mod, "hull_of_points", counting)
-    monkeypatch.setattr(geometry, "hull_of_points", counting)
+    hull = counting("hull", hull_mod.hull_of_points)
+    monkeypatch.setattr(hull_mod, "hull_of_points", hull)
+    monkeypatch.setattr(geometry, "hull_of_points", hull)
+    monkeypatch.setattr(cio, "parse_rational", counting("parse", cio.parse_rational))
+    monkeypatch.setattr(VPolytope, "__post_init__",
+                        counting("polytope", VPolytope.__post_init__))
     # An empty memo, as in a process that has not seen these pieces yet.
     monkeypatch.setattr(geometry, "_hull_cache", {})
     first = assembly_from_obj(json.loads(text))
     # Equal pieces share one hull.
-    assert len(calls) >= len({piece.body for _, piece in a.pieces}) > 1
-    calls.clear()
+    assert calls["hull"] >= len({piece.body for _, piece in a.pieces}) > 1
+    assert calls["parse"] > 0 and calls["polytope"] > 0
+    calls.update(dict.fromkeys(calls, 0))
     again = assembly_from_obj(json.loads(text))
-    assert calls == []
+    assert calls == {"hull": 0, "parse": 0, "polytope": 0}
     assert again == first == a
+    assert all(p.body is q.body for (_, p), (_, q) in zip(again.pieces, first.pieces))
+
+
+# Every shape of vertex list the loader meets.  "canonical" is the hull's own
+# list, which a warm memo answers by its integer key; the others take the
+# Fraction route and must load to the same polytope or fail the same way.
+LIST_KINDS = ("canonical", "unsorted", "duplicated", "raw", "broken")
+
+
+@st.composite
+def vertex_lists(draw):
+    n = draw(st.integers(1, 5))
+    rational = draw(st.booleans())
+    coord = (st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3))) if rational
+             else st.integers(-3, 3))
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=8))
+    flat = draw(st.integers(0, n))  # coordinates from this one on are zero
+    points = [tuple(x if i < flat else 0 for i, x in enumerate(p)) for p in points]
+    kind = draw(st.sampled_from(LIST_KINDS))
+    hull = list(convex_hull(points, n).vertices)
+    if kind == "canonical":
+        verts = hull
+    elif kind == "unsorted":
+        verts = hull[::-1]
+    elif kind == "duplicated":
+        verts = sorted(hull + hull[:1])
+    else:  # every point, sorted, redundant ones included
+        verts = sorted(set(points))
+    rows = [[format_rational(x) for x in v] for v in verts]
+    if kind == "broken":
+        bad = draw(st.sampled_from(("1e3", "x", "1/0", "", "1,2", None)))
+        rows[-1][-1:] = [] if bad is None else [bad]
+    return n, kind, json.dumps(rows)
+
+
+@pytest.mark.usefixtures("strict_hull")
+@given(vertex_lists())
+@settings(max_examples=120, deadline=None)
+def test_key_route_matches_fraction_route(case):
+    n, kind, text = case
+
+    def load():
+        try:
+            return polytope_from_obj({"dim": n, "vertices": json.loads(text)})
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    with patch.object(geometry, "_hull_cache", {}):
+        cold = load()
+        # Memoize the list as given too, so that a redundant list meets its
+        # raw polytope in the memo with fewer hull vertices than it lists.
+        try:
+            hull_data(VPolytope(n, tuple(tuple(map(parse_rational, v))
+                                         for v in json.loads(text))))
+        except ValueError:
+            pass  # unsorted, duplicated or broken
+        warm = load()
+    assert warm == cold
+    if kind == "canonical" and "/" not in text:
+        assert warm is cold
 
 
 def test_assembly_pieces_must_be_an_object():
