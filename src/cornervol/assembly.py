@@ -159,6 +159,23 @@ def _mask(v) -> int:
     return sum(1 << i for i, x in enumerate(v) if x)
 
 
+def _scaled_rows(data: dict[VPolytope, HullData]) -> tuple[dict, int]:
+    """The pieces' hull vertices as integer rows over L, the lcm of their
+    vertex denominators: by piece, its rows and L / D for its own D; and L.
+
+    A canonical piece (its vertices are its hull's) has its rows over D in
+    its key; a raw piece scales its hull's vertices.
+    """
+    own = {p: (p._key[2], p._key[1]) if len(d.vertices) == len(p.vertices)
+           else _hull._scale_to_int(d.vertices) for p, d in data.items()}
+    denom = lcm(*(d_p for _, d_p in own.values()))
+    scaled = {}
+    for p, (rows, d_p) in own.items():
+        up = denom // d_p
+        scaled[p] = ([tuple([x * up for x in r]) for r in rows] if up > 1 else rows, up)
+    return scaled, denom
+
+
 def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     """K with its ``HullData`` read off the pieces', or None for the engine.
 
@@ -172,19 +189,14 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     equal = len(data) == 1
     if not equal and any(d.rank < n for d in data.values()):
         return None  # some piece is flat
-    # A canonical piece's key holds its vertices over their lcm D already.
-    scaled = {p: (p._key[2], p._key[1]) if len(d.vertices) == len(p.vertices)
-              else _hull._scale_to_int(d.vertices) for p, d in data.items()}
-    denom = lcm(*(d_p for _, d_p in scaled.values()))
+    scaled, denom = _scaled_rows(data)
     # Per piece: its vertices over denom with their support masks; its
     # nonnegative-normal facets with offsets over denom and support masks in
     # R^n; and covered[w], whose bit k says a vertex w + c e_k, c > 0, exists.
     # frac maps a coordinate over denom to its Fraction.
     verts, facets, covered, frac = {}, {}, {}, {}
     for p, d in data.items():
-        ws, d_p = scaled[p]
-        up = denom // d_p
-        ws = [tuple(x * up for x in w) for w in ws] if up > 1 else ws
+        ws, up = scaled[p]
         verts[p] = [(w, _mask(w)) for w in ws]
         for w, v in zip(ws, d.vertices):
             frac.update(zip(w, v))
@@ -244,29 +256,19 @@ def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) 
     each single-sign flip on the complementary subspace covers every
     subspace pair by projection composition and transitivity.
 
-    A canonical piece's vertices are its hull's, and its key holds them as
-    integer rows over their lcm D; two canonical pieces with one D compare
-    their faces as those rows, any other pair as ``Fraction`` vertices.
+    The vertices are compared as integer rows over one denominator
+    (``_scaled_rows``).
     """
-    # The key of each canonical piece by its sign, None for a raw piece.
-    keys = {sign: piece.body._key
-            if len(hull_data(piece.body).vertices) == len(piece.body.vertices) else None
-            for sign, piece in piece_map.items()}
+    scaled, _ = _scaled_rows({piece.body: hull_data(piece.body)
+                              for piece in piece_map.values()})
     for i in range(dim):
         for sign in all_signs(dim):
             if sign[i] != 1:
                 continue
             other = sign[:i] + (-1,) + sign[i + 1:]
             p, q = piece_map[sign].body, piece_map[other].body
-            if p is q:
-                continue
-            kp, kq = keys[sign], keys[other]
-            if kp is not None and kq is not None and kp[1] == kq[1]:
-                agree = [r for r in kp[2] if not r[i]] == [r for r in kq[2] if not r[i]]
-            else:
-                agree = ([v for v in hull_data(p).vertices if not v[i]]
-                         == [v for v in hull_data(q).vertices if not v[i]])
-            if not agree:
+            if p is not q and ([r for r in scaled[p][0] if not r[i]]
+                               != [r for r in scaled[q][0] if not r[i]]):
                 keep = tuple(j for j in range(dim) if j != i)
                 raise AssemblyError(
                     f"projection mismatch between orthants {sign_to_str(sign)} and "

@@ -25,7 +25,6 @@ __all__ = [
     "convex_hull",
     "volume",
     "hull_data",
-    "memoized",
     "relative_volume",
     "shadow",
     "minkowski_sum",
@@ -111,7 +110,7 @@ class VPolytope:
         """The hull of the points, with its data stored in ``hull_data``'s memo.
 
         Points already strictly lex-ascending (the order that ``io`` writes)
-        are looked up in the memo first by their integer key (``memoized``),
+        are looked up in the memo first by their integer key (``_memoized``),
         and the memoized polytope is returned without a hull when the memo
         holds the list as its own hull.  ``io`` makes the same lookup for an
         all-integer vertex list straight from its strings, building no
@@ -129,7 +128,7 @@ class VPolytope:
         # Points the engine would reject skip the lookup, so they still raise its error.
         if n >= 1 and all(len(v) == n for v in pts) and all(
                 u < v for u, v in zip(pts, pts[1:])):
-            poly = memoized(VPolytope(n, tuple(pts))._key)
+            poly = _memoized(VPolytope(n, tuple(pts))._key)
             if poly is not None:
                 return poly
         data = hull_of_points(pts, n)
@@ -184,7 +183,7 @@ def hull_data(poly: VPolytope) -> HullData:
     return hit[1]
 
 
-def memoized(key: tuple) -> VPolytope | None:
+def _memoized(key: tuple) -> VPolytope | None:
     """The memoized polytope with this ``VPolytope._key``, when the memo holds
     its vertex list as its own hull; else None.
 

@@ -2,13 +2,13 @@
 
 Rationals are serialized as exact strings ("3", "-1/2"); vertex lists are
 emitted in canonical order, so parse -> serialize round-trips are
-byte-identical on canonical objects.  An exponent ("1e9") is refused: the
-value it spells can be too large to compute.
+byte-identical on canonical objects.  A string with an exponent ("1e9") is
+refused: the value it spells can be too large to compute.
 
 A canonical vertex list that the process has already hulled loads without
 another hull.  When every coordinate is a plain integer string, as in every
 file ``gen`` writes, the list is read straight into ``VPolytope``'s integer
-key and looked up in the hull memo (``geometry.memoized``); a hit returns the
+key and looked up in the hull memo (``geometry._memoized``); a hit returns the
 memoized polytope itself, so a file loaded again builds no ``Fraction``, no
 ``VPolytope`` and no hull.  Any other list is parsed to ``Fraction``s and goes
 through ``VPolytope.from_points``.
@@ -17,11 +17,12 @@ through ``VPolytope.from_points``.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .antiblocking import AntiBlockingBody, ab_hull
 from .assembly import AssemblyError, OrthantAssembly, assemble, sign_to_str
-from .geometry import VPolytope, convex_hull, max_dim, memoized
+from .geometry import VPolytope, _memoized, convex_hull, max_dim
 
 
 class ParseError(ValueError):
@@ -35,10 +36,15 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# A decimal with an exponent, as Fraction reads it: Fraction would compute
+# 10**exp, which hangs on a string like "1e999999999".  A JSON number is
+# a float by then, whose exponent is at most 308, and is read as before.
+_EXPONENT = re.compile(r"[+-]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)[eE][+-]?\d[\d_]*")
+
+
 def parse_rational(s: str) -> Fraction:
     text = str(s).strip()
-    # Fraction would compute 10**exp, which hangs on an exponent like 1e999999999.
-    if "e" in text or "E" in text:
+    if isinstance(s, str) and _EXPONENT.fullmatch(text):
         raise ParseError(f"bad rational {s!r}: exponents are not accepted")
     try:
         return Fraction(text)
@@ -75,7 +81,7 @@ def polytope_from_obj(obj) -> VPolytope:
     if not isinstance(verts, list) or not verts:
         raise ParseError("empty vertex list")
     key = _integer_key(verts, dim)
-    poly = memoized(key) if key is not None else None
+    poly = _memoized(key) if key is not None else None
     if poly is None:
         poly = convex_hull([_vec_in(v, dim) for v in verts], dim)
     return poly

@@ -61,7 +61,7 @@ class TestAssemble:
 
     def test_faces_compared_across_denominators(self):
         # The pieces at ++ and -+ have vertex denominators 2 and 1, so their
-        # faces x_0 = 0 are compared as Fractions, not as key rows.
+        # faces x_0 = 0 are compared as integer rows over the lcm 2.
         notched = ab_hull([(1, 0), (F(1, 2), 1), (0, 1)])
         square = ab_hull([(1, 1)])
         pieces = {(1, 1): notched, (1, -1): notched, (-1, 1): square, (-1, -1): square}

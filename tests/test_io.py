@@ -44,10 +44,15 @@ def test_exponent_refused():
     for s in ("1e999999999", "1e-999999999", "1E5", "2.5e3", " 1e2 "):
         with pytest.raises(ParseError, match=f"bad rational {s!r}: exponents are not accepted"):
             parse_rational(s)
-    # Everything else Fraction reads is still accepted.
+    # Everything else Fraction reads is still accepted, JSON numbers included.
     for s, x in (("1.5", F(3, 2)), (" -3/4 ", F(-3, 4)), ("+7", 7), ("007", 7),
-                 ("1_000", 1000), (".5", F(1, 2)), ("-0", 0)):
+                 ("1_000", 1000), (".5", F(1, 2)), ("-0", 0), (1e-05, F(1, 100000)),
+                 (1e16, 10 ** 16)):
         assert parse_rational(s) == x
+    # Other text with an e is not an exponent and keeps the plain message.
+    for s in ("one", "1e", "e5", "1/2e3"):
+        with pytest.raises(ParseError, match=f"^bad rational {s!r}$"):
+            parse_rational(s)
 
 
 def test_polytope_round_trip_bit_exact():
