@@ -13,7 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, factorial
 
 from .geometry import (
     CoordSubspace,
@@ -140,23 +141,47 @@ def projected_volume(body: AntiBlockingBody, indices: tuple[int, ...]) -> Fracti
     return Fraction(1) if not indices else volume(shadow(body.body, indices))
 
 
+@cache
+def normalized_shadow_volumes(poly: VPolytope, size: int) -> tuple[int, ...]:
+    """|E|! Vol(D P_E) for every ``size``-element coordinate set E, in
+    ``itertools.combinations`` order; D is the polytope's key denominator.
+
+    D P has integer vertices, so each of its shadows is a lattice polytope
+    and its normalized volume |E|! Vol is an integer; the conversion is
+    exact, and a value that is not an integer is an engine bug.  The shadow
+    on the empty set has measure 1, and the shadow on every coordinate is
+    P itself, so sizes 0 and n take no shadow hull.  The complement of the
+    k-th set of one size is the k-th set from the end of the other size.
+    """
+    scale = factorial(size) * poly._key[1] ** size
+    out = []
+    for keep in itertools.combinations(range(poly.dim), size):
+        x = volume(shadow(poly, keep)) * scale if keep else Fraction(1)
+        if x.denominator != 1:
+            raise RuntimeError(f"normalized volume {x} of the shadow of {poly} on {keep} "
+                               "is not an integer (engine bug)")
+        out.append(x.numerator)
+    return tuple(out)
+
+
 def ab_opposite_mixed(k: AntiBlockingBody, kp: AntiBlockingBody, j: int) -> Fraction:
     """V_n(K[j], -K'[n-j]) via the projection-split sum over coordinate subspaces.
 
     Averages Vol_j(P_E K) * Vol_{n-j}(P_{E-perp} K') over all j-element
-    coordinate subspaces E.
+    coordinate subspaces E.  With D, D' the bodies' key denominators, the
+    products are integers in units of 1/(j! (n-j)! D^j D'^(n-j))
+    (``normalized_shadow_volumes``), so the average is their sum over
+    n! D^j D'^(n-j).
     """
     n = k.dim
     if kp.dim != n:
         raise ValueError("dimension mismatch")
     if not 0 <= j <= n:
         raise ValueError("copy count out of range")
-    total = Fraction(0)
-    everything = tuple(range(n))
-    for subset in itertools.combinations(everything, j):
-        rest = tuple(i for i in everything if i not in subset)
-        total += projected_volume(k, subset) * projected_volume(kp, rest)
-    return total / comb(n, j)
+    lo = normalized_shadow_volumes(k.body, j)
+    hi = normalized_shadow_volumes(kp.body, n - j)
+    total = sum(x * y for x, y in zip(lo, reversed(hi)))
+    return Fraction(total, factorial(n) * k.body._key[1] ** j * kp.body._key[1] ** (n - j))
 
 
 def ab_join_volume(k: AntiBlockingBody, kp: AntiBlockingBody) -> Fraction:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from . import geometry
 from . import hull as _hull
@@ -23,8 +24,7 @@ from .antiblocking import (
     COORD_MAX,
     AntiBlockingBody,
     ab_hull,
-    ab_opposite_mixed,
-    projected_volume,
+    normalized_shadow_volumes,
     random_ab_body,
 )
 from .geometry import (
@@ -58,9 +58,10 @@ class OrthantAssembly:
     """Sign-indexed family of anti-blocking pieces forming a convex body.
 
     ``pieces`` may be given as a mapping or a sequence of (sign, piece)
-    pairs; the constructor fills every missing orthant with the degenerate
-    piece {0}, stores the pairs sorted by sign, and raises AssemblyError
-    unless the pieces agree on their shared coordinate subspaces
+    pairs, each sign a tuple or list of the ints 1 and -1 given once; the
+    constructor fills every missing orthant with the degenerate piece {0},
+    stores the pairs sorted by sign, and raises AssemblyError unless the
+    pieces agree on their shared coordinate subspaces
     (``_check_consistency``).  Every piece is down-closed by type, so every
     assembly is a convex body (the proof is in ``assemble``).
     """
@@ -70,10 +71,14 @@ class OrthantAssembly:
 
     def __post_init__(self):
         table: dict[SignVector, AntiBlockingBody] = {}
-        for sign, piece in dict(self.pieces).items():
-            sv = tuple(int(s) for s in sign)
-            if len(sv) != self.dim or any(s not in (-1, 1) for s in sv):
-                raise AssemblyError(f"bad sign vector {sign}")
+        pairs = self.pieces.items() if isinstance(self.pieces, Mapping) else self.pieces
+        for sign, piece in pairs:
+            sv = tuple(sign) if isinstance(sign, (tuple, list)) else ()
+            # bool is an int subclass, so True would otherwise stand for 1.
+            if len(sv) != self.dim or any(type(s) is not int or s not in (-1, 1) for s in sv):
+                raise AssemblyError(f"bad sign vector {sign!r}")
+            if sv in table:
+                raise AssemblyError(f"sign vector {sign!r} given twice")
             if piece.dim != self.dim:
                 raise AssemblyError("piece dimension mismatch")
             table[sv] = piece
@@ -482,6 +487,18 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     same-orthant pairs and the per-orthant projection product bound are the
     only two places inequality may enter.  An exact link failing raises
     EngineDisagreementError.
+
+    The mixed-volume links (orthant split, relaxation, direct) are the Cayley
+    engine's values.  The projection links are summed in integers, in units
+    of 1/(n! L^n) with L the lcm of the pieces' vertex denominators: L P_E is
+    a lattice polytope for every piece P and coordinate set E, so
+    N_P[E] = |E|! L^|E| Vol(P_E) is an integer (``normalized_shadow_volumes``
+    gives it over the piece's own denominator, scaled here to L).  A
+    product Vol_j(P_E) Vol_(n-j)(Q_(E^c)) is N_P[E] N_Q[E^c] in units of
+    1/(j! (n-j)! L^n), and dividing a sum of them by C(n, j) makes the unit
+    1/(n! L^n).  The Rogers-Shephard cap Vol(P_E) Vol(P_(E^c)) <= C(n, j)
+    Vol(P) reads N_P[E] N_P[E^c] <= N_P[full].  Each sum becomes one
+    Fraction at the end.
     """
     n = a.dim
     if not 0 <= j <= n:
@@ -489,64 +506,72 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     if not a.is_full_dimensional():
         raise ValueError("assembly must be full-dimensional")
     hull = a.hull
-    signs = all_signs(n)
     piece = a.piece_map
 
     direct = mixed_volume_pair(hull, negate(hull), j)
     split_sum = _orthant_split(a, j)
     relaxed_sum = sum(
-        (mixed_volume_pair(piece[s].body, negate(piece[tuple(-x for x in s)].body), j)
-         for s in signs),
+        (mixed_volume_pair(p.body, negate(piece[tuple(-x for x in s)].body), j)
+         for s, p in a.pieces),
         Fraction(0),
     )
-    # Same quantity through the projection-split formula instead of the engine.
-    projection_sum = sum(
-        (ab_opposite_mixed(piece[s], piece[tuple(-x for x in s)], j) for s in signs),
-        Fraction(0),
-    )
+
+    # The pieces indexed by the bit mask of their negative signs, and their
+    # N over L on the j-sets, on the (n-j)-sets and on every coordinate.
+    at = [None] * (1 << n)
+    for s, p in a.pieces:
+        at[_mask([x < 0 for x in s])] = p.body
+    denom = lcm(*(p._key[1] for p in at))
+
+    def over_denom(p, size):
+        up = (denom // p._key[1]) ** size
+        table = normalized_shadow_volumes(p, size)
+        return [x * up for x in table] if up > 1 else table
+
+    lo = [over_denom(p, j) for p in at]
+    hi = [over_denom(p, n - j) for p in at]
+    full = [over_denom(p, n)[0] for p in at]
+    count = comb(n, j)
+    unit = factorial(n) * denom ** n
+    every = (1 << n) - 1
+
+    # Same quantity through the projection-split formula instead of the engine:
+    # the piece at s on E against the piece at -s off E.
+    projection = sum(x * y for m in range(1 << n)
+                     for x, y in zip(lo[m], reversed(hi[every ^ m])))
 
     # Re-index each subspace sum by the sign vector that matches the piece on
     # E and its opposite off E; the products must agree term by term, and
-    # each must stay below C(n, j) times its piece's volume.
-    choose = comb(n, j)
-    reindexed_total = Fraction(0)
-    rs_bound = Fraction(0)
+    # each must stay below its piece's cap.
+    reindexed = 0
     bijection_ok = rs_holds = True
-    for subset in itertools.combinations(range(n), j):
-        rest = tuple(i for i in range(n) if i not in subset)
-        for tau in signs:
-            sigma = tuple(
-                t if i in subset else -t for i, t in enumerate(tau)
-            )
-            term = (
-                projected_volume(piece[tau], subset)
-                * projected_volume(piece[tau], rest)
-            )
-            if term != (
-                projected_volume(piece[sigma], subset)
-                * projected_volume(piece[tuple(-x for x in sigma)], rest)
-            ):
+    for k, subset in enumerate(itertools.combinations(range(n), j)):
+        on = sum(1 << i for i in subset)
+        kc = count - 1 - k  # the complement of the k-th j-set
+        for tau in range(1 << n):
+            term = lo[tau][k] * hi[tau][kc]
+            # sigma = tau on E, -tau off E; -sigma = tau off E.
+            if term != lo[tau ^ every ^ on][k] * hi[tau ^ on][kc]:
                 bijection_ok = False
-            cap = choose * volume(piece[tau].body)
-            if term > cap:
+            if term > full[tau]:
                 rs_holds = False
-            reindexed_total += term
-            rs_bound += cap
-    reindexed = reindexed_total / choose
-    rs_bound /= choose
+            reindexed += term
+    rs_bound = count * sum(full)
 
-    bound = comb(n, j) * lab_volume(a)
+    projection_sum, reindexed_sum, rs_sum = (
+        Fraction(x, unit) for x in (projection, reindexed, rs_bound))
+    bound = count * lab_volume(a)
     steps = (
         AuditStep("orthant-split", "==", direct, split_sum, direct == split_sum),
         AuditStep("opposite-orthant-relaxation", "<=", split_sum, relaxed_sum,
                   split_sum <= relaxed_sum),
         AuditStep("projection-split", "==", relaxed_sum, projection_sum,
                   relaxed_sum == projection_sum),
-        AuditStep("reindex-bijection", "==", projection_sum, reindexed,
-                  projection_sum == reindexed and bijection_ok),
-        AuditStep("projection-product-bound", "<=", reindexed, rs_bound,
+        AuditStep("reindex-bijection", "==", projection_sum, reindexed_sum,
+                  projection == reindexed and bijection_ok),
+        AuditStep("projection-product-bound", "<=", reindexed_sum, rs_sum,
                   reindexed <= rs_bound and rs_holds),
-        AuditStep("bound-identity", "==", rs_bound, bound, rs_bound == bound),
+        AuditStep("bound-identity", "==", rs_sum, bound, rs_sum == bound),
     )
     for s in steps:
         if s.relation == "==" and not s.holds:

@@ -12,6 +12,15 @@ key and looked up in the hull memo (``geometry._memoized``); a hit returns the
 memoized polytope itself, so a file loaded again builds no ``Fraction``, no
 ``VPolytope`` and no hull.  Any other list is parsed to ``Fraction``s and goes
 through ``VPolytope.from_points``.
+
+An assembly file loaded again returns the assembly the process built the
+first time.  ``assembly_from_obj`` keys it by the dimension and the sorted
+(sign, piece polytope) pairs, and the pieces resolve to their memoized
+polytopes as above, so a reload builds no ``AntiBlockingBody`` and runs no
+``validate_ab``, no consistency check and no derived hull: the assembly keeps
+its ``hull`` and ``piece_map``.  Only an assembly that passed construction is
+stored.  Under ``hull.strict_checks`` the memo is neither read nor written,
+so every load runs every check and oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import json
 import re
 from fractions import Fraction
 
+from . import hull as _hull
 from .antiblocking import AntiBlockingBody, ab_hull
 from .assembly import AssemblyError, OrthantAssembly, assemble, sign_to_str
 from .geometry import VPolytope, _memoized, convex_hull, max_dim
@@ -118,6 +128,9 @@ def ab_to_obj(body: AntiBlockingBody) -> dict:
 def ab_from_obj(obj) -> AntiBlockingBody:
     if isinstance(obj, dict) and "generators" in obj:
         dim = _dim_in(obj.get("dim"))
+        if not isinstance(obj["generators"], list):
+            raise ParseError("'generators' must be a list of points, not "
+                             f"{type(obj['generators']).__name__}")
         gens = [_vec_in(g, dim) for g in obj["generators"]]
         if not gens:
             raise ParseError("empty generator list")
@@ -140,21 +153,35 @@ def assembly_to_obj(a: OrthantAssembly) -> dict:
     }
 
 
+# Every assembly this process has loaded, keyed by its dimension and its
+# sorted (sign, piece polytope) pairs as the file lists them.
+_assembly_cache: dict[tuple, OrthantAssembly] = {}
+
+
 def assembly_from_obj(obj) -> OrthantAssembly:
+    """The assembly a file describes, memoized (see the module docstring)."""
     if not isinstance(obj, dict) or "dim" not in obj or "pieces" not in obj:
         raise ParseError("assembly object needs 'dim' and 'pieces'")
     dim = _dim_in(obj["dim"])
     if not isinstance(obj["pieces"], dict):
         raise ParseError("assembly 'pieces' must be an object keyed by sign strings")
+    polys = {sign_from_str(key, dim): polytope_from_obj(raw)
+             for key, raw in obj["pieces"].items()}
+    memo = (dim, tuple(sorted(polys.items())))
+    hit = None if _hull.strict_checks else _assembly_cache.get(memo)
+    if hit is not None:
+        return hit
     pieces = {}
-    for key, raw in obj["pieces"].items():
-        sign = sign_from_str(key, dim)
-        poly = polytope_from_obj(raw)
+    for sign, poly in polys.items():
         try:
             pieces[sign] = AntiBlockingBody(poly)
         except ValueError as exc:
-            raise AssemblyError(f"piece at {key} is not anti-blocking: {exc}") from exc
-    return assemble(dim, pieces)
+            raise AssemblyError(f"piece at {sign_to_str(sign)} is not anti-blocking: "
+                                f"{exc}") from exc
+    assembly = assemble(dim, pieces)
+    if not _hull.strict_checks:
+        _assembly_cache[memo] = assembly
+    return assembly
 
 
 def dumps(obj) -> str:

@@ -1,7 +1,9 @@
 """Orthant assemblies: validation, decompositions, the inequality and its audit."""
 
+import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from cornervol import (
     AssemblyError,
     OrthantAssembly,
     ab_hull,
+    ab_opposite_mixed,
     all_signs,
     assemble,
     convex_hull,
@@ -22,6 +25,7 @@ from cornervol import (
     godbersen_check,
     lab_mixed,
     lab_volume,
+    linear_map,
     mixed_volume_pair,
     negate,
     negate_assembly,
@@ -34,6 +38,8 @@ from cornervol import (
     unit_cube,
     volume,
 )
+from cornervol.antiblocking import projected_volume
+from cornervol.assembly import AuditStep, ProofChainAudit, _orthant_split
 from cornervol.geometry import VPolytope, hull_data
 from cornervol.hull import hull_of_points
 
@@ -69,6 +75,22 @@ class TestAssemble:
         pieces[(-1, 1)] = pieces[(-1, -1)] = ab_hull([(1, 2)])
         with pytest.raises(AssemblyError, match=r"orthants \+\+ and -\+ on the coordinates \(1,\)"):
             assemble(2, pieces)
+
+    @pytest.mark.parametrize("entry", [1.5, True, "1", F(1)], ids=repr)
+    def test_sign_entries_must_be_the_int_one_or_minus_one(self, entry):
+        # int() would read every one of these as 1.
+        piece = AntiBlockingBody(standard_simplex(2))
+        for pieces in ({(entry, 1): piece}, [((entry, 1), piece)]):
+            with pytest.raises(AssemblyError, match=r"bad sign vector \("):
+                OrthantAssembly(2, pieces)
+
+    def test_repeated_sign_refused(self):
+        square = ab_hull([(1, 1)])
+        pieces = [(s, square) for s in all_signs(2)] + [([1, 1], ab_hull([(2, 2)]))]
+        with pytest.raises(AssemblyError, match=r"sign vector \[1, 1\] given twice"):
+            OrthantAssembly(2, pieces)
+        with pytest.raises(AssemblyError, match="given twice"):
+            OrthantAssembly(2, [((1, -1), square), ((1, -1), square)])
 
     def test_non_downclosed_piece_rejected(self):
         # The piece type refuses it before assemble can see it.
@@ -512,6 +534,131 @@ class TestProofChainAudit:
                 audit = proof_chain_audit(a, j)
                 assert audit.exact_steps_hold
                 assert audit.all_hold
+
+
+def fraction_opposite_mixed(k, kp, j):
+    """``ab_opposite_mixed`` as a Fraction loop over ``projected_volume``."""
+    n = k.dim
+    total = F(0)
+    for subset in itertools.combinations(range(n), j):
+        rest = tuple(i for i in range(n) if i not in subset)
+        total += projected_volume(k, subset) * projected_volume(kp, rest)
+    return total / comb(n, j)
+
+
+def fraction_audit(a, j):
+    """``proof_chain_audit`` with every projection link summed in Fractions
+    from ``projected_volume``: the oracle of the integer audit."""
+    n = a.dim
+    hull = a.hull
+    signs = all_signs(n)
+    piece = a.piece_map
+
+    direct = mixed_volume_pair(hull, negate(hull), j)
+    split_sum = _orthant_split(a, j)
+    relaxed_sum = sum(
+        (mixed_volume_pair(piece[s].body, negate(piece[tuple(-x for x in s)].body), j)
+         for s in signs),
+        F(0),
+    )
+    projection_sum = sum(
+        (fraction_opposite_mixed(piece[s], piece[tuple(-x for x in s)], j) for s in signs),
+        F(0),
+    )
+    choose = comb(n, j)
+    reindexed_total = F(0)
+    rs_bound = F(0)
+    bijection_ok = rs_holds = True
+    for subset in itertools.combinations(range(n), j):
+        rest = tuple(i for i in range(n) if i not in subset)
+        for tau in signs:
+            sigma = tuple(t if i in subset else -t for i, t in enumerate(tau))
+            term = projected_volume(piece[tau], subset) * projected_volume(piece[tau], rest)
+            if term != (projected_volume(piece[sigma], subset)
+                        * projected_volume(piece[tuple(-x for x in sigma)], rest)):
+                bijection_ok = False
+            cap = choose * volume(piece[tau].body)
+            if term > cap:
+                rs_holds = False
+            reindexed_total += term
+            rs_bound += cap
+    reindexed = reindexed_total / choose
+    rs_bound /= choose
+
+    bound = comb(n, j) * lab_volume(a)
+    steps = (
+        AuditStep("orthant-split", "==", direct, split_sum, direct == split_sum),
+        AuditStep("opposite-orthant-relaxation", "<=", split_sum, relaxed_sum,
+                  split_sum <= relaxed_sum),
+        AuditStep("projection-split", "==", relaxed_sum, projection_sum,
+                  relaxed_sum == projection_sum),
+        AuditStep("reindex-bijection", "==", projection_sum, reindexed,
+                  projection_sum == reindexed and bijection_ok),
+        AuditStep("projection-product-bound", "<=", reindexed, rs_bound,
+                  reindexed <= rs_bound and rs_holds),
+        AuditStep("bound-identity", "==", rs_bound, bound, rs_bound == bound),
+    )
+    return ProofChainAudit(n, j, steps, bound, direct / bound)
+
+
+def scaled(a, qs):
+    """The assembly under the diagonal map diag(1/q_1, ..., 1/q_n), whose
+    pieces get vertex denominators above 1 when some q_i is."""
+    diag = [[F(1, q) if i == k else 0 for k in range(a.dim)] for i, q in enumerate(qs)]
+    return assemble(a.dim, {s: AntiBlockingBody(linear_map(p.body, diag)) for s, p in a.pieces})
+
+
+AUDITED_KINDS = ("glued", "rational", "equality")
+
+
+@st.composite
+def audited_assemblies(draw):
+    """A full-dimensional assembly in dimension 1 to 3: a glued one, a glued
+    one with rational vertices (``scaled``), or an equality family with
+    rational parameters, whose pieces are flat off the positive orthant."""
+    kind = draw(st.sampled_from(AUDITED_KINDS))
+    n = draw(st.integers(1, 3))
+    if kind == "equality":
+        alphas = draw(st.lists(coords.filter(bool), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            return equality_family(1, alphas)
+        return equality_family(2, alphas, draw(coords.filter(bool)))
+    glued = random_assembly(f"audit-{draw(st.integers(0, 2**16))}", n, "glued")
+    if kind == "glued":
+        return glued
+    return scaled(glued, draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n)))
+
+
+def assert_audit_matches_the_oracle(a):
+    for j in range(a.dim + 1):
+        assert proof_chain_audit(a, j) == fraction_audit(a, j)
+        for s, p in a.pieces:
+            q = a.piece(tuple(-x for x in s))
+            assert ab_opposite_mixed(p, q, j) == fraction_opposite_mixed(p, q, j)
+
+
+class TestIntegerAudit:
+    """The projection links summed in one integer unit equal the Fraction
+    sums over ``projected_volume``."""
+
+    @pytest.mark.usefixtures("strict_hull")
+    @given(audited_assemblies())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fraction_oracle(self, a):
+        assert_audit_matches_the_oracle(a)
+
+    @pytest.mark.usefixtures("strict_hull")
+    def test_matches_the_fraction_oracle_in_dimension_four(self):
+        # Seconds under strict checks, so one glued body, with rational vertices.
+        a = scaled(random_assembly("audit-d4-7", 4, "glued"), (1, 2, 1, 3))
+        assert min(p.body._key[1] for _, p in a.pieces) > 1
+        assert_audit_matches_the_oracle(a)
+
+    def test_pieces_with_different_denominators(self):
+        # Only the pieces on the + side of e_1 reach 3/2 e_1.
+        a = equality_family(2, (1, F(3, 2), 1), 2)
+        assert {p.body._key[1] for _, p in a.pieces} == {1, 2}
+        assert_audit_matches_the_oracle(a)
 
 
 class TestRandomAssembly:

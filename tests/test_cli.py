@@ -289,6 +289,40 @@ class TestAuditAndGen:
         code, out, _ = run(capsys, "audit", str(path), "--j", "1")
         assert code == EXIT_OK
 
+    # Hull calls of a cold ``audit --j j`` of the glued dim-3 file of seed
+    # 2028, each j in a fresh process, before the projection links were
+    # summed in integers.  The load hulls 7 distinct pieces.
+    COLD_HULLS = {0: 7, 1: 21, 2: 21, 3: 7}
+
+    @pytest.mark.parametrize("j", sorted(COLD_HULLS))
+    def test_cold_audit_takes_no_more_hulls(self, capsys, tmp_path, monkeypatch, j):
+        # Sets of size 0 and n take no shadow hull, so j = 0 and j = n hull
+        # the pieces only, all in dimension 3.
+        from cornervol import antiblocking
+        from cornervol import io as cio
+
+        assert main(["gen", "--style", "glued", "--dim", "3", "--seed", "2028"]) == 0
+        path = tmp_path / "g.json"
+        path.write_text(capsys.readouterr().out)
+        monkeypatch.setattr(geometry, "_hull_cache", {})
+        monkeypatch.setattr(cio, "_assembly_cache", {})
+        for memo in (geometry._shadow, geometry.negate, mixed.volume_polynomial,
+                     mixed._cayley_coeffs, antiblocking.normalized_shadow_volumes):
+            memo.cache_clear()
+        dims = []
+        real = hull_mod.hull_of_points
+
+        def recording(points, dim):
+            dims.append(dim)
+            return real(points, dim)
+
+        monkeypatch.setattr(hull_mod, "hull_of_points", recording)
+        monkeypatch.setattr(geometry, "hull_of_points", recording)
+        assert main(["audit", str(path), "--j", str(j)]) == EXIT_OK
+        assert len(dims) <= self.COLD_HULLS[j]
+        if j in (0, 3):
+            assert dims == [3] * 7
+
     def test_audit_rejects_invalid_assembly(self, capsys, tmp_path):
         bad = {
             "dim": 2,
@@ -392,6 +426,14 @@ class TestDecompose:
         rep = json.loads(out)
         assert rep["cross_checked"]
         assert set(rep["opposite_mixed"]) == {"0", "1", "2"}
+
+    @pytest.mark.parametrize("gens", [5, "12", {"1": "1"}, None], ids=repr)
+    def test_generators_not_a_list_exit_2(self, capsys, tmp_path, triangle_file, gens):
+        bad = tmp_path / "gens.json"
+        bad.write_text(json.dumps({"dim": 2, "generators": gens}))
+        code, _, err = run(capsys, "decompose", str(bad), triangle_file)
+        assert code == EXIT_PARSE
+        assert "'generators' must be a list of points" in err
 
     def test_non_ab_input_exit_3(self, capsys, tmp_path, triangle_file):
         bad = tmp_path / "seg.json"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cornervol import ab_hull, convex_hull, equality_family, geometry, random_assembly
 from cornervol import hull as hull_mod
 from cornervol import io as cio
-from cornervol.geometry import VPolytope, hull_data
+from cornervol.geometry import VPolytope, hull_data, volume
 from cornervol.io import (
     ParseError,
     ab_from_obj,
@@ -144,8 +144,9 @@ def test_reloaded_assembly_takes_no_hull(monkeypatch):
     monkeypatch.setattr(cio, "parse_rational", counting("parse", cio.parse_rational))
     monkeypatch.setattr(VPolytope, "__post_init__",
                         counting("polytope", VPolytope.__post_init__))
-    # An empty memo, as in a process that has not seen these pieces yet.
+    # Empty memos, as in a process that has not seen these pieces yet.
     monkeypatch.setattr(geometry, "_hull_cache", {})
+    monkeypatch.setattr(cio, "_assembly_cache", {})
     first = assembly_from_obj(json.loads(text))
     # Equal pieces share one hull.
     assert calls["hull"] >= len({piece.body for _, piece in a.pieces}) > 1
@@ -155,6 +156,69 @@ def test_reloaded_assembly_takes_no_hull(monkeypatch):
     assert calls == {"hull": 0, "parse": 0, "polytope": 0}
     assert again == first == a
     assert all(p.body is q.body for (_, p), (_, q) in zip(again.pieces, first.pieces))
+
+
+def counting_loads(monkeypatch):
+    """Count the piece validations, consistency checks and derived hulls
+    that loading an assembly and reading its hull run."""
+    from cornervol import antiblocking, assembly
+
+    calls = dict.fromkeys(("validate_ab", "_check_consistency", "_derived_hull"), 0)
+    for module, name in ((antiblocking, "validate_ab"), (assembly, "_check_consistency"),
+                         (assembly, "_derived_hull")):
+        def wrapper(*args, name=name, real=getattr(module, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def box_file(corner):
+    """A dim-2 assembly of four squares [0, 2]^2, the one at ++ cut down to
+    the vertex ``corner`` in place of (2, 2)."""
+    square = [["0", "0"], ["0", "2"], ["2", "0"], ["2", "2"]]
+    pieces = {s: {"dim": 2, "vertices": square} for s in ("++", "+-", "-+", "--")}
+    pieces["++"] = {"dim": 2, "vertices": square[:3] + [corner]}
+    return json.dumps({"dim": 2, "pieces": pieces})
+
+
+def test_reloaded_assembly_is_the_memoized_one(monkeypatch):
+    # A second load of the same text returns the assembly built the first
+    # time, with its hull: no validation, no consistency check, no derived hull.
+    monkeypatch.setattr(geometry, "_hull_cache", {})
+    monkeypatch.setattr(cio, "_assembly_cache", {})
+    text = dumps(assembly_to_obj(random_assembly("io-memo", 3, "glued")))
+    calls = counting_loads(monkeypatch)
+    first = assembly_from_obj(json.loads(text))
+    assert first.hull is not None
+    assert calls == {"validate_ab": 8, "_check_consistency": 1, "_derived_hull": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    again = assembly_from_obj(json.loads(text))
+    assert again is first and again.hull is first.hull
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_assembly_memo_misses_on_one_vertex(monkeypatch):
+    monkeypatch.setattr(cio, "_assembly_cache", {})
+    square = assembly_from_obj(json.loads(box_file(["2", "2"])))
+    cut = assembly_from_obj(json.loads(box_file(["2", "1"])))
+    assert cut is not square and cut != square
+    assert volume(cut.hull) == volume(square.hull) - 1
+    assert assembly_from_obj(json.loads(box_file(["2", "2"]))) is square
+    assert assembly_from_obj(json.loads(box_file(["2", "1"]))) is cut
+
+
+@pytest.mark.usefixtures("strict_hull")
+def test_strict_checks_bypass_the_assembly_memo(monkeypatch):
+    monkeypatch.setattr(cio, "_assembly_cache", {})
+    text = box_file(["2", "1"])
+    first = assembly_from_obj(json.loads(text))
+    calls = counting_loads(monkeypatch)
+    again = assembly_from_obj(json.loads(text))
+    assert again == first and again is not first
+    assert again.hull == first.hull
+    assert calls == {"validate_ab": 4, "_check_consistency": 1, "_derived_hull": 1}
+    assert cio._assembly_cache == {}
 
 
 # Every shape of vertex list the loader meets.  "canonical" is the hull's own

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from cornervol import cli, geometry
+from cornervol import assembly, cli, geometry
+from cornervol import io as cio
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
 POOL = POOLS / "sweep-d4.json"
@@ -48,12 +49,9 @@ def test_audit_reports_match_pool_digests(seed, tmp_path, capsys):
         assert sha256(capsys.readouterr().out) == digests[f"seed={seed} j={j}"]
 
 
-@pytest.mark.usefixtures("strict_hull")
-def test_reloaded_audit_file_matches_pool_digests(tmp_path, capsys, monkeypatch):
-    # The hull memo is emptied after gen, so the first audit hulls the pieces;
-    # every later one, the whole second pass included, reloads lists the
-    # process has already hulled and takes them from the memo (compared with
-    # the engine under strict checks).
+def reload_audits(tmp_path, capsys, monkeypatch):
+    """Audit the glued dim-3 file of seed 2028 at every j, twice over, from
+    empty hull and assembly memos, against the pool digests."""
     digests = json.loads((POOLS / "audit-d3.json").read_text(encoding="utf-8"))["digests"]
     assert cli.main(["gen", "--style", "glued", "--dim", "3", "--seed", "2028"]) == 0
     text = capsys.readouterr().out
@@ -61,10 +59,33 @@ def test_reloaded_audit_file_matches_pool_digests(tmp_path, capsys, monkeypatch)
     path = tmp_path / "assembly-2028.json"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(geometry, "_hull_cache", {})
+    monkeypatch.setattr(cio, "_assembly_cache", {})
     for _ in range(2):
         for j in range(4):
             assert cli.main(["audit", str(path), "--j", str(j)]) == 0
             assert sha256(capsys.readouterr().out) == digests[f"seed=2028 j={j}"]
+
+
+@pytest.mark.usefixtures("strict_hull")
+def test_reloaded_audit_file_matches_pool_digests(tmp_path, capsys, monkeypatch):
+    # The hull memo is emptied after gen, so the first audit hulls the pieces;
+    # every later one, the whole second pass included, reloads lists the
+    # process has already hulled and takes them from the memo (compared with
+    # the engine under strict checks).  Strict checks bypass the assembly
+    # memo, so every audit builds and validates its assembly anew.
+    reload_audits(tmp_path, capsys, monkeypatch)
+    assert cio._assembly_cache == {}
+
+
+def test_reloaded_audit_file_matches_pool_digests_from_the_assembly_memo(
+        tmp_path, capsys, monkeypatch):
+    # The first audit builds the assembly and derives its hull; the other
+    # seven take that assembly, hull included, from the memo.
+    derived = []
+    real = assembly._derived_hull
+    monkeypatch.setattr(assembly, "_derived_hull", lambda a: derived.append(a) or real(a))
+    reload_audits(tmp_path, capsys, monkeypatch)
+    assert len(cio._assembly_cache) == 1 and len(derived) == 1
 
 
 # Glued reports validate every piece they build or load.  These digests were
