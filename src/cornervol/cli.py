@@ -52,7 +52,7 @@ EXIT_INAPPLICABLE = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
-_SWEEP_DIM_CAP = 5
+_SWEEP_DIM_CAP = 6
 _SINGLE_DIM_CAP = 6
 
 

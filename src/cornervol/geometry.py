@@ -283,7 +283,31 @@ def reflect(p: VPolytope, signs) -> VPolytope:
 
 @cache
 def negate(p: VPolytope) -> VPolytope:
-    return reflect(p, (-1,) * p.dim)
+    """-P, with its hull data derived from P's when the memo holds those.
+
+    Negation maps the hull of P onto the hull of -P: the vertices are
+    negated and re-sorted, each facet a.x <= b becomes (-a).x <= b in the same
+    pivot coordinates (a row echelon form of the direction space has the
+    same pivots after a sign change), and the volume and rank stay.  Under
+    ``hull.strict_checks`` the derived data are compared with the engine's.
+    """
+    neg = reflect(p, (-1,) * p.dim)
+    hit = _hull_cache.get(p._key)
+    if hit is not None and neg._key not in _hull_cache:
+        data = hit[1]
+        # The engine's vertices are a subset of P's: equal counts mean equal lists.
+        verts = neg.vertices if len(data.vertices) == len(p.vertices) else tuple(
+            sorted(tuple(-x for x in v) for v in data.vertices))
+        derived = HullData(
+            data.dim, data.rank, verts, data.volume, data.pivots,
+            tuple(sorted((tuple(-c for c in a), b) for a, b in data.facets)))
+        if _hull.strict_checks:
+            engine = hull_of_points(neg.vertices, neg.dim)
+            if derived != engine:
+                raise AssertionError(f"hull data derived for -P {derived} differ "
+                                     f"from the engine's {engine}")
+        _hull_cache[neg._key] = (neg, derived)
+    return neg
 
 
 def project(p: VPolytope, sub: CoordSubspace) -> VPolytope:

@@ -42,12 +42,23 @@ boundary point lie in exactly the facets through it.  Under ``strict_checks``
 these vertices are compared with a scan of every input point against every
 facet, which also asserts that no input point lies outside its hull.
 
-numpy int64 is used purely as an accelerator for the visibility scans.
-Piece planes go into an append-only int64 buffer, grown by doubling, with a
-mask of the live rows; it is dropped for the rest of a construction once a
-magnitude bound shows that int64 could overflow, and the scans go on in
-Python integers, so results never depend on floating point or machine word
-size.
+numpy int64 is an accelerator only: every value it computes is the exact
+integer the Python loop computes, or is not computed in int64 at all.  Piece
+planes go into an append-only int64 buffer, grown by doubling, with a mask
+of the live rows, and the visibility scans are one product over it; it is
+dropped for the rest of a construction once a magnitude bound shows that
+int64 could overflow, and the scans go on in Python integers.  From
+``_Placing.BATCH_PIECES`` live pieces on, the pieces' vertices, neighbours
+and contents move into int64 arrays beside that buffer, and each insertion
+runs as a fixed number of array operations: the scan, whose values give the
+s_v and s_i of every horizon ridge; the horizon as the hidden neighbours of
+the visible pieces; the rotated planes, their gcds and checks, apex gaps and
+contents; the cells and back-pointers; and the faces that join the new
+pieces, paired by one dict over their bytes.  A second bound, checked before
+every insertion, covers each intermediate of the batch; when it fails the
+pieces go back to the Python form for the rest of the construction.  Either
+way the pieces, their ids and the cells are those of the Python loop, and
+results never depend on floating point or machine word size.
 
 Degenerate inputs (affine rank r below the ambient dimension) keep only the
 r pivot coordinates of that elimination, which map their affine hull
@@ -59,11 +70,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 import numpy as np
 
-from .linalg import det_int, hyperplane_normal, rank_int_rows, vec_gcd
+from .linalg import det_int, hyperplane_normal, rank_int_rows
 
 Vec = tuple[Fraction, ...]
 Cell = tuple[tuple[int, ...], int]
@@ -105,27 +117,52 @@ def as_vec(point) -> Vec:
 
 
 class _Placing:
-    """Beneath-beyond structure over full-rank integer points."""
+    """Beneath-beyond structure over full-rank integer points.
+
+    The live boundary pieces are held in one of two forms, never both.  A
+    small placing keeps ``pieces``, pid -> (verts, normal, offset, content,
+    nbrs), and inserts by a Python loop.  From ``BATCH_PIECES`` live pieces
+    on, while the int64 guards hold, the pieces are rows of append-only int64
+    arrays beside the scan buffer, and each insertion is a fixed number of
+    array operations (``_insert_batched``); a guard that fails hands the
+    pieces back to the Python form for the rest of the construction.  A
+    piece's vertices are its ridge, ascending, then its apex (the initial
+    simplex's pieces are ascending), so a piece's vertices less one are
+    ascending but for at most their last entry.
+    """
 
     INITIAL_ROWS = 64  # scan buffer capacity before its first doubling
+    BATCH_PIECES = 128  # live pieces from which an insertion runs batched
 
     def __init__(self, n: int, points: list[tuple[int, ...]], simplex_ids: list[int]):
         self.n = n
         self.points = points
         self.osum = tuple(sum(points[i][j] for i in simplex_ids) for j in range(n))
-        self.pieces: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        # The Python form; nbrs[k] is the piece across the ridge that omits
+        # verts[k], content the lattice content g.  None while batched.
+        self.pieces: dict[int, tuple] | None = {}
+        # Live piece ids in either form.  Its iteration order is the order in
+        # which the Python scan visits pieces, so the batched form keeps it too.
         self.alive: set[int] = set()
-        # nbrs[pid][k]: the piece across the ridge of pid that omits verts[k].
-        self.nbrs: list[list[int]] = []
-        self.content: list[int] = []  # lattice content g, by piece id
         self._next_id = 0
         self._max_coord = max((abs(c) for p in points for c in p), default=1)
         self._max_normal = 1
         # Scan buffer: row pid holds (a..., b) of piece pid, live[pid] whether
         # it is alive.  Append-only, grown by doubling; dropped for good once
         # the int64 guard fails, since the guard's bound only grows.
-        self._buf: np.ndarray | None = np.empty((self.INITIAL_ROWS, n + 1), dtype=np.int64)
-        self._live = np.zeros(self.INITIAL_ROWS, dtype=bool)
+        self._buf: np.ndarray | None = None
+        self._live: np.ndarray | None = None
+        if self._numpy_ok():
+            self._buf = np.empty((self.INITIAL_ROWS, n + 1), dtype=np.int64)
+            self._live = np.zeros(self.INITIAL_ROWS, dtype=bool)
+        # The batched form: vertices, neighbours and contents by piece id.
+        self._verts: np.ndarray | None = None
+        self._nbrs: np.ndarray | None = None
+        self._contents: np.ndarray | None = None
+        # The batched form keys faces of n-2 vertices by their bytes, so it
+        # starts from n = 3; false for good once the pieces are handed back.
+        self._batchable = n >= 3
+        self.batched_inserts = 0
         simplex = tuple(simplex_ids)
         det = self._simplex_det(simplex)
         self.cells: list[Cell] = [(simplex, det)]
@@ -144,7 +181,7 @@ class _Placing:
 
     def _content(self, det: int, normal: tuple[int, ...], offset: int, q: int) -> int:
         """Lattice content of a piece, from a cell of |det| with apex q off it."""
-        gap = offset - sum(a * x for a, x in zip(normal, self.points[q]))
+        gap = offset - sum(map(mul, normal, self.points[q]))
         content, rem = divmod(det, gap)
         if strict_checks and rem:
             raise AssertionError(f"cell |det| {det} is not a multiple of the apex gap {gap}")
@@ -161,8 +198,8 @@ class _Placing:
         normal = hyperplane_normal(diffs)
         if normal is None:
             raise RuntimeError("degenerate boundary piece")
-        offset = sum(a * x for a, x in zip(normal, base))
-        side = sum(a * x for a, x in zip(normal, self.osum)) - (self.n + 1) * offset
+        offset = sum(map(mul, normal, base))
+        side = sum(map(mul, normal, self.osum)) - (self.n + 1) * offset
         if side == 0:
             raise RuntimeError("reference point on a boundary hyperplane")
         if side > 0:
@@ -170,8 +207,8 @@ class _Placing:
             offset = -offset
         return normal, offset
 
-    def _rotated_plane(self, visible: int, invisible: int, p: tuple[int, ...],
-                       s_v: int) -> tuple[tuple[int, ...], int]:
+    def _rotated_plane(self, a_v: tuple[int, ...], b_v: int, a_i: tuple[int, ...], b_i: int,
+                       p: tuple[int, ...], s_v: int) -> tuple[tuple[int, ...], int]:
         """Outward plane through the ridge of two adjacent pieces and p.
 
         With s_v = a_v.p - b_v > 0 (p beyond the visible piece) and
@@ -180,18 +217,16 @@ class _Placing:
         keeps the interior on its negative side; divided by the gcd of its
         normal it is the primitive plane ``_oriented_plane`` would compute.
         """
-        _, a_v, b_v = self.pieces[visible]
-        _, a_i, b_i = self.pieces[invisible]
-        s_i = b_i - sum(a * x for a, x in zip(a_i, p))
+        s_i = b_i - sum(map(mul, a_i, p))
         normal = [s_i * x + s_v * y for x, y in zip(a_v, a_i)]
-        g = vec_gcd(normal)
+        g = gcd(*normal)
         if g == 0:
             raise RuntimeError("degenerate boundary piece")
         normal = tuple(c // g for c in normal)
         offset = (s_i * b_v + s_v * b_i) // g
-        if sum(a * x for a, x in zip(normal, p)) != offset:
+        if sum(map(mul, normal, p)) != offset:
             raise RuntimeError("degenerate boundary piece")
-        side = sum(a * x for a, x in zip(normal, self.osum)) - (self.n + 1) * offset
+        side = sum(map(mul, normal, self.osum)) - (self.n + 1) * offset
         if side >= 0:
             raise RuntimeError("reference point on a boundary hyperplane")
         return normal, offset
@@ -200,28 +235,67 @@ class _Placing:
                    content: int, nbrs: list[int]) -> int:
         pid = self._next_id
         self._next_id += 1
-        self.pieces[pid] = (verts, normal, offset)
-        self.content.append(content)
-        self.nbrs.append(nbrs)
+        self.pieces[pid] = (verts, normal, offset, content, nbrs)
         self.alive.add(pid)
         mag = max(map(abs, normal))
         if mag > self._max_normal:
             self._max_normal = mag
-        if self._buf is not None:
-            if not self._numpy_ok():
+            if self._buf is not None and not self._numpy_ok():
                 self._buf = self._live = None
-            else:
-                if pid == len(self._buf):
-                    self._buf = np.concatenate((self._buf, np.empty_like(self._buf)))
-                    self._live = np.concatenate((self._live, np.zeros_like(self._live)))
-                self._buf[pid] = normal + (offset,)
-                self._live[pid] = True
+        if self._buf is not None:
+            if pid == len(self._buf):
+                self._grow(pid + 1)
+            self._buf[pid] = normal + (offset,)
+            self._live[pid] = True
         return pid
 
     def _kill_piece(self, pid: int) -> None:
         self.alive.discard(pid)
+        del self.pieces[pid]
         if self._buf is not None:
             self._live[pid] = False
+
+    def _grow(self, rows: int) -> None:
+        """Double the row capacity of the arrays in use until it holds ``rows``.
+
+        One array at a time, and only the rows in use are copied into the
+        new, uninitialised one, so a doubling pages in no more than it keeps.
+        """
+        cap = len(self._buf)
+        if rows <= cap:
+            return
+        new_cap = cap
+        while new_cap < rows:
+            new_cap *= 2
+        used = min(cap, self._next_id)
+        for name in ("_buf", "_live", "_verts", "_nbrs", "_contents"):
+            old = getattr(self, name)
+            if old is not None:
+                new = np.empty((new_cap,) + old.shape[1:], dtype=old.dtype)
+                new[:used] = old[:used]
+                setattr(self, name, new)
+
+    def live_pieces(self) -> dict[int, tuple]:
+        """pid -> (verts, normal, offset, content, nbrs) of the live pieces, by pid."""
+        ids = sorted(self.alive)
+        if self.pieces is not None:
+            return {pid: self.pieces[pid] for pid in ids}
+        planes = self._buf[ids].tolist()
+        return {
+            pid: (tuple(verts), tuple(plane[:-1]), plane[-1], content, nbrs)
+            for pid, verts, plane, content, nbrs in zip(
+                ids, self._verts[ids].tolist(), planes, self._contents[ids].tolist(),
+                self._nbrs[ids].tolist())
+        }
+
+    def _live_rows(self):
+        """(verts, normal, offset, ...) of each live piece, in no fixed order."""
+        if self.pieces is not None:
+            return self.pieces.values()
+        ids = np.flatnonzero(self._live[:self._next_id])
+        planes = self._buf[ids]
+        return zip(map(tuple, self._verts[ids].tolist()), map(tuple, planes[:, :-1].tolist()),
+                   planes[:, -1].tolist())
 
     # -- scans -------------------------------------------------------------
 
@@ -235,33 +309,42 @@ class _Placing:
             return np.nonzero((vals > 0) & self._live[:m])[0].tolist()
         out = []
         for pid in self.alive:
-            _, a, b = self.pieces[pid]
-            if sum(x * y for x, y in zip(a, p)) > b:
+            _, a, b, _, _ = self.pieces[pid]
+            if sum(map(mul, a, p)) > b:
                 out.append(pid)
         return out
 
     # -- insertion ---------------------------------------------------------
 
     def insert(self, pid_new: int) -> bool:
+        if (self.pieces is not None and self._batchable and self._buf is not None
+                and len(self.alive) >= self.BATCH_PIECES):
+            self._to_arrays()
+        if self.pieces is None:
+            placed = self._insert_batched(pid_new)
+            if placed is not None:
+                return placed
         p = self.points[pid_new]
         visible = self.visible_from(p)
         if not visible:
             return False
+        pieces = self.pieces
         visible_set = set(visible)
         # One entry per horizon ridge: (ridge, visible piece, hidden piece, plane, content).
         horizon: list[tuple[tuple[int, ...], int, int, tuple[int, ...], int, int]] = []
         for pid in visible:
-            verts, a, b = self.pieces[pid]
+            verts, a, b, content, nbrs = pieces[pid]
             cell = verts + (pid_new,)
-            s_v = sum(x * y for x, y in zip(a, p)) - b
-            det = self.content[pid] * s_v
+            s_v = sum(map(mul, a, p)) - b
+            det = content * s_v
             if strict_checks and det != self._simplex_det(cell):
                 raise AssertionError(f"cell {cell} has |det| {det} by content")
             self.cells.append((cell, det))
-            for k, other in enumerate(self.nbrs[pid]):
+            for k, other in enumerate(nbrs):
                 if other in visible_set:
                     continue
-                normal, offset = self._rotated_plane(pid, other, p, s_v)
+                hidden = pieces[other]
+                normal, offset = self._rotated_plane(a, b, hidden[1], hidden[2], p, s_v)
                 ridge = tuple(sorted(verts[:k] + verts[k + 1:]))
                 horizon.append((ridge, pid, other, normal, offset,
                                 self._content(det, normal, offset, verts[k])))
@@ -277,7 +360,7 @@ class _Placing:
             new = self._next_id
             nbrs = [-1] * self.n
             nbrs[-1] = other
-            back = self.nbrs[other]
+            back = pieces[other][4]
             back[back.index(pid)] = new
             for k in range(self.n - 1):
                 face = ridge[:k] + ridge[k + 1:]
@@ -286,21 +369,165 @@ class _Placing:
                     faces[face] = (new, k)
                 else:
                     nbrs[k] = mate[0]
-                    self.nbrs[mate[0]][mate[1]] = new
+                    pieces[mate[0]][4][mate[1]] = new
             self._add_piece(verts, normal, offset, content, nbrs)
         if strict_checks:
             self._check_closed()
         return True
 
+    # -- the batched form --------------------------------------------------
+
+    def _to_arrays(self) -> None:
+        """Move the live pieces into int64 rows, when their contents fit."""
+        pieces = self.pieces
+        if max(piece[3] for piece in pieces.values()) >= _INT64_BOUND:
+            self._batchable = False
+            return
+        n, cap = self.n, len(self._buf)
+        ids = list(pieces)
+        self._verts = np.empty((cap, n), dtype=np.int64)
+        self._nbrs = np.empty((cap, n), dtype=np.int64)
+        self._contents = np.empty(cap, dtype=np.int64)
+        self._verts[ids] = [pieces[pid][0] for pid in ids]
+        self._nbrs[ids] = [pieces[pid][4] for pid in ids]
+        self._contents[ids] = [pieces[pid][3] for pid in ids]
+        self.pieces = None
+        # Points and the reference sum in homogeneous form (x, -1) and
+        # (osum, -(n+1)), so a plane row (a, b) gives a.x - b in one product.
+        self._hpoints = np.empty((len(self.points), n + 1), dtype=np.int64)
+        self._hpoints[:, :n] = self.points
+        self._hpoints[:, n] = -1
+        self._hosum = np.array(self.osum + (-(n + 1),), dtype=np.int64)
+        # Column picks: a piece's ridge omitting slot k, a ridge's face omitting slot k.
+        self._ridge_cols = np.array([[j for j in range(n) if j != k] for k in range(n)])
+        self._face_cols = np.array([[j for j in range(n - 1) if j != k]
+                                    for k in range(n - 1)]).reshape(n - 1, n - 2)
+
+    def _to_python(self) -> None:
+        """Hand the live pieces back to the Python form for the rest of the placing."""
+        self.pieces = self.live_pieces()
+        self._verts = self._nbrs = self._contents = None
+        self._batchable = False
+
+    def _insert_batched(self, pid_new: int) -> bool | None:
+        """``insert`` as int64 array operations, with the same pieces, ids and cells.
+
+        Every intermediate is bounded before it is formed.  Each plane row
+        (a, b) has |a| <= N (``_max_normal``) and |b| <= n N C, with C
+        ``_max_coord``, so with S the largest s_v and s_i the rotated rows,
+        their dot products with p, with the reference sum and with the apex,
+        and the apex gaps stay below 4 n (n+1) S N C; the new normals then pass
+        the scan guard.  Cells need content times s_v.  When a bound fails the
+        pieces go back to the Python form and None is returned.
+        """
+        n, m = self.n, self._next_id
+        buf, hpoints = self._buf, self._hpoints
+        vals = buf[:m] @ hpoints[pid_new]  # a.p - b of every piece
+        visible = vals > 0
+        visible &= self._live[:m]
+        vis = np.flatnonzero(visible)
+        if not len(vis):
+            return False
+        s_v = vals[vis]
+        contents = self._contents[vis]
+        verts = self._verts[vis]
+        # The horizon ridges in the Python loop's order: by visible piece, then slot.
+        rows, slots = np.nonzero(~visible[self._nbrs[vis]])
+        vpid = vis[rows]
+        other = self._nbrs[vpid, slots]
+        vals_i = vals[other]  # -s_i
+        sv_max = int(s_v.max())
+        big = max(sv_max, -int(vals_i.min()))
+        if (int(contents.max()) * sv_max >= _INT64_BOUND
+                or 4 * n * (n + 1) * big * self._max_normal * self._max_coord >= _INT64_BOUND):
+            self._to_python()
+            return None
+        dets = contents * s_v
+        cells = np.empty((len(vis), n + 1), dtype=np.int64)
+        cells[:, :n] = verts
+        cells[:, n] = pid_new
+        # The rotated planes s_i (a_v, b_v) + s_v (a_i, b_i), made primitive.
+        planes = s_v[rows][:, None] * buf[other] - vals_i[:, None] * buf[vpid]
+        g = np.gcd.reduce(planes[:, :-1], axis=1)
+        if not g.all():
+            raise RuntimeError("degenerate boundary piece")
+        planes //= g[:, None]
+        if (planes @ hpoints[pid_new]).any():
+            raise RuntimeError("degenerate boundary piece")
+        if (planes @ self._hosum >= 0).any():
+            raise RuntimeError("reference point on a boundary hyperplane")
+        # Content of a new piece: its visible piece's cell |det| over the gap
+        # b' - a'.q, q the vertex off the ridge.
+        apexes = hpoints[verts[rows, slots], :-1]
+        gaps = planes[:, -1] - (planes[:, None, :-1] @ apexes[:, :, None]).ravel()
+        cell_dets = dets[rows]
+        new_contents = cell_dets // gaps
+        # Each ridge is its piece's vertices without slot k: ascending but for
+        # the last entry, which one pass of compare-exchanges moves into place.
+        ridges = verts[rows[:, None], self._ridge_cols[slots]]
+        for j in range(n - 2, 0, -1):
+            lo = np.minimum(ridges[:, j - 1], ridges[:, j])
+            np.maximum(ridges[:, j - 1], ridges[:, j], out=ridges[:, j])
+            ridges[:, j - 1] = lo
+        h = len(rows)
+        # The new pieces meet across the (n-2)-faces of the horizon ridges,
+        # each face in exactly two ridges.  A face is keyed by its bytes; the
+        # last position of each key is the mate of the first, and the first
+        # positions are scattered into the last ones.
+        count = h * (n - 1)
+        faces = ridges[:, self._face_cols].reshape(count, n - 2)
+        keys = faces.view(np.dtype((np.void, faces.itemsize * (n - 2)))).ravel().tolist()
+        last = dict(zip(keys, range(count)))
+        mates = np.fromiter(map(last.__getitem__, keys), np.int64, count)
+        flat = np.arange(count)
+        first = mates != flat
+        mates[mates[first]] = flat[first]
+        if strict_checks:
+            for cell, det in zip(cells.tolist(), dets.tolist()):
+                if det != self._simplex_det(tuple(cell)):
+                    raise AssertionError(f"cell {tuple(cell)} has |det| {det} by content")
+            if (cell_dets % gaps).any():
+                raise AssertionError("a cell |det| is not a multiple of its apex gap")
+            if (ridges[:, 1:] <= ridges[:, :-1]).any():
+                raise AssertionError("a horizon ridge is not ascending")
+            for ridge, plane in zip(ridges.tolist(), planes.tolist()):
+                piece = tuple(ridge) + (pid_new,)
+                if (tuple(plane[:-1]), plane[-1]) != self._oriented_plane(piece):
+                    raise AssertionError(f"rotated plane of {piece} differs from its minors")
+        self._grow(m + h)
+        new = slice(m, m + h)
+        # Each hidden piece points back at its visible neighbour in one slot.
+        self._nbrs[other, np.nonzero(self._nbrs[other] == vpid[:, None])[1]] = np.arange(m, m + h)
+        self._nbrs[new, :-1] = (mates // (n - 1) + m).reshape(h, n - 1)
+        self._nbrs[new, -1] = other
+        self._verts[new, :-1] = ridges
+        self._verts[new, -1] = pid_new
+        self._contents[new] = new_contents
+        self._buf[new] = planes
+        self._live[vis] = False
+        self._live[new] = True
+        self._next_id = m + h
+        normals = planes[:, :-1]
+        self._max_normal = max(self._max_normal, int(normals.max()), -int(normals.min()))
+        self.cells.extend(zip(map(tuple, cells.tolist()), dets.tolist()))
+        self.alive.difference_update(vis.tolist())
+        self.alive.update(range(m, m + h))
+        self.batched_inserts += 1
+        if strict_checks:
+            if not self._numpy_ok():
+                raise AssertionError("batched planes outgrew the scan guard")
+            self._check_closed()
+        return True
+
     def _check_closed(self) -> None:
         """Every live piece's neighbour k is alive, contains the ridge, and points back."""
-        for pid in self.alive:
-            verts = self.pieces[pid][0]
-            for k, other in enumerate(self.nbrs[pid]):
+        pieces = self.live_pieces()
+        for pid, (verts, _, _, _, nbrs) in pieces.items():
+            for k, other in enumerate(nbrs):
                 ridge = set(verts[:k] + verts[k + 1:])
-                other_verts = self.pieces[other][0] if other in self.alive else ()
+                other_verts = pieces[other][0] if other in pieces else ()
                 off = [i for i, v in enumerate(other_verts) if v not in ridge]
-                if len(off) != 1 or self.nbrs[other][off[0]] != pid:
+                if len(off) != 1 or pieces[other][4][off[0]] != pid:
                     raise AssertionError(
                         f"piece {pid} and its neighbour {other} across {sorted(ridge)} "
                         "do not meet in that ridge")
@@ -309,7 +536,7 @@ class _Placing:
 
     def facet_planes(self) -> list[Plane]:
         """The distinct planes (a, b), a.x <= b, of the live pieces, sorted."""
-        return sorted({self.pieces[pid][1:] for pid in self.alive})
+        return sorted({piece[1:3] for piece in self._live_rows()})
 
     def extreme_ids(self) -> list[int]:
         """Ids of the extreme points, read off the final boundary.
@@ -323,9 +550,9 @@ class _Placing:
         against every facet.
         """
         normals: dict[int, set[tuple[int, ...]]] = {}
-        for pid in self.alive:
-            verts, a, _ = self.pieces[pid]
-            for v in verts:
+        for piece in self._live_rows():
+            a = piece[1]
+            for v in piece[0]:
                 normals.setdefault(v, set()).add(a)
         n = self.n
         out = sorted(v for v, rows in normals.items()
@@ -343,7 +570,7 @@ class _Placing:
         for i, p in enumerate(self.points):
             active = []
             for a, b in planes:
-                v = sum(x * y for x, y in zip(a, p)) - b
+                v = sum(map(mul, a, p)) - b
                 if v > 0:
                     raise AssertionError("input point outside its own hull")
                 if v == 0:
@@ -381,7 +608,7 @@ def _affine_basis(points: list[tuple[int, ...]], dim: int) -> tuple[list[int], l
         col = next((j for j, x in enumerate(d) if x), None)
         if col is None:
             continue
-        g = vec_gcd(d)
+        g = gcd(*d)
         rows.append((col, [x // g for x in d]))
         independent.append(i)
         if len(rows) == dim:

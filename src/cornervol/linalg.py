@@ -3,9 +3,10 @@
 Everything here is tolerance-free: integer matrices go through fraction-free
 (Bareiss) elimination, rational ones through plain Gaussian elimination on
 ``fractions.Fraction``.  The hull engine uses only the integer routines
-(``det_int``, ``hyperplane_normal``, ``rank_int_rows``, ``vec_gcd``).  The
-rational ones serve ``geometry.matrix_det`` and the probe-interpolation
-oracle, and ``rank_rows`` is the tests' oracle for ``rank_int_rows``.
+(``det_int``, ``hyperplane_normal``, ``rank_int_rows``), and divides integer
+rows by their ``math.gcd`` itself.  The rational ones serve
+``geometry.matrix_det`` and the probe-interpolation oracle, and
+``rank_rows`` is the tests' oracle for ``rank_int_rows``.
 """
 
 from __future__ import annotations
@@ -55,13 +56,6 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(det_int(scaled), denom**n)
 
 
-def vec_gcd(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
-
-
 def hyperplane_normal(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     """Primitive integer normal to the span of n-1 integer vectors in R^n.
 
@@ -76,7 +70,7 @@ def hyperplane_normal(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:
         minor = [[row[c] for c in range(n) if c != j] for row in diffs]
         d = det_int(minor)
         comps.append(-d if j % 2 else d)
-    g = vec_gcd(comps)
+    g = gcd(*comps)
     if g == 0:
         return None
     return tuple(c // g for c in comps)

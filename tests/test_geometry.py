@@ -222,6 +222,30 @@ class TestConvexHull:
                 assert convex_hull(p.vertices, n) == p
             assert calls == [n]
 
+    @given(point_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_negation_derives_its_hull_data_from_the_memo(self, case):
+        n, pts = case
+        p = convex_hull(pts, n)
+        neg = reflect(p, (-1,) * n)
+        symmetric = neg == p  # then -P's data are P's, already memoized
+        calls = []
+
+        def counting(points, dim):
+            calls.append(dim)
+            return hull_mod.hull_of_points(points, dim)
+
+        # No hull; under strict checks the derived data meet one engine hull.
+        for strict in (False, True):
+            if not symmetric:
+                geometry._hull_cache.pop(neg._key, None)
+            with patch.object(geometry, "hull_of_points", counting), \
+                    patch.object(hull_mod, "strict_checks", strict):
+                assert negate.__wrapped__(p) == neg
+            assert len(calls) == (strict and not symmetric)
+            calls.clear()
+            assert geometry.hull_data(neg) == hull_mod.hull_of_points(neg.vertices, n)
+
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
                     min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Structural checks of the incremental hull engine."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -309,13 +310,13 @@ def test_cyclic_polytope_pieces_and_neighbours(strict_hull):
     # the ridge omitting its vertex k.
     for n in (2, 3, 4, 5):
         m = n + 5
-        placing = placed(moment_curve(n, range(m)), n)
-        pieces = {frozenset(placing.pieces[pid][0]): pid for pid in placing.alive}
-        assert len(pieces) == len(placing.alive)
+        live = placed(moment_curve(n, range(m)), n).live_pieces()
+        pieces = {frozenset(piece[0]): pid for pid, piece in live.items()}
+        assert len(pieces) == len(live)
         assert set(pieces) == gale_facets(m, n)
         for facet, pid in pieces.items():
-            verts = placing.pieces[pid][0]
-            for k, other in enumerate(placing.nbrs[pid]):
+            verts, nbrs = live[pid][0], live[pid][4]
+            for k, other in enumerate(nbrs):
                 ridge = facet - {verts[k]}
                 assert [pieces[f] for f in pieces if ridge < f and f != facet] == [other]
 
@@ -335,6 +336,29 @@ def sphere_with_escapes():
     return base, [(F(k + 1), F(k + 2), F(k + 3)), (F(-k - 5), F(k + 7), F(-k - 11))]
 
 
+def batched_sphere_with_escapes():
+    """Lattice points of radius^2 50 scaled by 2^18, and two sets of escapes.
+
+    The sphere has more than ``BATCH_PIECES`` pieces and inserts batched.
+    Every escape lies just beyond a facet +-x +- y +- z = 12c.  The first two
+    sit one lattice step from the centres of two such facets; the planes
+    they make have normals of about 2^19, so the batch guard fails at the
+    next insertion and the pieces go back to the Python form, while the scan
+    guard holds.  The other four are spread over the facet x + y + z = 12c:
+    their cones are nearly flat, their normals reach about 2^41, and the scan
+    guard fails too, after the hand-back.
+    """
+    c = 2**18
+    sphere = sorted({p for p in itertools.product(range(-7, 8), repeat=3)
+                     if sum(x * x for x in p) == 50})
+    base = [tuple(F(c * x) for x in p) for p in sphere]
+    near = [(4 * c + 1, 4 * c + 2, 4 * c + 3), (-4 * c - 5, 4 * c + 7, -4 * c - 11)]
+    spread = [(4 * c + dx, 4 * c + dy, 4 * c - dx - dy + eps) for dx, dy, eps in (
+        (-15280, -88791, 25), (160020, 228843, 29), (-156062, -234575, 18),
+        (-197820, -37662, 8))]
+    return base, [tuple(map(F, p)) for p in near], [tuple(map(F, p)) for p in spread]
+
+
 def placed(pts, n):
     int_pts, _ = hull_mod._scale_to_int(pts)
     independent, _ = hull_mod._affine_basis(int_pts, n)
@@ -342,9 +366,10 @@ def placed(pts, n):
 
 
 def moment_cases():
-    """Points in convex position with more pieces than the scan buffer's first capacity."""
+    """Points in convex position with more pieces than the scan buffer's first
+    capacity; the last three reach the batched form."""
     return [(n, moment_curve(n, range(-count, count + 1)))
-            for n, count in ((2, 40), (3, 12), (4, 8), (5, 6))]
+            for n, count in ((2, 40), (3, 12), (4, 8), (5, 6), (4, 14), (5, 9), (6, 7))]
 
 
 def test_scan_buffer_grows_past_its_capacity(strict_hull):
@@ -361,11 +386,70 @@ def test_int64_guard_trips_partway(strict_hull):
     assert placed(base + escapes, 3)._buf is None
 
 
+def test_int64_guards_trip_after_batching_began(strict_hull):
+    base, near, spread = batched_sphere_with_escapes()
+    placing = placed(base, 3)
+    assert placing.batched_inserts and placing._batchable
+    # The batch guard fails: the pieces are handed back, the scan buffer stays.
+    placing = placed(base + near, 3)
+    assert placing.batched_inserts and not placing._batchable
+    assert placing.pieces is not None and placing._buf is not None
+    # Then the scan guard fails too.
+    placing = placed(base + spread, 3)
+    assert placing.batched_inserts and not placing._batchable and placing._buf is None
+
+
 def test_scans_agree_with_pure_int_fallback(strict_hull, monkeypatch):
     base, escapes = sphere_with_escapes()
-    cases = moment_cases() + [(3, base + escapes)]
+    batched_base, near, spread = batched_sphere_with_escapes()
+    cases = moment_cases() + [(3, base + escapes), (3, batched_base + near),
+                              (3, batched_base + spread)]
     scanned = [(hull_of_points(pts, n), hull_mod.triangulate(pts, n)) for n, pts in cases]
     monkeypatch.setattr(hull_mod, "_INT64_BOUND", 0)
     for (n, pts), expected in zip(cases, scanned):
-        assert placed(pts, n)._buf is None
+        placing = placed(pts, n)
+        assert placing._buf is None and not placing.batched_inserts
         assert (hull_of_points(pts, n), hull_mod.triangulate(pts, n)) == expected
+
+
+def cayley_set(k, t):
+    return [v + (F(0),) for v in k.vertices] + [w + (F(1),) for w in t.vertices]
+
+
+def engine_digest(pts, n):
+    """Digest of a placing's cells (what ``triangulate`` returns) and live
+    pieces, and of ``hull_of_points``."""
+    placing = placed(pts, n)
+    state = [(pid,) + piece[:4] + (tuple(piece[4]),)
+             for pid, piece in placing.live_pieces().items()]
+    h = hashlib.sha256()
+    h.update(repr((placing.cells, state, placing._next_id)).encode())
+    h.update(repr(hull_of_points(pts, n)).encode())
+    return h.hexdigest()[:16], placing.batched_inserts
+
+
+# Recorded from the engine before the batched form existed: the batched
+# insertion must leave piece ids, planes, contents, neighbours and cells as
+# the Python loop makes them.
+BATCHED_DIGESTS = {
+    "glued-3": "b47bba85673d0fc2",
+    "glued-4": "af1cbd1bd932fa0a",
+    "moment-4": "91e63d202afedd58",
+    "moment-5": "bca0c371fad77c8f",
+    "moment-6": "81f25dd8fcec8f6e",
+}
+
+
+def test_batched_insertion_matches_the_python_loop(strict_hull):
+    from cornervol import negate, random_assembly
+
+    cases = {}
+    for n in (3, 4):  # the Cayley set of K and -K, as the direct route takes it
+        body = random_assembly(f"batched-{n}", n, "glued").hull
+        cases[f"glued-{n}"] = (n + 1, cayley_set(body, negate(body)))
+    for n, pts in moment_cases()[-3:]:
+        cases[f"moment-{n}"] = (n, pts)
+    for name, (n, pts) in cases.items():
+        digest, batched = engine_digest(pts, n)
+        assert batched, name
+        assert digest == BATCHED_DIGESTS[name], name
