@@ -8,14 +8,10 @@ equality cases.  All arithmetic is exact rational.
 
 from .antiblocking import (
     AntiBlockingBody,
-    ReverseKleitmanReport,
-    RSProjectionReport,
     ab_hull,
     ab_join_volume,
     ab_opposite_mixed,
     random_ab_body,
-    reverse_kleitman_check,
-    rs_projection_check,
     validate_ab,
 )
 from .assembly import (
@@ -37,7 +33,6 @@ from .assembly import (
     random_assembly,
 )
 from .geometry import (
-    CoordSubspace,
     VPolytope,
     convex_hull,
     join_hull,
@@ -49,7 +44,6 @@ from .geometry import (
     origin,
     project,
     reflect,
-    relative_volume,
     scale,
     shadow,
     standard_simplex,

@@ -14,21 +14,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import factorial
 
 from .geometry import (
-    CoordSubspace,
     VPolytope,
     Vec,
     as_vec,
     convex_hull,
     hull_data,
-    join_hull,
-    negate,
     shadow,
     volume,
 )
-from .mixed import mixed_volume_pair
 
 # Largest coordinate of the seeded random generators.
 COORD_MAX = 4
@@ -190,51 +186,6 @@ def ab_join_volume(k: AntiBlockingBody, kp: AntiBlockingBody) -> Fraction:
         raise ValueError("dimension mismatch")
     n = k.dim
     return sum((ab_opposite_mixed(k, kp, n - j) for j in range(n + 1)), Fraction(0))
-
-
-def join_with_negation(k: AntiBlockingBody, kp: AntiBlockingBody) -> VPolytope:
-    """conv(K u -K'), the direct geometric object behind ab_join_volume."""
-    return join_hull(k.body, negate(kp.body))
-
-
-@dataclass(frozen=True)
-class ReverseKleitmanReport:
-    j: int
-    lhs: Fraction  # V_n(K[j], T[n-j]), both bodies in the positive orthant
-    rhs: Fraction  # V_n(K[j], -T[n-j])
-    holds: bool
-    is_equality: bool
-
-
-def reverse_kleitman_check(k: AntiBlockingBody, t: AntiBlockingBody, j: int) -> ReverseKleitmanReport:
-    """Check V_n(K[j], T[n-j]) <= V_n(K[j], -T[n-j]) on a concrete pair.
-
-    Both sides go through the Cayley mixed-volume engine; nothing is assumed.
-    Equality occurrences are recorded but not classified.
-    """
-    lhs = mixed_volume_pair(k.body, t.body, j)
-    rhs = mixed_volume_pair(k.body, negate(t.body), j)
-    return ReverseKleitmanReport(j, lhs, rhs, lhs <= rhs, lhs == rhs)
-
-
-@dataclass(frozen=True)
-class RSProjectionReport:
-    indices: tuple[int, ...]
-    product: Fraction  # Vol_j(P_E K) * Vol_{n-j}(P_{E-perp} K)
-    bound: Fraction    # C(n, j) * Vol(K)
-    holds: bool
-    is_equality: bool
-
-
-def rs_projection_check(k: AntiBlockingBody, sub: CoordSubspace) -> RSProjectionReport:
-    """Rogers-Shephard for a projection/section pair of one body."""
-    if sub.ambient_dim != k.dim:
-        raise ValueError("subspace ambient dimension mismatch")
-    idx = sub.indices
-    rest = sub.complement().indices
-    product = projected_volume(k, idx) * projected_volume(k, rest)
-    bound = comb(k.dim, len(idx)) * volume(k.body)
-    return RSProjectionReport(idx, product, bound, product <= bound, product == bound)
 
 
 def random_ab_body(rng: random.Random, n: int, generators: int | None = None,

@@ -32,6 +32,7 @@ from .geometry import (
     convex_hull,
     hull_data,
     negate,
+    origin,
     shadow,
     volume,
 )
@@ -84,7 +85,7 @@ class OrthantAssembly:
             table[sv] = piece
         missing = [sv for sv in all_signs(self.dim) if sv not in table]
         if missing:
-            filler = AntiBlockingBody(VPolytope(self.dim, ((Fraction(0),) * self.dim,)))
+            filler = AntiBlockingBody(origin(self.dim))
             table.update((sv, filler) for sv in missing)
         object.__setattr__(self, "pieces", tuple(sorted(table.items())))
         _check_consistency(self.dim, table)
@@ -469,10 +470,6 @@ class ProofChainAudit:
     steps: tuple[AuditStep, ...]
     bound: Fraction
     ratio: Fraction
-
-    @property
-    def exact_steps_hold(self) -> bool:
-        return all(s.holds for s in self.steps if s.relation == "==")
 
     @property
     def all_hold(self) -> bool:

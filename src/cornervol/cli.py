@@ -52,8 +52,7 @@ EXIT_INAPPLICABLE = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
-_SWEEP_DIM_CAP = 6
-_SINGLE_DIM_CAP = 6
+_DIM_CAP = 6
 
 
 class CliError(Exception):
@@ -62,18 +61,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _dim_cap(kind: str) -> int:
-    return max_dim(_SWEEP_DIM_CAP if kind == "sweep" else _SINGLE_DIM_CAP)
-
-
-def _check_dim(n: int, kind: str) -> None:
-    cap = _dim_cap(kind)
+def _check_dim(n: int) -> None:
+    cap = max_dim(_DIM_CAP)
     if n > cap:
         raise CliError(
             EXIT_PARSE,
-            f"dimension {n} above the {kind} cap {cap} "
+            f"dimension {n} above the CLI cap {cap} "
             "(set CORNER_MIXVOL_MAX_DIM to override, at your own risk)",
         )
+
+
+def _load_capped(path: str):
+    """The JSON in the file, once its declared dimension passed the cap.
+
+    The cap comes before any polytope is built, so an over-cap file takes no
+    hull.  A value that is not a dimension is a parse error, as when loaded.
+    """
+    obj = cio.load_json_file(path)
+    if isinstance(obj, dict) and "dim" in obj:
+        _check_dim(cio._dim_in(obj["dim"]))
+    return obj
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:
@@ -172,11 +179,10 @@ def _detect_aligned(p: VPolytope) -> AlignedSimplex | None:
 
 
 def cmd_mixvol(args) -> int:
-    k = cio.polytope_from_obj(cio.load_json_file(args.k_file))
-    t = cio.polytope_from_obj(cio.load_json_file(args.t_file))
+    k = cio.polytope_from_obj(_load_capped(args.k_file))
+    t = cio.polytope_from_obj(_load_capped(args.t_file))
     if k.dim != t.dim:
         raise CliError(EXIT_PARSE, "input polytopes have different dimensions")
-    _check_dim(k.dim, "single")
     j = args.j
     if not 0 <= j <= k.dim:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{k.dim}")
@@ -296,7 +302,7 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
 
 
 def cmd_godbersen(args) -> int:
-    _check_dim(args.dim, "sweep")
+    _check_dim(args.dim)
     report = SweepReport("godbersen", {
         "seed": args.seed, "dim": args.dim, "trials": args.trials,
         "style": args.style, "family": args.family,
@@ -314,10 +320,9 @@ def cmd_godbersen(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        assembly = cio.assembly_from_obj(cio.load_json_file(args.assembly_file))
+        assembly = cio.assembly_from_obj(_load_capped(args.assembly_file))
     except AssemblyError as exc:
         raise CliError(EXIT_PARSE, f"invalid assembly: {exc}") from exc
-    _check_dim(assembly.dim, "single")
     if not 0 <= args.j <= assembly.dim:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{assembly.dim}")
     audit = proof_chain_audit(assembly, args.j)
@@ -343,14 +348,14 @@ def cmd_audit(args) -> int:
 def cmd_gen(args) -> int:
     if args.family:
         if args.family in ("cube", "cross"):
-            _check_dim(args.dim, "single")
+            _check_dim(args.dim)
             piece = unit_cube(args.dim) if args.family == "cube" else standard_simplex(args.dim)
             assembly = from_unconditional(AntiBlockingBody(piece))
         else:
             if not args.alphas:
                 raise CliError(EXIT_PARSE, "--family equality-* needs --alphas")
             alphas = _parse_rationals(args.alphas)
-            _check_dim(len(alphas), "single")
+            _check_dim(len(alphas))
             if args.family == "equality-1":
                 assembly = equality_family(1, alphas)
             else:
@@ -358,7 +363,7 @@ def cmd_gen(args) -> int:
                     raise CliError(EXIT_PARSE, "--family equality-2 needs --beta")
                 assembly = equality_family(2, alphas, cio.parse_rational(args.beta))
     else:
-        _check_dim(args.dim, "sweep")
+        _check_dim(args.dim)
         assembly = random_assembly(trial_rng(args.seed, 0), args.dim, args.style)
     _emit(cio.dumps(cio.assembly_to_obj(assembly)), args.out)
     return EXIT_OK
@@ -379,7 +384,7 @@ def cmd_simplex(args) -> int:
     if any(a < 0 for a in alphas):
         raise CliError(EXIT_PARSE, "alphas must be nonnegative")
     n = len(alphas)
-    _check_dim(n, "single")
+    _check_dim(n)
     if not 0 <= args.j <= n:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{n}")
     s = AlignedSimplex.of(alphas)
@@ -409,15 +414,14 @@ def cmd_simplex(args) -> int:
 
 def cmd_decompose(args) -> int:
     try:
-        kb = cio.ab_from_obj(cio.load_json_file(args.k_file))
-        tb = cio.ab_from_obj(cio.load_json_file(args.kprime_file))
+        kb = cio.ab_from_obj(_load_capped(args.k_file))
+        tb = cio.ab_from_obj(_load_capped(args.kprime_file))
     except cio.ParseError:
         raise
     except ValueError as exc:
         raise CliError(EXIT_INAPPLICABLE, f"inputs must be anti-blocking: {exc}") from exc
     if kb.dim != tb.dim:
         raise CliError(EXIT_PARSE, "bodies have different dimensions")
-    _check_dim(kb.dim, "single")
     n = kb.dim
     js = [args.j] if args.j is not None else list(range(n + 1))
     mixed = {}

@@ -16,16 +16,13 @@ from functools import cache, reduce
 
 from . import hull as _hull
 from .hull import HullData, Vec, as_vec, hull_of_points
-from .linalg import det_fraction
 
 __all__ = [
     "Vec",
     "VPolytope",
-    "CoordSubspace",
     "convex_hull",
     "volume",
     "hull_data",
-    "relative_volume",
     "shadow",
     "minkowski_sum",
     "scale",
@@ -39,7 +36,6 @@ __all__ = [
     "unit_cube",
     "origin",
     "sum_polytopes",
-    "matrix_det",
     "max_dim",
 ]
 
@@ -142,29 +138,6 @@ class VPolytope:
         return VPolytope(self.dim, verts)
 
 
-@dataclass(frozen=True)
-class CoordSubspace:
-    """Coordinate subspace sp{e_i : i in indices} of R^ambient_dim (0-based indices)."""
-
-    ambient_dim: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(self.indices))
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate subspace indices")
-        if idx and (idx[0] < 0 or idx[-1] >= self.ambient_dim):
-            raise ValueError("subspace index out of range")
-        object.__setattr__(self, "indices", idx)
-
-    def complement(self) -> "CoordSubspace":
-        inside = set(self.indices)
-        return CoordSubspace(
-            self.ambient_dim,
-            tuple(i for i in range(self.ambient_dim) if i not in inside),
-        )
-
-
 # Hand-written rather than functools.cache so that from_points can seed it.
 # Keyed by ``VPolytope._key``, so that a vertex list read as integers finds
 # its polytope without building one; each entry is (polytope, hull data).
@@ -213,25 +186,6 @@ def volume(poly: VPolytope) -> Fraction:
     return hull_data(poly).volume
 
 
-def relative_volume(poly: VPolytope, sub: CoordSubspace) -> Fraction:
-    """Volume of a polytope inside a coordinate subspace containing it.
-
-    The complementary coordinates must vanish on every vertex; they are
-    dropped and the |indices|-dimensional volume is measured in the remaining
-    coordinates.  The empty subspace has 0-dimensional measure 1.
-    """
-    if sub.ambient_dim != poly.dim:
-        raise ValueError("subspace ambient dimension mismatch")
-    inside = set(sub.indices)
-    for v in poly.vertices:
-        for i, x in enumerate(v):
-            if i not in inside and x != 0:
-                raise ValueError("polytope not contained in the subspace")
-    if not sub.indices:
-        return Fraction(1)
-    return volume(shadow(poly, sub.indices))
-
-
 def shadow(poly: VPolytope, keep: tuple[int, ...]) -> VPolytope:
     """Hull of the vertices restricted to the coordinates ``keep``, in R^|keep|.
 
@@ -266,7 +220,7 @@ def scale(p: VPolytope, lam) -> VPolytope:
     if lam < 0:
         raise ValueError("negative scale factor")
     if lam == 0:
-        return VPolytope(p.dim, ((Fraction(0),) * p.dim,))
+        return origin(p.dim)
     # Positive homothety preserves extremeness; re-sorting keeps canonical order.
     verts = tuple(sorted(tuple(lam * x for x in v) for v in p.vertices))
     return VPolytope(p.dim, verts)
@@ -310,13 +264,19 @@ def negate(p: VPolytope) -> VPolytope:
     return neg
 
 
-def project(p: VPolytope, sub: CoordSubspace) -> VPolytope:
-    """Orthogonal projection onto a coordinate subspace, embedded in R^dim."""
-    if sub.ambient_dim != p.dim:
-        raise ValueError("subspace ambient dimension mismatch")
-    inside = set(sub.indices)
+def project(p: VPolytope, keep: tuple[int, ...]) -> VPolytope:
+    """Orthogonal projection onto the coordinates ``keep``, embedded in R^dim.
+
+    ``keep`` must be strictly ascending inside range(dim), as for ``shadow``;
+    the empty tuple projects onto the origin.
+    """
+    if list(keep) != sorted(set(keep)) or keep and (keep[0] < 0 or keep[-1] >= p.dim):
+        raise ValueError(
+            f"coordinates to keep must be strictly ascending in range({p.dim}), "
+            f"got {keep!r}"
+        )
     pts = {
-        tuple(x if i in inside else Fraction(0) for i, x in enumerate(v))
+        tuple(x if i in keep else Fraction(0) for i, x in enumerate(v))
         for v in p.vertices
     }
     return VPolytope.from_points(pts, p.dim)
@@ -342,11 +302,6 @@ def linear_map(p: VPolytope, matrix) -> VPolytope:
         for v in p.vertices
     }
     return VPolytope.from_points(pts, p.dim)
-
-
-def matrix_det(matrix) -> Fraction:
-    rows = [list(as_vec(r)) for r in matrix]
-    return det_fraction(rows)
 
 
 def member(p: VPolytope, point) -> bool:

@@ -4,15 +4,15 @@ Everything here is tolerance-free: integer matrices go through fraction-free
 (Bareiss) elimination, rational ones through plain Gaussian elimination on
 ``fractions.Fraction``.  The hull engine uses only the integer routines
 (``det_int``, ``hyperplane_normal``, ``rank_int_rows``), and divides integer
-rows by their ``math.gcd`` itself.  The rational ones serve
-``geometry.matrix_det`` and the probe-interpolation oracle, and
-``rank_rows`` is the tests' oracle for ``rank_int_rows``.
+rows by their ``math.gcd`` itself.  ``solve_linear`` serves the
+probe-interpolation oracle, and ``rank_rows`` is the tests' oracle for
+``rank_int_rows``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -46,14 +46,6 @@ def det_int(rows: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
         prev = pivot
     return sign * m[-1][-1]
-
-
-def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix."""
-    denom = lcm(*(x.denominator for r in rows for x in r))
-    scaled = [[x.numerator * (denom // x.denominator) for x in r] for r in rows]
-    n = len(rows)
-    return Fraction(det_int(scaled), denom**n)
 
 
 def hyperplane_normal(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:

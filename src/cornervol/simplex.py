@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .geometry import (
-    CoordSubspace,
     VPolytope,
     minkowski_sum,
     project,
@@ -182,7 +181,7 @@ def godbersen_equality_values(alphas, j: int) -> tuple[Fraction, Fraction]:
 
 def last_axis_projection(p: VPolytope) -> VPolytope:
     """Projection killing the last coordinate (used by the sum decomposition)."""
-    return project(p, CoordSubspace(p.dim, tuple(range(p.dim - 1))))
+    return project(p, tuple(range(p.dim - 1)))
 
 
 def sum_decomposition_check(s: AlignedSimplex) -> tuple[Fraction, Fraction]:

@@ -21,6 +21,7 @@ from cornervol import (
     fubini_sum_volume,
     godbersen_check,
     godbersen_equality_values,
+    join_hull,
     lab_mixed,
     lab_volume,
     lemma_mixed_volume,
@@ -30,13 +31,11 @@ from cornervol import (
     negate_assembly,
     proof_chain_audit,
     random_assembly,
-    reverse_kleitman_check,
     standard_simplex,
     sum_decomposition_check,
     unit_cube,
     volume,
 )
-from cornervol.antiblocking import join_with_negation
 from cornervol.cli import main
 from cornervol.geometry import VPolytope, convex_hull
 
@@ -103,7 +102,7 @@ def test_criterion_03_projection_split_formula(ab_pair_bank):
 def test_criterion_04_join_volume_formula(ab_pair_bank):
     ok = True
     for n, k, kp in ab_pair_bank:
-        ok = ok and ab_join_volume(k, kp) == volume(join_with_negation(k, kp))
+        ok = ok and ab_join_volume(k, kp) == volume(join_hull(k.body, negate(kp.body)))
     verdict(4, ok, f"join-volume sum == direct hull volume on {len(ab_pair_bank)} pairs")
 
 
@@ -209,7 +208,8 @@ def test_criterion_08_reverse_kleitman(ab_pair_bank):
     ok = True
     for n, k, t in ab_pair_bank:
         for j in range(n + 1):
-            ok = ok and reverse_kleitman_check(k, t, j).holds
+            ok = ok and mixed_volume_pair(k.body, t.body, j) <= mixed_volume_pair(
+                k.body, negate(t.body), j)
             checked += 1
     verdict(8, ok, f"same-orthant <= opposite-orthant mixed volumes on "
                    f"{len(ab_pair_bank)} pairs ({checked} checks)")
@@ -221,7 +221,7 @@ def test_criterion_09_proof_chain(unconditional_bank, glued_bank):
     for a in unconditional_bank + glued_bank:
         for j in range(a.dim + 1):
             audit = proof_chain_audit(a, j)  # raises if an exact step fails
-            ok = ok and audit.exact_steps_hold and audit.all_hold
+            ok = ok and audit.all_hold
             audited += 1
     rng = random.Random("criterion-9-gap")
     gap_ok = True

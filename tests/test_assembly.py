@@ -39,7 +39,12 @@ from cornervol import (
     volume,
 )
 from cornervol.antiblocking import projected_volume
-from cornervol.assembly import AuditStep, ProofChainAudit, _orthant_split
+from cornervol.assembly import (
+    AuditStep,
+    EngineDisagreementError,
+    ProofChainAudit,
+    _orthant_split,
+)
 from cornervol.geometry import VPolytope, hull_data
 from cornervol.hull import hull_of_points
 
@@ -423,17 +428,16 @@ class TestSharedProjections:
         # on the subspace, over every coordinate subspace.
         import itertools
 
-        from cornervol import CoordSubspace, project
+        from cornervol import project
 
         for a in glued_bank[:4]:
             n = a.dim
             for r in range(n + 1):
                 for idx in itertools.combinations(range(n), r):
-                    sub = CoordSubspace(n, idx)
                     groups = {}
                     for sign, piece in a.pieces:
                         key = tuple(sign[i] for i in idx)
-                        groups.setdefault(key, []).append(project(piece.body, sub))
+                        groups.setdefault(key, []).append(project(piece.body, idx))
                     for projections in groups.values():
                         assert all(p == projections[0] for p in projections)
 
@@ -531,9 +535,15 @@ class TestProofChainAudit:
     def test_exact_steps_on_random_assemblies(self, glued_bank):
         for a in glued_bank[:6]:
             for j in range(a.dim + 1):
-                audit = proof_chain_audit(a, j)
-                assert audit.exact_steps_hold
-                assert audit.all_hold
+                # proof_chain_audit raises if an exact step fails.
+                assert proof_chain_audit(a, j).all_hold
+
+    def test_failed_exact_step_raises(self, monkeypatch):
+        a = random_assembly("failed-step", 2, "glued")
+        real = assembly._orthant_split
+        monkeypatch.setattr(assembly, "_orthant_split", lambda asm, j: real(asm, j) + 1)
+        with pytest.raises(EngineDisagreementError, match="exact audit step 'orthant-split'"):
+            proof_chain_audit(a, 1)
 
 
 def fraction_opposite_mixed(k, kp, j):

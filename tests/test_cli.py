@@ -231,10 +231,10 @@ class TestGodbersen:
         assert code == EXIT_OK
         assert json.loads(out)["summary"]["records"] == 6
         # A glued dim-6 sweep of one trial takes seconds, so it is not run here.
-        cli._check_dim(6, "sweep")
+        cli._check_dim(6)
         code, _, err = run(capsys, "godbersen", "--dim", "7", "--trials", "1")
         assert code == EXIT_PARSE
-        assert "sweep cap 6" in err
+        assert "above the CLI cap 6" in err
 
     def test_env_var_raises_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "8")
@@ -325,6 +325,52 @@ class TestAuditAndGen:
         assert len(dims) <= self.COLD_HULLS[j]
         if j in (0, 3):
             assert dims == [3] * 3
+
+    @pytest.mark.parametrize("command", ["audit", "audit-inconsistent", "mixvol", "decompose"])
+    def test_over_cap_file_takes_no_hull(self, capsys, tmp_path, monkeypatch, command):
+        # The cap reads the declared dimension before any polytope is built,
+        # so an over-cap file is refused before its first hull, and ahead of
+        # any fault in its pieces.
+        from itertools import product
+
+        from cornervol import io as cio
+
+        monkeypatch.delenv("CORNER_MIXVOL_MAX_DIM", raising=False)
+        n = 7
+        simplex = {"dim": n, "vertices": [[str(int(i == k)) for i in range(n)]
+                                          for k in range(-1, n)]}
+        pieces = {"".join(s): simplex for s in product("+-", repeat=n)}
+        if command == "audit-inconsistent":
+            pieces["+" * n] = {"dim": n, "vertices": [["0"] * n, ["2"] + ["0"] * (n - 1)]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(simplex if command in ("mixvol", "decompose")
+                                   else {"dim": n, "pieces": pieces}))
+        monkeypatch.setattr(geometry, "_hull_cache", {})
+        monkeypatch.setattr(cio, "_assembly_cache", {})
+        calls = []
+        real = hull_mod.hull_of_points
+
+        def recording(points, dim):
+            calls.append(dim)
+            return real(points, dim)
+
+        monkeypatch.setattr(hull_mod, "hull_of_points", recording)
+        monkeypatch.setattr(geometry, "hull_of_points", recording)
+        argv = {"mixvol": ["mixvol", str(path), str(path)],
+                "decompose": ["decompose", str(path), str(path)]}.get(command, ["audit", str(path)])
+        code, out, err = run(capsys, *argv, "--j", "1")
+        assert (code, out, calls) == (EXIT_PARSE, "", [])
+        assert "dimension 7 above the CLI cap 6" in err
+
+    def test_failed_exact_audit_step_exits_4(self, capsys, tmp_path, monkeypatch):
+        assert main(["gen", "--style", "glued", "--dim", "2", "--seed", "9"]) == EXIT_OK
+        path = tmp_path / "g.json"
+        path.write_text(capsys.readouterr().out)
+        real = assembly._orthant_split
+        monkeypatch.setattr(assembly, "_orthant_split", lambda asm, j: real(asm, j) + 1)
+        code, out, err = run(capsys, "audit", str(path), "--j", "1")
+        assert (code, out) == (EXIT_MISMATCH, "")
+        assert "exact audit step 'orthant-split' failed" in err
 
     def test_audit_rejects_invalid_assembly(self, capsys, tmp_path):
         bad = {

@@ -1,13 +1,17 @@
-"""Every name a cornervol module imports is used in that module, and every
-private function, class or method it defines is referenced in the package.
+"""Every name a cornervol module imports is used in that module, every
+private function, class or method it defines is referenced in the package,
+and every public one is referenced, traced by the benchmark or a named oracle.
 
 A name left imported after its last use hides dead code and keeps a
 dependency between modules alive for nothing; a private helper left behind by
-its last caller is dead code itself.  ``__init__`` is left out: its imports
-are the package's public names.
+its last caller is dead code itself, and a public one that only the tests
+call is a wrapper the tests can do without.  ``__init__`` is left out: its
+imports are the package's public names.
 """
 
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,68 @@ def test_every_private_definition_is_referenced(path):
     for other in SRC.glob("*.py"):
         referenced |= referenced_names(ast.parse(other.read_text(encoding="utf-8")))
     assert private_definitions(ast.parse(path.read_text(encoding="utf-8"))) - referenced == set()
+
+
+TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
+
+# Public names that nothing in the package calls, kept as the independent
+# routes and closed forms the tests compare the engine against.
+ORACLES = {
+    "geometry.member": "rational-LP containment, independent of the hull engine",
+    "geometry.linear_map": "images under a matrix, for the determinant law of (mixed) volumes",
+    "geometry.VPolytope.translate": "translates, for the translation invariance of (mixed) volumes",
+    "linalg.rank_rows": "rational row rank, the oracle of rank_int_rows",
+    "mixed.mixed_volume_tuple": "polarization over n bodies, the oracle of the two-body engine",
+    "mixed.VolumePolynomial.value_at": "the volume polynomial against hulled Minkowski sums",
+    "assembly.lab_mixed": "the orthant split of two assemblies (acceptance criterion 5)",
+    "assembly.negate_assembly": "-K as an assembly, lab_mixed's partner (criterion 5)",
+    "io.ab_to_obj": "the writer of what ab_from_obj reads, for round trips",
+    "simplex.fubini_sum_volume": "slice-integration volume of D_n + K (criterion 10)",
+    "simplex.sum_decomposition_check": "the sum decomposition identity (criterion 10)",
+    "simplex.simplex_sum_series": "closed-form series for Vol(D_n + lam K)",
+    "simplex.godbersen_equality_values": "closed forms of the equality gap (criterion 9)",
+}
+
+
+def name_counts(node: ast.AST) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def public_definitions() -> dict[str, ast.AST]:
+    """Public module-level functions and classes, and public methods of those
+    classes, as ``module.name`` and ``module.Class.method``."""
+    found = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found[f"{path.stem}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                found.update((f"{path.stem}.{node.name}.{d.name}", d) for d in node.body
+                             if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"))
+    return found
+
+
+def test_every_public_definition_is_needed():
+    # Referenced by the package outside its own definition, traced by the
+    # benchmark, or an oracle the tests compare against; anything else is a
+    # wrapper only the tests call.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {f"{m}.{f}" for m, f in tracing.TARGETS}
+    total = Counter()
+    for path in SRC.glob("*.py"):
+        total += name_counts(ast.parse(path.read_text(encoding="utf-8")))
+    definitions = public_definitions()
+    unneeded = []
+    for name, node in definitions.items():
+        short = name.rsplit(".", 1)[1]
+        referenced = total[short] > name_counts(node)[short]
+        if not referenced and name not in traced and name not in ORACLES:
+            unneeded.append(name)
+        if referenced and name in ORACLES:
+            unneeded.append(f"{name} (referenced, so no longer an oracle)")
+    assert unneeded == []
+    assert set(ORACLES) <= set(definitions)
