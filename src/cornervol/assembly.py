@@ -248,7 +248,7 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
         if derived != engine:
             raise AssertionError(f"hull data derived from the pieces {derived} differ "
                                  f"from the engine's {engine}")
-    geometry._hull_cache[body._key] = (body, derived)
+    geometry._hull_cache[body] = derived
     return body
 
 

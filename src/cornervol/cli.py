@@ -148,8 +148,11 @@ def _rat(x: Fraction) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_PARSE, f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -303,6 +306,8 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
 
 def cmd_godbersen(args) -> int:
     _check_dim(args.dim)
+    if args.trials < 0:
+        raise CliError(EXIT_PARSE, f"--trials must be nonnegative, got {args.trials}")
     report = SweepReport("godbersen", {
         "seed": args.seed, "dim": args.dim, "trials": args.trials,
         "style": args.style, "family": args.family,

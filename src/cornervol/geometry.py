@@ -106,11 +106,12 @@ class VPolytope:
         """The hull of the points, with its data stored in ``hull_data``'s memo.
 
         Points already strictly lex-ascending (the order that ``io`` writes)
-        are looked up in the memo first by their integer key (``_memoized``),
-        and the memoized polytope is returned without a hull when the memo
-        holds the list as its own hull.  ``io`` makes the same lookup for an
-        all-integer vertex list straight from its strings, building no
-        ``Fraction`` and no ``VPolytope``.
+        are looked up in the memo first, and returned as a polytope without a
+        hull when the memo holds them as their own hull.  The engine's
+        vertices are a subset of its input, so a memoized vertex count equal
+        to the number of points means the list is irredundant; a raw polytope
+        with a redundant vertex, memoized by ``hull_data``, is no hit.  Under
+        ``hull.strict_checks`` a hit is compared with the engine's hull.
         """
         pts = [as_vec(p) for p in points]
         if not pts:
@@ -124,12 +125,16 @@ class VPolytope:
         # Points the engine would reject skip the lookup, so they still raise its error.
         if n >= 1 and all(len(v) == n for v in pts) and all(
                 u < v for u, v in zip(pts, pts[1:])):
-            poly = _memoized(VPolytope(n, tuple(pts))._key)
-            if poly is not None:
+            poly = VPolytope(n, tuple(pts))
+            data = _hull_cache.get(poly)
+            if data is not None and len(data.vertices) == len(pts):
+                if _hull.strict_checks and hull_of_points(pts, n) != data:
+                    raise AssertionError(
+                        f"memoized hull {data} of {poly} differs from the engine's")
                 return poly
         data = hull_of_points(pts, n)
         poly = VPolytope(n, data.vertices)
-        _hull_cache[poly._key] = (poly, data)
+        _hull_cache[poly] = data
         return poly
 
     def translate(self, t) -> "VPolytope":
@@ -138,10 +143,9 @@ class VPolytope:
         return VPolytope(self.dim, verts)
 
 
-# Hand-written rather than functools.cache so that from_points can seed it.
-# Keyed by ``VPolytope._key``, so that a vertex list read as integers finds
-# its polytope without building one; each entry is (polytope, hull data).
-_hull_cache: dict[tuple, tuple[VPolytope, HullData]] = {}
+# Hand-written rather than functools.cache so that from_points, negate and
+# the assembly's derived hull can seed it.
+_hull_cache: dict[VPolytope, HullData] = {}
 
 
 def hull_data(poly: VPolytope) -> HullData:
@@ -150,30 +154,10 @@ def hull_data(poly: VPolytope) -> HullData:
     Free for a polytope built by ``from_points``, which stores the hull it
     built; a polytope built raw pays for one hull, once.
     """
-    hit = _hull_cache.get(poly._key)
-    if hit is None:
-        hit = _hull_cache[poly._key] = (poly, hull_of_points(poly.vertices, poly.dim))
-    return hit[1]
-
-
-def _memoized(key: tuple) -> VPolytope | None:
-    """The memoized polytope with this ``VPolytope._key``, when the memo holds
-    its vertex list as its own hull; else None.
-
-    The engine's vertices are a subset of its input, so a memoized vertex
-    count equal to the list's length means the list is irredundant; a raw
-    polytope with a redundant vertex, memoized by ``hull_data``, is no hit.
-    Under ``hull.strict_checks`` a hit is compared with the engine's hull.
-    """
-    hit = _hull_cache.get(key)
-    if hit is None:
-        return None
-    poly, data = hit
-    if len(data.vertices) != len(key[2]):
-        return None
-    if _hull.strict_checks and hull_of_points(poly.vertices, poly.dim) != data:
-        raise AssertionError(f"memoized hull {data} of {poly} differs from the engine's")
-    return poly
+    data = _hull_cache.get(poly)
+    if data is None:
+        data = _hull_cache[poly] = hull_of_points(poly.vertices, poly.dim)
+    return data
 
 
 def convex_hull(points, dim: int | None = None) -> VPolytope:
@@ -246,9 +230,8 @@ def negate(p: VPolytope) -> VPolytope:
     ``hull.strict_checks`` the derived data are compared with the engine's.
     """
     neg = reflect(p, (-1,) * p.dim)
-    hit = _hull_cache.get(p._key)
-    if hit is not None and neg._key not in _hull_cache:
-        data = hit[1]
+    data = _hull_cache.get(p)
+    if data is not None and neg not in _hull_cache:
         # The engine's vertices are a subset of P's: equal counts mean equal lists.
         verts = neg.vertices if len(data.vertices) == len(p.vertices) else tuple(
             sorted(tuple(-x for x in v) for v in data.vertices))
@@ -260,7 +243,7 @@ def negate(p: VPolytope) -> VPolytope:
             if derived != engine:
                 raise AssertionError(f"hull data derived for -P {derived} differ "
                                      f"from the engine's {engine}")
-        _hull_cache[neg._key] = (neg, derived)
+        _hull_cache[neg] = derived
     return neg
 
 

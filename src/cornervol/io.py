@@ -5,22 +5,20 @@ emitted in canonical order, so parse -> serialize round-trips are
 byte-identical on canonical objects.  A string with an exponent ("1e9") is
 refused: the value it spells can be too large to compute.
 
-A canonical vertex list that the process has already hulled loads without
-another hull.  When every coordinate is a plain integer string, as in every
-file ``gen`` writes, the list is read straight into ``VPolytope``'s integer
-key and looked up in the hull memo (``geometry._memoized``); a hit returns the
-memoized polytope itself, so a file loaded again builds no ``Fraction``, no
-``VPolytope`` and no hull.  Any other list is parsed to ``Fraction``s and goes
-through ``VPolytope.from_points``.
+A vertex list is parsed to ``Fraction``s and hulled by ``convex_hull``; a
+canonical list that the process has already hulled is answered by the hull
+memo (``VPolytope.from_points``).
 
 An assembly file loaded again returns the assembly the process built the
-first time.  ``assembly_from_obj`` keys it by the dimension and the sorted
-(sign, piece polytope) pairs, and the pieces resolve to their memoized
-polytopes as above, so a reload builds no ``AntiBlockingBody`` and runs no
-``validate_ab``, no consistency check and no derived hull: the assembly keeps
-its ``hull`` and ``piece_map``.  Only an assembly that passed construction is
-stored.  Under ``hull.strict_checks`` the memo is neither read nor written,
-so every load runs every check and oracle.
+first time.  ``assembly_from_obj`` keys it by the dimension and the canonical
+JSON text of the ``pieces`` object, taken before any piece is parsed, so a
+reload parses no rational, builds no polytope and runs no ``validate_ab``, no
+consistency check and no derived hull: the assembly keeps its ``hull`` and
+``piece_map``.  A file that spells a coordinate another way ("1/1" for "1")
+is another key, and loads to an equal assembly.  Only an assembly that passed
+construction is stored.  The memo is neither read nor written under
+``hull.strict_checks``, so every load runs every check and oracle, nor for a
+dimension above ``max_dim()``, so a lowered cap still refuses the file.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from fractions import Fraction
 from . import hull as _hull
 from .antiblocking import AntiBlockingBody, ab_hull
 from .assembly import AssemblyError, OrthantAssembly, assemble, sign_to_str
-from .geometry import VPolytope, _memoized, convex_hull, max_dim
+from .geometry import VPolytope, convex_hull, max_dim
 
 
 class ParseError(ValueError):
@@ -90,33 +88,7 @@ def polytope_from_obj(obj) -> VPolytope:
     verts = obj["vertices"]
     if not isinstance(verts, list) or not verts:
         raise ParseError("empty vertex list")
-    key = _integer_key(verts, dim)
-    poly = _memoized(key) if key is not None else None
-    if poly is None:
-        poly = convex_hull([_vec_in(v, dim) for v in verts], dim)
-    return poly
-
-
-def _integer_key(verts: list, dim: int) -> tuple | None:
-    """``VPolytope._key`` of a strictly lex-ascending list of plain integer
-    strings (``-?[0-9]+``) under the dimension cap, else None."""
-    if any(type(v) is not list or len(v) != dim for v in verts):
-        return None
-    try:
-        text = ",".join([x for v in verts for x in v])
-    except TypeError:
-        return None  # a coordinate that is not a string
-    # With only ASCII digits, '-' and ',' in the text, int() accepts a
-    # coordinate exactly when it matches -?[0-9]+.
-    if not (text.isascii() and text.replace("-", "").replace(",", "").isdigit()):
-        return None
-    try:
-        rows = tuple([tuple(map(int, v)) for v in verts])
-    except ValueError:
-        return None
-    if dim > max_dim() or not all(u < v for u, v in zip(rows, rows[1:])):
-        return None
-    return (dim, 1, rows)
+    return convex_hull([_vec_in(v, dim) for v in verts], dim)
 
 
 def ab_to_obj(body: AntiBlockingBody) -> dict:
@@ -153,24 +125,27 @@ def assembly_to_obj(a: OrthantAssembly) -> dict:
     }
 
 
-# Every assembly this process has loaded, keyed by its dimension and its
-# sorted (sign, piece polytope) pairs as the file lists them.
-_assembly_cache: dict[tuple, OrthantAssembly] = {}
+# Every assembly this process has loaded, keyed by its dimension and the
+# canonical JSON text of its pieces as the file spells them.
+_assembly_cache: dict[tuple[int, str], OrthantAssembly] = {}
 
 
 def assembly_from_obj(obj) -> OrthantAssembly:
-    """The assembly a file describes, memoized (see the module docstring)."""
+    """The assembly that decoded JSON describes, memoized (see the module
+    docstring)."""
     if not isinstance(obj, dict) or "dim" not in obj or "pieces" not in obj:
         raise ParseError("assembly object needs 'dim' and 'pieces'")
     dim = _dim_in(obj["dim"])
     if not isinstance(obj["pieces"], dict):
         raise ParseError("assembly 'pieces' must be an object keyed by sign strings")
+    memo = None
+    if not _hull.strict_checks and dim <= max_dim():
+        memo = (dim, json.dumps(obj["pieces"], sort_keys=True))
+        hit = _assembly_cache.get(memo)
+        if hit is not None:
+            return hit
     polys = {sign_from_str(key, dim): polytope_from_obj(raw)
              for key, raw in obj["pieces"].items()}
-    memo = (dim, tuple(sorted(polys.items())))
-    hit = None if _hull.strict_checks else _assembly_cache.get(memo)
-    if hit is not None:
-        return hit
     pieces = {}
     for sign, poly in polys.items():
         try:
@@ -179,7 +154,7 @@ def assembly_from_obj(obj) -> OrthantAssembly:
             raise AssemblyError(f"piece at {sign_to_str(sign)} is not anti-blocking: "
                                 f"{exc}") from exc
     assembly = assemble(dim, pieces)
-    if not _hull.strict_checks:
+    if memo is not None:
         _assembly_cache[memo] = assembly
     return assembly
 

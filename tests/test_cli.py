@@ -220,6 +220,14 @@ class TestGodbersen:
         # -C = C for the cube, so each ratio is 1 / C(3, j); the smallest is 1/3.
         assert rep["summary"]["min_ratio"] == "1/3"
 
+    def test_negative_trials_exit_2(self, capsys):
+        code, out, err = run(capsys, "godbersen", "--trials", "-3")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: --trials must be nonnegative, got -3\n"
+        code, out, _ = run(capsys, "godbersen", "--trials", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["summary"]["records"] == 0
+
     def test_dimension_cap(self, capsys):
         code, _, err = run(capsys, "godbersen", "--dim", "7", "--trials", "1")
         assert code == EXIT_PARSE
@@ -557,6 +565,16 @@ class TestExitCodeContract:
         assert code == EXIT_OK
         assert out == ""
         assert out_path.read_text().strip() == "1/2"
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        # Exit 1 would read as a violated inequality.
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "gen", "--out", str(out_path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert len(err.splitlines()) == 1
+        assert not out_path.parent.exists()
 
 
 class TestModuleEntryPoint:

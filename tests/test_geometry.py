@@ -237,7 +237,7 @@ class TestConvexHull:
         # No hull; under strict checks the derived data meet one engine hull.
         for strict in (False, True):
             if not symmetric:
-                geometry._hull_cache.pop(neg._key, None)
+                geometry._hull_cache.pop(neg, None)
             with patch.object(geometry, "hull_of_points", counting), \
                     patch.object(hull_mod, "strict_checks", strict):
                 assert negate.__wrapped__(p) == neg

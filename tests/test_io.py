@@ -125,39 +125,6 @@ def test_redundant_memoized_list_loads_to_its_hull():
     assert p == convex_hull([(0, 0), (0, 2), (2, 0)])
 
 
-def test_reloaded_assembly_takes_no_hull(monkeypatch):
-    # A second load reads every piece's integer strings straight into its key
-    # and returns the memoized piece: no hull, no Fraction, no VPolytope.
-    a = random_assembly("io-reload", 3, "glued")
-    text = dumps(assembly_to_obj(a))
-    calls = {"hull": 0, "parse": 0, "polytope": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    hull = counting("hull", hull_mod.hull_of_points)
-    monkeypatch.setattr(hull_mod, "hull_of_points", hull)
-    monkeypatch.setattr(geometry, "hull_of_points", hull)
-    monkeypatch.setattr(cio, "parse_rational", counting("parse", cio.parse_rational))
-    monkeypatch.setattr(VPolytope, "__post_init__",
-                        counting("polytope", VPolytope.__post_init__))
-    # Empty memos, as in a process that has not seen these pieces yet.
-    monkeypatch.setattr(geometry, "_hull_cache", {})
-    monkeypatch.setattr(cio, "_assembly_cache", {})
-    first = assembly_from_obj(json.loads(text))
-    # Equal pieces share one hull.
-    assert calls["hull"] >= len({piece.body for _, piece in a.pieces}) > 1
-    assert calls["parse"] > 0 and calls["polytope"] > 0
-    calls.update(dict.fromkeys(calls, 0))
-    again = assembly_from_obj(json.loads(text))
-    assert calls == {"hull": 0, "parse": 0, "polytope": 0}
-    assert again == first == a
-    assert all(p.body is q.body for (_, p), (_, q) in zip(again.pieces, first.pieces))
-
-
 def counting_loads(monkeypatch):
     """Count the piece validations, consistency checks and derived hulls
     that loading an assembly and reading its hull run."""
@@ -184,18 +151,70 @@ def box_file(corner):
 
 def test_reloaded_assembly_is_the_memoized_one(monkeypatch):
     # A second load of the same text returns the assembly built the first
-    # time, with its hull: no validation, no consistency check, no derived hull.
+    # time, with its hull, before any piece is parsed: no rational, no
+    # polytope, no hull, no validation, no consistency check, no derived hull.
+    a = random_assembly("io-reload", 3, "glued")
+    text = dumps(assembly_to_obj(a))
+    calls = counting_loads(monkeypatch)
+
+    def counting(module, name):
+        calls[name] = 0
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    hull = counting(hull_mod, "hull_of_points")
+    monkeypatch.setattr(hull_mod, "hull_of_points", hull)
+    monkeypatch.setattr(geometry, "hull_of_points", hull)
+    for name in ("parse_rational", "polytope_from_obj"):
+        monkeypatch.setattr(cio, name, counting(cio, name))
+    monkeypatch.setattr(VPolytope, "__post_init__", counting(VPolytope, "__post_init__"))
+    # Empty memos, as in a process that has not seen these pieces yet.
     monkeypatch.setattr(geometry, "_hull_cache", {})
     monkeypatch.setattr(cio, "_assembly_cache", {})
-    text = dumps(assembly_to_obj(random_assembly("io-memo", 3, "glued")))
-    calls = counting_loads(monkeypatch)
     first = assembly_from_obj(json.loads(text))
     assert first.hull is not None
-    assert calls == {"validate_ab": 8, "_check_consistency": 1, "_derived_hull": 1}
+    # Equal pieces share one hull.
+    assert calls["hull_of_points"] >= len({piece.body for _, piece in a.pieces}) > 1
+    assert calls["parse_rational"] > 0 and calls["__post_init__"] > 0
+    assert calls["polytope_from_obj"] == 8
+    assert {name: calls[name] for name in ("validate_ab", "_check_consistency",
+                                           "_derived_hull")} == {
+        "validate_ab": 8, "_check_consistency": 1, "_derived_hull": 1}
     calls.update(dict.fromkeys(calls, 0))
     again = assembly_from_obj(json.loads(text))
-    assert again is first and again.hull is first.hull
     assert calls == dict.fromkeys(calls, 0)
+    assert again is first and again.hull is first.hull
+    assert again == first == a
+    assert all(p.body is q.body for (_, p), (_, q) in zip(again.pieces, first.pieces))
+
+
+def test_respelled_file_loads_to_an_equal_assembly(monkeypatch):
+    # "k/1" spells the same coordinate as "k" but another memo key: the
+    # respelled file is built anew, to an equal assembly.
+    monkeypatch.setattr(cio, "_assembly_cache", {})
+    obj = assembly_to_obj(random_assembly("io-respell", 3, "glued"))
+    first = assembly_from_obj(obj)
+    for piece in obj["pieces"].values():
+        piece["vertices"] = [[f"{x}/1" if "/" not in x else x for x in v]
+                             for v in piece["vertices"]]
+    again = assembly_from_obj(obj)
+    assert again == first and again is not first
+    assert again.hull == first.hull
+    assert len(cio._assembly_cache) == 2
+    assert assembly_from_obj(obj) is again
+
+
+def test_lowered_cap_refuses_a_memoized_file(monkeypatch):
+    monkeypatch.setattr(cio, "_assembly_cache", {})
+    obj = assembly_to_obj(random_assembly("io-cap", 3, "glued"))
+    assert assembly_from_obj(obj) is assembly_from_obj(obj)
+    monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "2")
+    with pytest.raises(ValueError, match="dimension 3 exceeds cap 2"):
+        assembly_from_obj(obj)
 
 
 def test_assembly_memo_misses_on_one_vertex(monkeypatch):
@@ -222,8 +241,8 @@ def test_strict_checks_bypass_the_assembly_memo(monkeypatch):
 
 
 # Every shape of vertex list the loader meets.  "canonical" is the hull's own
-# list, which a warm memo answers by its integer key; the others take the
-# Fraction route and must load to the same polytope or fail the same way.
+# list, which a warm hull memo answers; the others are hulled and must load
+# to the same polytope or fail the same way.
 LIST_KINDS = ("canonical", "unsorted", "duplicated", "raw", "broken")
 
 
@@ -256,8 +275,8 @@ def vertex_lists(draw):
 @pytest.mark.usefixtures("strict_hull")
 @given(vertex_lists())
 @settings(max_examples=120, deadline=None)
-def test_key_route_matches_fraction_route(case):
-    n, kind, text = case
+def test_warm_load_matches_cold_load(case):
+    n, _, text = case
 
     def load():
         try:
@@ -276,8 +295,6 @@ def test_key_route_matches_fraction_route(case):
             pass  # unsorted, duplicated or broken
         warm = load()
     assert warm == cold
-    if kind == "canonical" and "/" not in text:
-        assert warm is cold
 
 
 def test_assembly_pieces_must_be_an_object():
