@@ -20,6 +20,7 @@ from .geometry import (
     VPolytope,
     Vec,
     as_vec,
+    cap_dim,
     convex_hull,
     hull_data,
     shadow,
@@ -78,12 +79,13 @@ def ab_hull(generators, dim: int | None = None) -> AntiBlockingBody:
     """Smallest anti-blocking body containing the given nonnegative points.
 
     Equals the hull of all coordinate maskings of the generators, i.e. the
-    union of the boxes [0, g].
+    union of the boxes [0, g].  The dimension meets the cap (``cap_dim``)
+    before up to 2^n maskings per generator are enumerated.
     """
     gens = [as_vec(g) for g in generators]
     if not gens:
         raise ValueError("no generators")
-    n = dim if dim is not None else len(gens[0])
+    n = cap_dim(dim if dim is not None else len(gens[0]))
     pts = set()
     for g in gens:
         if any(x < 0 for x in g):
@@ -115,11 +117,10 @@ def validate_ab(poly: VPolytope) -> bool:
     down-closed exactly when it is the origin.  The facets come from the
     memoized hull, free for a polytope built by ``from_points`` and paid
     once for one built raw, whose vertex list may hold redundant points.
-    The signs and the support are read off the integer rows of the
-    polytope's key (its vertices times D > 0), so no ``Fraction`` is
-    compared.
+    The signs and the support are read off the polytope's integer ``rows``
+    (its vertices times D > 0), so no ``Fraction`` is compared.
     """
-    rows = poly._key[2]
+    rows = poly.rows
     if min(map(min, rows)) < 0:
         return False
     if len(rows) == 1:
@@ -140,7 +141,7 @@ def projected_volume(body: AntiBlockingBody, indices: tuple[int, ...]) -> Fracti
 @cache
 def normalized_shadow_volumes(poly: VPolytope, size: int) -> tuple[int, ...]:
     """|E|! Vol(D P_E) for every ``size``-element coordinate set E, in
-    ``itertools.combinations`` order; D is the polytope's key denominator.
+    ``itertools.combinations`` order; D is the polytope's ``denom``.
 
     D P has integer vertices, so each of its shadows is a lattice polytope
     and its normalized volume |E|! Vol is an integer; the conversion is
@@ -149,7 +150,7 @@ def normalized_shadow_volumes(poly: VPolytope, size: int) -> tuple[int, ...]:
     P itself, so sizes 0 and n take no shadow hull.  The complement of the
     k-th set of one size is the k-th set from the end of the other size.
     """
-    scale = factorial(size) * poly._key[1] ** size
+    scale = factorial(size) * poly.denom ** size
     out = []
     for keep in itertools.combinations(range(poly.dim), size):
         x = volume(shadow(poly, keep)) * scale if keep else Fraction(1)
@@ -164,7 +165,7 @@ def ab_opposite_mixed(k: AntiBlockingBody, kp: AntiBlockingBody, j: int) -> Frac
     """V_n(K[j], -K'[n-j]) via the projection-split sum over coordinate subspaces.
 
     Averages Vol_j(P_E K) * Vol_{n-j}(P_{E-perp} K') over all j-element
-    coordinate subspaces E.  With D, D' the bodies' key denominators, the
+    coordinate subspaces E.  With D, D' the bodies' ``denom``s, the
     products are integers in units of 1/(j! (n-j)! D^j D'^(n-j))
     (``normalized_shadow_volumes``), so the average is their sum over
     n! D^j D'^(n-j).
@@ -177,7 +178,7 @@ def ab_opposite_mixed(k: AntiBlockingBody, kp: AntiBlockingBody, j: int) -> Frac
     lo = normalized_shadow_volumes(k.body, j)
     hi = normalized_shadow_volumes(kp.body, n - j)
     total = sum(x * y for x, y in zip(lo, reversed(hi)))
-    return Fraction(total, factorial(n) * k.body._key[1] ** j * kp.body._key[1] ** (n - j))
+    return Fraction(total, factorial(n) * k.body.denom ** j * kp.body.denom ** (n - j))
 
 
 def ab_join_volume(k: AntiBlockingBody, kp: AntiBlockingBody) -> Fraction:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm
 
-from . import geometry
 from . import hull as _hull
 from .antiblocking import (
     COORD_MAX,
@@ -29,11 +28,13 @@ from .antiblocking import (
 )
 from .geometry import (
     VPolytope,
+    cap_dim,
     convex_hull,
     hull_data,
     negate,
     origin,
     shadow,
+    store_hull_data,
     volume,
 )
 from .hull import HullData
@@ -51,7 +52,8 @@ class EngineDisagreementError(RuntimeError):
 
 
 def all_signs(n: int) -> list[SignVector]:
-    return [s for s in itertools.product((1, -1), repeat=n)]
+    """The 2^n sign vectors, once ``n`` passed the cap (``cap_dim``)."""
+    return list(itertools.product((1, -1), repeat=cap_dim(n)))
 
 
 @dataclass(frozen=True)
@@ -148,16 +150,16 @@ class OrthantAssembly:
         Under ``hull.strict_checks`` the derived data are compared with the
         engine's hull of every reflected vertex.
         """
-        return _derived_hull(self) or convex_hull(_reflected_vertices(self), self.dim)
+        return _derived_hull(self) or convex_hull(set(_reflected_vertices(self)), self.dim)
 
     def is_full_dimensional(self) -> bool:
         return volume(self.hull) > 0
 
 
-def _reflected_vertices(a: OrthantAssembly) -> set[tuple]:
-    """Every vertex of every piece, reflected into its orthant."""
-    return {tuple(x if s > 0 else -x for s, x in zip(sign, v))
-            for sign, piece in a.pieces for v in piece.vertices}
+def _reflected_vertices(a: OrthantAssembly):
+    """Every piece's vertices reflected into its orthant, lazily, with repeats."""
+    return (tuple(x if s > 0 else -x for s, x in zip(sign, v))
+            for sign, piece in a.pieces for v in piece.vertices)
 
 
 def _mask(v) -> int:
@@ -169,10 +171,10 @@ def _scaled_rows(data: dict[VPolytope, HullData]) -> tuple[dict, int]:
     """The pieces' hull vertices as integer rows over L, the lcm of their
     vertex denominators: by piece, its rows and L / D for its own D; and L.
 
-    A canonical piece (its vertices are its hull's) has its rows over D in
-    its key; a raw piece scales its hull's vertices.
+    A canonical piece (its vertices are its hull's) has its rows over D as
+    its ``rows`` and ``denom``; a raw piece scales its hull's vertices.
     """
-    own = {p: (p._key[2], p._key[1]) if len(d.vertices) == len(p.vertices)
+    own = {p: (p.rows, p.denom) if len(d.vertices) == len(p.vertices)
            else _hull._scale_to_int(d.vertices) for p, d in data.items()}
     denom = lcm(*(d_p for _, d_p in own.values()))
     scaled = {}
@@ -188,7 +190,7 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     The rule and its proofs are in ``OrthantAssembly.hull``.  Signs are bit
     masks of their negative coordinates.  Points and offsets are integers
     over the lcm of the pieces' vertex denominators, and K's offsets move to
-    the lcm of its own.  The result seeds ``geometry._hull_cache``.
+    the lcm of its own.  The data are memoized by ``store_hull_data``.
     """
     n = a.dim
     data = {piece.body: hull_data(piece.body) for _, piece in a.pieces}
@@ -237,18 +239,12 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     for c in list(frac):
         frac.setdefault(-c, -frac[c])
     body = VPolytope(n, tuple(tuple([frac[c] for c in w]) for w in kept))
-    d_k = body._key[1]
     first = data[a.pieces[0][1].body]
-    derived = HullData(
+    store_hull_data(body, HullData(
         n, first.rank, body.vertices,
         sum((data[piece.body].volume for _, piece in a.pieces), Fraction(0)),
-        first.pivots, tuple(sorted((c, b * d_k // denom) for c, b in planes)))
-    if _hull.strict_checks:
-        engine = _hull.hull_of_points(_reflected_vertices(a), n)
-        if derived != engine:
-            raise AssertionError(f"hull data derived from the pieces {derived} differ "
-                                 f"from the engine's {engine}")
-    geometry._hull_cache[body] = derived
+        first.pivots, tuple(sorted((c, b * body.denom // denom) for c, b in planes))),
+        _reflected_vertices(a))
     return body
 
 
@@ -518,10 +514,10 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     at = [None] * (1 << n)
     for s, p in a.pieces:
         at[_mask([x < 0 for x in s])] = p.body
-    denom = lcm(*(p._key[1] for p in at))
+    denom = lcm(*(p.denom for p in at))
 
     def over_denom(p, size):
-        up = (denom // p._key[1]) ** size
+        up = (denom // p.denom) ** size
         table = normalized_shadow_volumes(p, size)
         return [x * up for x in table] if up > 1 else table
 

@@ -34,9 +34,10 @@ from .assembly import (
     random_assembly,
 )
 from .geometry import (
+    DimensionCapError,
     VPolytope,
+    cap_dim,
     join_hull,
-    max_dim,
     negate,
     standard_simplex,
     unit_cube,
@@ -52,35 +53,11 @@ EXIT_INAPPLICABLE = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
-_DIM_CAP = 6
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _check_dim(n: int) -> None:
-    cap = max_dim(_DIM_CAP)
-    if n > cap:
-        raise CliError(
-            EXIT_PARSE,
-            f"dimension {n} above the CLI cap {cap} "
-            "(set CORNER_MIXVOL_MAX_DIM to override, at your own risk)",
-        )
-
-
-def _load_capped(path: str):
-    """The JSON in the file, once its declared dimension passed the cap.
-
-    The cap comes before any polytope is built, so an over-cap file takes no
-    hull.  A value that is not a dimension is a parse error, as when loaded.
-    """
-    obj = cio.load_json_file(path)
-    if isinstance(obj, dict) and "dim" in obj:
-        _check_dim(cio._dim_in(obj["dim"]))
-    return obj
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:
@@ -182,8 +159,8 @@ def _detect_aligned(p: VPolytope) -> AlignedSimplex | None:
 
 
 def cmd_mixvol(args) -> int:
-    k = cio.polytope_from_obj(_load_capped(args.k_file))
-    t = cio.polytope_from_obj(_load_capped(args.t_file))
+    k = cio.polytope_from_obj(cio.load_json_file(args.k_file))
+    t = cio.polytope_from_obj(cio.load_json_file(args.t_file))
     if k.dim != t.dim:
         raise CliError(EXIT_PARSE, "input polytopes have different dimensions")
     j = args.j
@@ -305,7 +282,7 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
 
 
 def cmd_godbersen(args) -> int:
-    _check_dim(args.dim)
+    cap_dim(args.dim)
     if args.trials < 0:
         raise CliError(EXIT_PARSE, f"--trials must be nonnegative, got {args.trials}")
     report = SweepReport("godbersen", {
@@ -325,7 +302,7 @@ def cmd_godbersen(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        assembly = cio.assembly_from_obj(_load_capped(args.assembly_file))
+        assembly = cio.assembly_from_obj(cio.load_json_file(args.assembly_file))
     except AssemblyError as exc:
         raise CliError(EXIT_PARSE, f"invalid assembly: {exc}") from exc
     if not 0 <= args.j <= assembly.dim:
@@ -351,25 +328,24 @@ def cmd_audit(args) -> int:
 # gen
 
 def cmd_gen(args) -> int:
-    if args.family:
-        if args.family in ("cube", "cross"):
-            _check_dim(args.dim)
+    if args.family in ("equality-1", "equality-2"):
+        if not args.alphas:
+            raise CliError(EXIT_PARSE, "--family equality-* needs --alphas")
+        alphas = _parse_rationals(args.alphas)
+        # equality_family meets the cap with its sign vectors.
+        if args.family == "equality-1":
+            assembly = equality_family(1, alphas)
+        else:
+            if args.beta is None:
+                raise CliError(EXIT_PARSE, "--family equality-2 needs --beta")
+            assembly = equality_family(2, alphas, cio.parse_rational(args.beta))
+    else:
+        cap_dim(args.dim)
+        if args.family:
             piece = unit_cube(args.dim) if args.family == "cube" else standard_simplex(args.dim)
             assembly = from_unconditional(AntiBlockingBody(piece))
         else:
-            if not args.alphas:
-                raise CliError(EXIT_PARSE, "--family equality-* needs --alphas")
-            alphas = _parse_rationals(args.alphas)
-            _check_dim(len(alphas))
-            if args.family == "equality-1":
-                assembly = equality_family(1, alphas)
-            else:
-                if args.beta is None:
-                    raise CliError(EXIT_PARSE, "--family equality-2 needs --beta")
-                assembly = equality_family(2, alphas, cio.parse_rational(args.beta))
-    else:
-        _check_dim(args.dim)
-        assembly = random_assembly(trial_rng(args.seed, 0), args.dim, args.style)
+            assembly = random_assembly(trial_rng(args.seed, 0), args.dim, args.style)
     _emit(cio.dumps(cio.assembly_to_obj(assembly)), args.out)
     return EXIT_OK
 
@@ -388,8 +364,7 @@ def cmd_simplex(args) -> int:
     alphas = _parse_rationals(args.alphas)
     if any(a < 0 for a in alphas):
         raise CliError(EXIT_PARSE, "alphas must be nonnegative")
-    n = len(alphas)
-    _check_dim(n)
+    n = cap_dim(len(alphas))
     if not 0 <= args.j <= n:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{n}")
     s = AlignedSimplex.of(alphas)
@@ -419,9 +394,9 @@ def cmd_simplex(args) -> int:
 
 def cmd_decompose(args) -> int:
     try:
-        kb = cio.ab_from_obj(_load_capped(args.k_file))
-        tb = cio.ab_from_obj(_load_capped(args.kprime_file))
-    except cio.ParseError:
+        kb = cio.ab_from_obj(cio.load_json_file(args.k_file))
+        tb = cio.ab_from_obj(cio.load_json_file(args.kprime_file))
+    except (cio.ParseError, DimensionCapError):
         raise
     except ValueError as exc:
         raise CliError(EXIT_INAPPLICABLE, f"inputs must be anti-blocking: {exc}") from exc

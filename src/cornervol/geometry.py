@@ -37,34 +37,54 @@ __all__ = [
     "origin",
     "sum_polytopes",
     "max_dim",
+    "cap_dim",
+    "DimensionCapError",
+    "store_hull_data",
 ]
 
 
-def max_dim(default: int = _hull.MAX_DIM) -> int:
-    """Dimension safety cap: CORNER_MIXVOL_MAX_DIM when set, else ``default``.
+# The one dimension cap; CORNER_MIXVOL_MAX_DIM replaces it (``max_dim``).
+_CAP = 6
 
-    The variable is read here only, and it replaces every cap, the library's
-    and the CLI's, at your own risk.  A value that is not an integer raises
-    ValueError.
+
+class DimensionCapError(ValueError):
+    """A dimension above ``max_dim()``."""
+
+
+def max_dim() -> int:
+    """The dimension cap: CORNER_MIXVOL_MAX_DIM when set, else 6.
+
+    Hull and orthant costs grow exponentially with the dimension.  The
+    variable is read here only, and it raises or lowers the cap at your own
+    risk.  A value that is not an integer raises ValueError.
     """
     env = os.environ.get("CORNER_MIXVOL_MAX_DIM")
     if not env:
-        return default
+        return _CAP
     try:
         return int(env)
     except ValueError:
         raise ValueError(f"CORNER_MIXVOL_MAX_DIM must be an integer, got {env!r}") from None
 
 
+def cap_dim(n: int) -> int:
+    """``n``, or DimensionCapError when it is above ``max_dim()``: the one cap
+    check, made before any hull (``VPolytope.from_points``) or 2^n enumeration."""
+    cap = max_dim()
+    if n > cap:
+        raise DimensionCapError(f"dimension {n} exceeds cap {cap} "
+                                "(set CORNER_MIXVOL_MAX_DIM to override, at your own risk)")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class VPolytope:
     """Polytope given by its canonical (irredundant, lex-sorted) vertex list.
 
-    Equality and hashing read one integer key, ``(dim, D, scaled
-    numerators)``, where D is the lcm of the vertex denominators and each
-    coordinate x is stored as x * D.  Two polytopes have equal keys exactly
-    when their vertex tuples are equal, so a memo lookup that meets an equal
-    polytope built again compares integers, not ``Fraction``s.
+    ``denom`` is D, the lcm of the vertex denominators, and ``rows`` holds
+    each vertex times D.  Equality and hashing read only those, which are
+    equal exactly when the vertex tuples are, so a memo lookup that meets an
+    equal polytope built again compares integers, not ``Fraction``s.
     """
 
     dim: int
@@ -78,7 +98,7 @@ class VPolytope:
         for v in self.vertices:
             if len(v) != self.dim:
                 raise ValueError("vertex dimension mismatch")
-        # Keyed and hashed once: the memos keyed by polytopes would otherwise
+        # Scaled and hashed once: the memos keyed by polytopes would otherwise
         # hash and compare every Fraction.
         scaled, denom = _hull._scale_to_int(self.vertices)
         # Canonical order is what makes ==, hash and the vertex-keyed caches
@@ -87,9 +107,10 @@ class VPolytope:
         for u, v in zip(scaled, scaled[1:]):
             if not u < v:
                 raise ValueError("vertices must be strictly lex-ascending (use from_points)")
-        key = (self.dim, denom, tuple(scaled))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        rows = tuple(scaled)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((self.dim, denom, rows)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -99,7 +120,8 @@ class VPolytope:
             return True
         if not isinstance(other, VPolytope):
             return NotImplemented
-        return self._hash == other._hash and self._key == other._key
+        # Equal rows have equal lengths, so the dimensions agree too.
+        return self._hash == other._hash and self.denom == other.denom and self.rows == other.rows
 
     @staticmethod
     def from_points(points, dim: int | None = None) -> "VPolytope":
@@ -116,12 +138,7 @@ class VPolytope:
         pts = [as_vec(p) for p in points]
         if not pts:
             raise ValueError("empty point set")
-        n = dim if dim is not None else len(pts[0])
-        if n > max_dim():
-            raise ValueError(
-                f"dimension {n} exceeds cap {max_dim()} "
-                "(set CORNER_MIXVOL_MAX_DIM to override)"
-            )
+        n = cap_dim(dim if dim is not None else len(pts[0]))
         # Points the engine would reject skip the lookup, so they still raise its error.
         if n >= 1 and all(len(v) == n for v in pts) and all(
                 u < v for u, v in zip(pts, pts[1:])):
@@ -143,9 +160,24 @@ class VPolytope:
         return VPolytope(self.dim, verts)
 
 
-# Hand-written rather than functools.cache so that from_points, negate and
-# the assembly's derived hull can seed it.
+# Hand-written rather than functools.cache so that from_points and
+# store_hull_data can seed it.
 _hull_cache: dict[VPolytope, HullData] = {}
+
+
+def store_hull_data(poly: VPolytope, data: HullData, points) -> None:
+    """Memoize hull data derived without the engine as the polytope's.
+
+    ``points`` are points whose hull is ``poly``.  Under ``hull.strict_checks``
+    the data are first compared with the engine's hull of them; otherwise
+    ``points`` is not read.
+    """
+    if _hull.strict_checks:
+        engine = hull_of_points(points, poly.dim)
+        if data != engine:
+            raise AssertionError(f"hull data derived for {poly} {data} differ "
+                                 f"from the engine's {engine}")
+    _hull_cache[poly] = data
 
 
 def hull_data(poly: VPolytope) -> HullData:
@@ -235,15 +267,9 @@ def negate(p: VPolytope) -> VPolytope:
         # The engine's vertices are a subset of P's: equal counts mean equal lists.
         verts = neg.vertices if len(data.vertices) == len(p.vertices) else tuple(
             sorted(tuple(-x for x in v) for v in data.vertices))
-        derived = HullData(
+        store_hull_data(neg, HullData(
             data.dim, data.rank, verts, data.volume, data.pivots,
-            tuple(sorted((tuple(-c for c in a), b) for a, b in data.facets)))
-        if _hull.strict_checks:
-            engine = hull_of_points(neg.vertices, neg.dim)
-            if derived != engine:
-                raise AssertionError(f"hull data derived for -P {derived} differ "
-                                     f"from the engine's {engine}")
-        _hull_cache[neg] = derived
+            tuple(sorted((tuple(-c for c in a), b) for a, b in data.facets))), neg.vertices)
     return neg
 
 

@@ -1,4 +1,5 @@
-"""Exact convex hull, volume, and facet machinery in dimensions 1 through 8.
+"""Exact convex hull, volume, and facet machinery in any dimension: the cap
+is ``geometry.cap_dim``'s, met by the polytopes built from points.
 
 The engine is an incremental beneath-beyond construction.  The input points
 are scaled to integers once, at entry (``_scale_to_int``), and deduped there
@@ -81,8 +82,6 @@ Vec = tuple[Fraction, ...]
 Cell = tuple[tuple[int, ...], int]
 Plane = tuple[tuple[int, ...], int]  # (a, b): the half-space a.x <= b
 
-MAX_DIM = 8
-
 # int64 safety margin for the accelerated scans.
 _INT64_BOUND = 2**62
 
@@ -98,10 +97,10 @@ class HullData:
     one onto R^rank (all of them at full rank, none at rank 0).  ``facets``
     are the distinct planes a.x <= b, sorted, of the hull taken there: a
     primitive integer normal a and an offset b in the coordinates scaled by
-    the lcm D of the vertex denominators (the D of ``VPolytope``'s key), so
-    they depend on the polytope and not on redundant input points, and the
-    signs of a and whether b is 0 are those of the rational facet.  Rank 0
-    has no facet.
+    the lcm D of the vertex denominators (``VPolytope.denom``), so they
+    depend on the polytope and not on redundant input points, and the signs
+    of a and whether b is 0 are those of the rational facet.  Rank 0 has no
+    facet.
     """
 
     dim: int
@@ -128,7 +127,8 @@ class _Placing:
     pieces back to the Python form for the rest of the construction.  A
     piece's vertices are its ridge, ascending, then its apex (the initial
     simplex's pieces are ascending), so a piece's vertices less one are
-    ascending but for at most their last entry.
+    ascending but for at most their last entry.  Either form visits the live
+    pieces in ascending id order.
     """
 
     INITIAL_ROWS = 64  # scan buffer capacity before its first doubling
@@ -139,11 +139,10 @@ class _Placing:
         self.points = points
         self.osum = tuple(sum(points[i][j] for i in simplex_ids) for j in range(n))
         # The Python form; nbrs[k] is the piece across the ridge that omits
-        # verts[k], content the lattice content g.  None while batched.
+        # verts[k], content the lattice content g.  None while batched.  Ids
+        # only grow, so its insertion order is ascending id.
         self.pieces: dict[int, tuple] | None = {}
-        # Live piece ids in either form.  Its iteration order is the order in
-        # which the Python scan visits pieces, so the batched form keeps it too.
-        self.alive: set[int] = set()
+        self.live_count = 0
         self._next_id = 0
         self._max_coord = max((abs(c) for p in points for c in p), default=1)
         self._max_normal = 1
@@ -236,7 +235,7 @@ class _Placing:
         pid = self._next_id
         self._next_id += 1
         self.pieces[pid] = (verts, normal, offset, content, nbrs)
-        self.alive.add(pid)
+        self.live_count += 1
         mag = max(map(abs, normal))
         if mag > self._max_normal:
             self._max_normal = mag
@@ -250,7 +249,7 @@ class _Placing:
         return pid
 
     def _kill_piece(self, pid: int) -> None:
-        self.alive.discard(pid)
+        self.live_count -= 1
         del self.pieces[pid]
         if self._buf is not None:
             self._live[pid] = False
@@ -277,9 +276,9 @@ class _Placing:
 
     def live_pieces(self) -> dict[int, tuple]:
         """pid -> (verts, normal, offset, content, nbrs) of the live pieces, by pid."""
-        ids = sorted(self.alive)
         if self.pieces is not None:
-            return {pid: self.pieces[pid] for pid in ids}
+            return self.pieces
+        ids = np.flatnonzero(self._live[:self._next_id]).tolist()
         planes = self._buf[ids].tolist()
         return {
             pid: (tuple(verts), tuple(plane[:-1]), plane[-1], content, nbrs)
@@ -288,37 +287,24 @@ class _Placing:
                 self._nbrs[ids].tolist())
         }
 
-    def _live_rows(self):
-        """(verts, normal, offset, ...) of each live piece, in no fixed order."""
-        if self.pieces is not None:
-            return self.pieces.values()
-        ids = np.flatnonzero(self._live[:self._next_id])
-        planes = self._buf[ids]
-        return zip(map(tuple, self._verts[ids].tolist()), map(tuple, planes[:, :-1].tolist()),
-                   planes[:, -1].tolist())
-
     # -- scans -------------------------------------------------------------
 
     def _numpy_ok(self) -> bool:
         return self._max_coord * self._max_normal * (self.n + 1) < _INT64_BOUND
 
     def visible_from(self, p: tuple[int, ...]) -> list[int]:
-        if len(self.alive) >= 32 and self._buf is not None:
+        if self.live_count >= 32 and self._buf is not None:
             m = self._next_id
             vals = self._buf[:m, :-1] @ np.array(p, dtype=np.int64) - self._buf[:m, -1]
             return np.nonzero((vals > 0) & self._live[:m])[0].tolist()
-        out = []
-        for pid in self.alive:
-            _, a, b, _, _ = self.pieces[pid]
-            if sum(map(mul, a, p)) > b:
-                out.append(pid)
-        return out
+        return [pid for pid, (_, a, b, _, _) in self.pieces.items()
+                if sum(map(mul, a, p)) > b]
 
     # -- insertion ---------------------------------------------------------
 
     def insert(self, pid_new: int) -> bool:
         if (self.pieces is not None and self._batchable and self._buf is not None
-                and len(self.alive) >= self.BATCH_PIECES):
+                and self.live_count >= self.BATCH_PIECES):
             self._to_arrays()
         if self.pieces is None:
             placed = self._insert_batched(pid_new)
@@ -510,8 +496,7 @@ class _Placing:
         normals = planes[:, :-1]
         self._max_normal = max(self._max_normal, int(normals.max()), -int(normals.min()))
         self.cells.extend(zip(map(tuple, cells.tolist()), dets.tolist()))
-        self.alive.difference_update(vis.tolist())
-        self.alive.update(range(m, m + h))
+        self.live_count += h - len(vis)
         self.batched_inserts += 1
         if strict_checks:
             if not self._numpy_ok():
@@ -536,7 +521,7 @@ class _Placing:
 
     def facet_planes(self) -> list[Plane]:
         """The distinct planes (a, b), a.x <= b, of the live pieces, sorted."""
-        return sorted({piece[1:3] for piece in self._live_rows()})
+        return sorted({piece[1:3] for piece in self.live_pieces().values()})
 
     def extreme_ids(self) -> list[int]:
         """Ids of the extreme points, read off the final boundary.
@@ -550,7 +535,7 @@ class _Placing:
         against every facet.
         """
         normals: dict[int, set[tuple[int, ...]]] = {}
-        for piece in self._live_rows():
+        for piece in self.live_pieces().values():
             a = piece[1]
             for v in piece[0]:
                 normals.setdefault(v, set()).add(a)

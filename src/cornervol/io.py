@@ -18,7 +18,8 @@ consistency check and no derived hull: the assembly keeps its ``hull`` and
 is another key, and loads to an equal assembly.  Only an assembly that passed
 construction is stored.  The memo is neither read nor written under
 ``hull.strict_checks``, so every load runs every check and oracle, nor for a
-dimension above ``max_dim()``, so a lowered cap still refuses the file.
+dimension above ``max_dim()``, so a lowered cap still refuses the file,
+before any hull (``geometry.cap_dim``).
 """
 
 from __future__ import annotations

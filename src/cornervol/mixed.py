@@ -74,14 +74,14 @@ def volume_polynomial(k: VPolytope, t: VPolytope) -> VolumePolynomial:
 
     Swapping K and T reverses the coefficients and negating both keeps them,
     so the four pairs (K, T), (T, K), (-K, -T), (-T, -K) share the one
-    triangulation of whichever has the least polytope keys.  The endpoints
+    triangulation of whichever is least by ``denom`` and ``rows``.  The endpoints
     are still checked against the hull volumes of the pair asked for.
     """
     if k.dim != t.dim:
         raise ValueError("dimension mismatch")
     nk, nt = negate(k), negate(t)
     candidates = (((k, t), False), ((t, k), True), ((nk, nt), False), ((nt, nk), True))
-    (a, b), swapped = min(candidates, key=lambda c: (c[0][0]._key, c[0][1]._key))
+    (a, b), swapped = min(candidates, key=lambda c: [(p.denom, p.rows) for p in c[0]])
     coeffs = _cayley_coeffs(a, b)
     return _checked(k, t, coeffs[::-1] if swapped else coeffs, "Cayley")
 

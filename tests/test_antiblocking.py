@@ -100,6 +100,13 @@ class TestAbHull:
         b = ab_hull([(2, 0), (1, 1)])
         assert b.body == convex_hull([(0, 0), (2, 0), (1, 1), (0, 1)])
 
+    def test_cap_comes_before_the_maskings(self, monkeypatch):
+        # A generator has up to 2^n maskings, each of which calls Fraction.
+        monkeypatch.delenv("CORNER_MIXVOL_MAX_DIM", raising=False)
+        monkeypatch.setattr(antiblocking, "Fraction", None)
+        with pytest.raises(geometry.DimensionCapError, match="dimension 7 exceeds cap 6"):
+            ab_hull([(1,) * 7], 7)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ab_hull([(1, -1)])

@@ -239,10 +239,10 @@ class TestGodbersen:
         assert code == EXIT_OK
         assert json.loads(out)["summary"]["records"] == 6
         # A glued dim-6 sweep of one trial takes seconds, so it is not run here.
-        cli._check_dim(6)
+        assert geometry.max_dim() == 6
         code, _, err = run(capsys, "godbersen", "--dim", "7", "--trials", "1")
         assert code == EXIT_PARSE
-        assert "above the CLI cap 6" in err
+        assert "dimension 7 exceeds cap 6" in err
 
     def test_env_var_raises_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "8")
@@ -334,25 +334,14 @@ class TestAuditAndGen:
         if j in (0, 3):
             assert dims == [3] * 3
 
-    @pytest.mark.parametrize("command", ["audit", "audit-inconsistent", "mixvol", "decompose"])
-    def test_over_cap_file_takes_no_hull(self, capsys, tmp_path, monkeypatch, command):
-        # The cap reads the declared dimension before any polytope is built,
-        # so an over-cap file is refused before its first hull, and ahead of
-        # any fault in its pieces.
-        from itertools import product
+    CAP_ERROR = ("error: dimension 7 exceeds cap 6 "
+                 "(set CORNER_MIXVOL_MAX_DIM to override, at your own risk)\n")
 
+    @staticmethod
+    def record_hulls(monkeypatch) -> list:
         from cornervol import io as cio
 
         monkeypatch.delenv("CORNER_MIXVOL_MAX_DIM", raising=False)
-        n = 7
-        simplex = {"dim": n, "vertices": [[str(int(i == k)) for i in range(n)]
-                                          for k in range(-1, n)]}
-        pieces = {"".join(s): simplex for s in product("+-", repeat=n)}
-        if command == "audit-inconsistent":
-            pieces["+" * n] = {"dim": n, "vertices": [["0"] * n, ["2"] + ["0"] * (n - 1)]}
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(simplex if command in ("mixvol", "decompose")
-                                   else {"dim": n, "pieces": pieces}))
         monkeypatch.setattr(geometry, "_hull_cache", {})
         monkeypatch.setattr(cio, "_assembly_cache", {})
         calls = []
@@ -364,11 +353,50 @@ class TestAuditAndGen:
 
         monkeypatch.setattr(hull_mod, "hull_of_points", recording)
         monkeypatch.setattr(geometry, "hull_of_points", recording)
-        argv = {"mixvol": ["mixvol", str(path), str(path)],
-                "decompose": ["decompose", str(path), str(path)]}.get(command, ["audit", str(path)])
-        code, out, err = run(capsys, *argv, "--j", "1")
-        assert (code, out, calls) == (EXIT_PARSE, "", [])
-        assert "dimension 7 above the CLI cap 6" in err
+        return calls
+
+    @pytest.mark.parametrize("command", ["audit", "audit-inconsistent", "audit-empty", "mixvol",
+                                         "decompose", "decompose-generators"])
+    def test_over_cap_file_takes_no_hull(self, capsys, tmp_path, monkeypatch, command):
+        # ``from_points`` meets the cap before its hull, and ``ab_hull`` and
+        # the orthant enumeration before they build anything, so an over-cap
+        # file is refused before its first hull, ahead of any fault in its
+        # pieces, with the cap's message.  ``decompose`` exits 2, not 3: the
+        # cap is no verdict on anti-blocking inputs.
+        from itertools import product
+
+        n = 7
+        simplex = {"dim": n, "vertices": [[str(int(i == k)) for i in range(n)]
+                                          for k in range(-1, n)]}
+        pieces = {"".join(s): simplex for s in product("+-", repeat=n)}
+        if command == "audit-inconsistent":
+            pieces["+" * n] = {"dim": n, "vertices": [["0"] * n, ["2"] + ["0"] * (n - 1)]}
+        files = {"mixvol": simplex, "decompose": simplex,
+                 "decompose-generators": {"dim": n, "generators": [["1"] * n]},
+                 "audit-empty": {"dim": n, "pieces": {}}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(files.get(command, {"dim": n, "pieces": pieces})))
+        calls = self.record_hulls(monkeypatch)
+        name = command.split("-")[0]
+        argv = [name, str(path)] + ([str(path)] if name in ("mixvol", "decompose") else [])
+        assert run(capsys, *argv, "--j", "1") == (EXIT_PARSE, "", self.CAP_ERROR)
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["godbersen", "--dim", "7", "--trials", "0"],
+        ["godbersen", "--dim", "7", "--family", "cube"],
+        ["gen", "--dim", "7"],
+        ["gen", "--dim", "7", "--family", "cross"],
+        ["gen", "--family", "equality-1", "--alphas", "1,1,1,1,1,1,1"],
+        ["simplex", "--alphas", "1,1,1,1,1,1,1", "--j", "2"],
+    ], ids=" ".join)
+    def test_over_cap_flag_takes_no_hull(self, capsys, monkeypatch, argv):
+        # A dimension given on the command line meets the same cap before
+        # anything is built, even when nothing would be (``--trials 0``, or
+        # the closed forms of ``simplex``).
+        calls = self.record_hulls(monkeypatch)
+        assert run(capsys, *argv) == (EXIT_PARSE, "", self.CAP_ERROR)
+        assert calls == []
 
     def test_failed_exact_audit_step_exits_4(self, capsys, tmp_path, monkeypatch):
         assert main(["gen", "--style", "glued", "--dim", "2", "--seed", "9"]) == EXIT_OK

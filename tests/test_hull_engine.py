@@ -276,11 +276,12 @@ def test_incidence_vertices_on_coplanar_inputs(case):
 def test_dimension_bounds(monkeypatch):
     from cornervol import convex_hull
 
-    with pytest.raises(ValueError, match="CORNER_MIXVOL_MAX_DIM"):
-        convex_hull([(0,) * 9], 9)
-    monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "9")
-    pts = [(0,) * 9] + [tuple(1 if j == i else 0 for j in range(9)) for i in range(9)]
-    assert len(convex_hull(pts, 9).vertices) == 10
+    monkeypatch.delenv("CORNER_MIXVOL_MAX_DIM", raising=False)
+    with pytest.raises(ValueError, match="dimension 7 exceeds cap 6 .*CORNER_MIXVOL_MAX_DIM"):
+        convex_hull([(0,) * 7], 7)
+    monkeypatch.setenv("CORNER_MIXVOL_MAX_DIM", "7")
+    pts = [(0,) * 7] + [tuple(1 if j == i else 0 for j in range(7)) for i in range(7)]
+    assert len(convex_hull(pts, 7).vertices) == 8
     with pytest.raises(ValueError):
         hull_of_points([], 2)
 
@@ -382,7 +383,7 @@ def test_scan_buffer_grows_past_its_capacity(strict_hull):
 def test_int64_guard_trips_partway(strict_hull):
     base, escapes = sphere_with_escapes()
     placing = placed(base, 3)
-    assert placing._buf is not None and len(placing.alive) >= 32
+    assert placing._buf is not None and placing.live_count >= 32
     assert placed(base + escapes, 3)._buf is None
 
 

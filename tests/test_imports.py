@@ -131,3 +131,25 @@ def test_every_public_definition_is_needed():
             unneeded.append(f"{name} (referenced, so no longer an oracle)")
     assert unneeded == []
     assert set(ORACLES) <= set(definitions)
+
+
+# What a polytope is belongs to ``geometry``: no other module reads a
+# polytope's private integer key or writes the hull memo, and no module
+# defines a dimension cap of its own under the names such caps had.
+GEOMETRY_PRIVATE = {"_key", "_hull_cache"}
+RETIRED_CAPS = {"MAX_DIM", "_DIM_CAP", "_check_dim"}
+
+
+def defined_and_referenced(tree: ast.Module) -> set[str]:
+    """Every name and attribute in the tree, and every function and class it defines."""
+    return referenced_names(tree) | {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_polytope_rules_stay_in_geometry(path):
+    names = defined_and_referenced(ast.parse(path.read_text(encoding="utf-8")))
+    if path.stem != "geometry":
+        assert names & GEOMETRY_PRIVATE == set()
+    assert names & RETIRED_CAPS == set()
