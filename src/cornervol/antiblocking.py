@@ -116,7 +116,8 @@ def validate_ab(poly: VPolytope) -> bool:
     those equal the support exactly in that case.  A single point is
     down-closed exactly when it is the origin.  The facets come from the
     memoized hull, free for a polytope built by ``from_points`` and paid
-    once for one built raw, whose vertex list may hold redundant points.
+    once for one built raw; ``hull_data`` raises ValueError on a raw list
+    that holds a point which is no vertex.
     The signs and the support are read off the polytope's integer ``rows``
     (its vertices times D > 0), so no ``Fraction`` is compared.
     """

@@ -52,8 +52,9 @@ class EngineDisagreementError(RuntimeError):
 
 
 def all_signs(n: int) -> list[SignVector]:
-    """The 2^n sign vectors, once ``n`` passed the cap (``cap_dim``)."""
-    return list(itertools.product((1, -1), repeat=cap_dim(n)))
+    """The 2^n sign vectors by orthant mask, once ``n`` passed the cap
+    (``cap_dim``): ``all_signs(n)[m]`` is -1 exactly at the set bits of m."""
+    return [tuple(-1 if m >> i & 1 else 1 for i in range(n)) for m in range(1 << cap_dim(n))]
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,13 @@ class OrthantAssembly:
     ``pieces`` may be given as a mapping or a sequence of (sign, piece)
     pairs, each sign a tuple or list of the ints 1 and -1 given once; the
     constructor fills every missing orthant with the degenerate piece {0},
-    stores the pairs sorted by sign, and raises AssemblyError unless the
-    pieces agree on their shared coordinate subspaces
-    (``_check_consistency``).  Every piece is down-closed by type, so every
-    assembly is a convex body (the proof is in ``assemble``).
+    stores the pairs in ``all_signs`` order, and raises AssemblyError unless
+    the pieces agree on their shared coordinate subspaces
+    (``_check_consistency``).  So ``pieces[m]`` is the orthant whose sign is
+    -1 at the set bits of m, its opposite is ``pieces[~m]`` and its
+    neighbour along e_i is ``pieces[m ^ 1 << i]``.  Every piece is
+    down-closed by type, so every assembly is a convex body (the proof is in
+    ``assemble``), and canonical, since validation hulls it (``hull_data``).
     """
 
     dim: int
@@ -85,19 +89,10 @@ class OrthantAssembly:
             if piece.dim != self.dim:
                 raise AssemblyError("piece dimension mismatch")
             table[sv] = piece
-        missing = [sv for sv in all_signs(self.dim) if sv not in table]
-        if missing:
-            filler = AntiBlockingBody(origin(self.dim))
-            table.update((sv, filler) for sv in missing)
-        object.__setattr__(self, "pieces", tuple(sorted(table.items())))
-        _check_consistency(self.dim, table)
-
-    @cached_property
-    def piece_map(self) -> dict[SignVector, AntiBlockingBody]:
-        return dict(self.pieces)
-
-    def piece(self, sign: SignVector) -> AntiBlockingBody:
-        return self.piece_map[tuple(sign)]
+        signs = all_signs(self.dim)
+        filler = AntiBlockingBody(origin(self.dim)) if len(table) < len(signs) else None
+        object.__setattr__(self, "pieces", tuple((sv, table.get(sv, filler)) for sv in signs))
+        _check_consistency(self.dim, self.pieces)
 
     @cached_property
     def hull(self) -> VPolytope:
@@ -167,33 +162,29 @@ def _mask(v) -> int:
     return sum(1 << i for i, x in enumerate(v) if x)
 
 
-def _scaled_rows(data: dict[VPolytope, HullData]) -> tuple[dict, int]:
-    """The pieces' hull vertices as integer rows over L, the lcm of their
-    vertex denominators: by piece, its rows and L / D for its own D; and L.
-
-    A canonical piece (its vertices are its hull's) has its rows over D as
-    its ``rows`` and ``denom``; a raw piece scales its hull's vertices.
-    """
-    own = {p: (p.rows, p.denom) if len(d.vertices) == len(p.vertices)
-           else _hull._scale_to_int(d.vertices) for p, d in data.items()}
-    denom = lcm(*(d_p for _, d_p in own.values()))
-    scaled = {}
-    for p, (rows, d_p) in own.items():
-        up = denom // d_p
-        scaled[p] = ([tuple([x * up for x in r]) for r in rows] if up > 1 else rows, up)
-    return scaled, denom
+def _scaled_rows(polys) -> tuple[dict, int]:
+    """The polytopes' vertices as integer rows over L, the lcm of their
+    ``denom``s: by polytope, its ``rows`` scaled by L / D for its own D, with
+    that factor; and L."""
+    polys = set(polys)
+    denom = lcm(*(p.denom for p in polys))
+    ups = {p: denom // p.denom for p in polys}
+    return {p: ([tuple([x * up for x in r]) for r in p.rows] if up > 1 else p.rows, up)
+            for p, up in ups.items()}, denom
 
 
 def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     """K with its ``HullData`` read off the pieces', or None for the engine.
 
-    The rule and its proofs are in ``OrthantAssembly.hull``.  Signs are bit
-    masks of their negative coordinates.  Points and offsets are integers
-    over the lcm of the pieces' vertex denominators, and K's offsets move to
-    the lcm of its own.  The data are memoized by ``store_hull_data``.
+    The rule and its proofs are in ``OrthantAssembly.hull``.  Pieces are read
+    by orthant mask, whose set bits are the sign's negative coordinates.
+    Points and offsets are integers over the lcm of the pieces' vertex
+    denominators, and K's offsets move to the lcm of its own.  The data are
+    memoized by ``store_hull_data``.
     """
     n = a.dim
-    data = {piece.body: hull_data(piece.body) for _, piece in a.pieces}
+    bodies = [piece.body for _, piece in a.pieces]
+    data = {p: hull_data(p) for p in bodies}
     equal = len(data) == 1
     if not equal and any(d.rank < n for d in data.values()):
         return None  # some piece is flat
@@ -206,7 +197,7 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     for p, d in data.items():
         ws, up = scaled[p]
         verts[p] = [(w, _mask(w)) for w in ws]
-        for w, v in zip(ws, d.vertices):
+        for w, v in zip(ws, p.vertices):
             frac.update(zip(w, v))
         facets[p] = [(c, b * up, sum(1 << d.pivots[i] for i, x in enumerate(c) if x))
                      for c, b in d.facets if min(c) >= 0]
@@ -216,9 +207,8 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
                 if x:
                     w = u[:k] + (0,) + u[k + 1:]
                     cov[w] = cov.get(w, 0) | 1 << k
-    at = {_mask([s < 0 for s in sign]): piece.body for sign, piece in a.pieces}
     kept, planes = [], set()
-    for neg, p in at.items():
+    for neg, p in enumerate(bodies):
         flip = [neg >> i & 1 for i in range(n)]
         pivots = data[p].pivots
         for c, b, supp in facets[p]:
@@ -231,7 +221,7 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
                 continue  # enumerated from the sign that is + off supp(w)
             bits = cov.get(w, 0)
             if bits and (equal or any(
-                    bits >> k & 1 and covered[at[neg | 1 << k]].get(w, 0) >> k & 1
+                    bits >> k & 1 and covered[bodies[neg | 1 << k]].get(w, 0) >> k & 1
                     for k in range(n))):
                 continue
             kept.append(tuple([-x if f else x for f, x in zip(flip, w)]))
@@ -239,46 +229,47 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     for c in list(frac):
         frac.setdefault(-c, -frac[c])
     body = VPolytope(n, tuple(tuple([frac[c] for c in w]) for w in kept))
-    first = data[a.pieces[0][1].body]
+    first = data[bodies[0]]
     store_hull_data(body, HullData(
         n, first.rank, body.vertices,
-        sum((data[piece.body].volume for _, piece in a.pieces), Fraction(0)),
+        sum((data[p].volume for p in bodies), Fraction(0)),
         first.pivots, tuple(sorted((c, b * body.denom // denom) for c, b in planes))),
         _reflected_vertices(a))
     return body
 
 
-def _check_consistency(dim: int, piece_map: dict[SignVector, AntiBlockingBody]) -> None:
+def _check_consistency(dim: int, pieces) -> None:
     """Raise AssemblyError unless every adjacent pair of pieces agrees along e_i.
 
-    The projection of a down-closed piece along e_i is its face x_i = 0,
-    whose vertices are the piece's vertices with x_i = 0; so two pieces
-    agree there exactly when those vertex lists do.  They are read off the
-    memoized hull, since a raw piece may list redundant points.  Comparing
-    each single-sign flip on the complementary subspace covers every
-    subspace pair by projection composition and transitivity.
+    ``pieces`` are (sign, piece) pairs in ``all_signs`` order, so the
+    neighbour of the m-th along e_i is the (m | 1 << i)-th.  The projection
+    of a down-closed piece along e_i is its face x_i = 0, whose vertices are
+    the piece's vertices with x_i = 0, since every piece is canonical; so two
+    pieces agree there exactly when those vertex lists do.  Comparing each
+    single-sign flip on the complementary subspace covers every subspace pair
+    by projection composition and transitivity.
 
     The vertices are compared as integer rows over one denominator
     (``_scaled_rows``).
     """
-    scaled, _ = _scaled_rows({piece.body: hull_data(piece.body)
-                              for piece in piece_map.values()})
+    bodies = [piece.body for _, piece in pieces]
+    scaled, _ = _scaled_rows(bodies)
     for i in range(dim):
-        for sign in all_signs(dim):
-            if sign[i] != 1:
+        bit = 1 << i
+        for m, p in enumerate(bodies):
+            if m & bit:
                 continue
-            other = sign[:i] + (-1,) + sign[i + 1:]
-            p, q = piece_map[sign].body, piece_map[other].body
+            q = bodies[m | bit]
             if p is not q and ([r for r in scaled[p][0] if not r[i]]
                                != [r for r in scaled[q][0] if not r[i]]):
                 keep = tuple(j for j in range(dim) if j != i)
                 raise AssemblyError(
-                    f"projection mismatch between orthants {sign_to_str(sign)} and "
-                    f"{sign_to_str(other)} on the coordinates {keep}"
+                    f"projection mismatch between orthants {sign_to_str(pieces[m][0])} and "
+                    f"{sign_to_str(pieces[m | bit][0])} on the coordinates {keep}"
                 )
 
 
-def _check_convex_union(piece_map: dict[SignVector, AntiBlockingBody], hull: VPolytope) -> None:
+def _check_convex_union(pieces, hull: VPolytope) -> None:
     # The union of the pieces is convex iff it fills its own hull, which for
     # interior-disjoint pieces is an exact volume identity.  When the whole
     # assembly lies in a proper coordinate subspace the check runs there:
@@ -286,7 +277,7 @@ def _check_convex_union(piece_map: dict[SignVector, AntiBlockingBody], hull: VPo
     # pieces differing only in those signs coincide.
     support = tuple(sorted({
         i
-        for piece in piece_map.values()
+        for _, piece in pieces
         for v in piece.vertices
         for i, x in enumerate(v)
         if x != 0
@@ -296,7 +287,7 @@ def _check_convex_union(piece_map: dict[SignVector, AntiBlockingBody], hull: VPo
     # Pieces sharing a reduced sign have one shadow: _check_consistency compared each single-sign
     # flip on coordinates containing the support; in dimension 1 the two signs differ on it.
     reduced: dict[SignVector, AntiBlockingBody] = {}
-    for sign, piece in piece_map.items():
+    for sign, piece in pieces:
         reduced.setdefault(tuple(sign[i] for i in support), piece)
     total = sum((volume(shadow(piece.body, support)) for piece in reduced.values()), Fraction(0))
     hull_vol = volume(shadow(hull, support))
@@ -324,7 +315,7 @@ def assemble(dim: int, pieces) -> OrthantAssembly:
     """
     assembly = OrthantAssembly(dim, pieces)
     if _hull.strict_checks:
-        _check_convex_union(assembly.piece_map, assembly.hull)
+        _check_convex_union(assembly.pieces, assembly.hull)
     return assembly
 
 
@@ -387,20 +378,21 @@ def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
 
     Reflecting both bodies of a pair by the same signs leaves the mixed volume
     unchanged, so each orthant term is computed on the stored positive pieces.
+    Pieces at one position of both ``pieces`` share their sign.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= j <= a.dim:
         raise ValueError("copy count out of range")
     total = Fraction(0)
-    for sign, piece in a.pieces:
-        total += mixed_volume_pair(piece.body, b.piece(sign).body, j)
+    for (_, p), (_, q) in zip(a.pieces, b.pieces):
+        total += mixed_volume_pair(p.body, q.body, j)
     return total
 
 
 def negate_assembly(a: OrthantAssembly) -> OrthantAssembly:
     """Pointwise negation: the piece at each sign comes from the opposite sign."""
-    return OrthantAssembly(a.dim, [(sv, a.piece(tuple(-s for s in sv))) for sv, _ in a.pieces])
+    return OrthantAssembly(a.dim, [(sv, a.pieces[~m][1]) for m, (sv, _) in enumerate(a.pieces)])
 
 
 def _orthant_split(a: OrthantAssembly, j: int) -> Fraction:
@@ -408,9 +400,9 @@ def _orthant_split(a: OrthantAssembly, j: int) -> Fraction:
 
     ``lab_mixed(a, negate_assembly(a), j)`` without building -K's assembly.
     """
-    piece = a.piece_map
-    return sum((mixed_volume_pair(p.body, piece[tuple(-x for x in s)].body, j)
-                for s, p in a.pieces), Fraction(0))
+    pieces = a.pieces
+    return sum((mixed_volume_pair(p.body, pieces[~m][1].body, j)
+                for m, (_, p) in enumerate(pieces)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -499,21 +491,15 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     if not a.is_full_dimensional():
         raise ValueError("assembly must be full-dimensional")
     hull = a.hull
-    piece = a.piece_map
+    at = [p.body for _, p in a.pieces]  # by orthant mask; the opposite of m is ~m
 
     direct = mixed_volume_pair(hull, negate(hull), j)
     split_sum = _orthant_split(a, j)
-    relaxed_sum = sum(
-        (mixed_volume_pair(p.body, negate(piece[tuple(-x for x in s)].body), j)
-         for s, p in a.pieces),
-        Fraction(0),
-    )
+    relaxed_sum = sum((mixed_volume_pair(p, negate(at[~m]), j) for m, p in enumerate(at)),
+                      Fraction(0))
 
-    # The pieces indexed by the bit mask of their negative signs, and their
-    # N over L on the j-sets, on the (n-j)-sets and on every coordinate.
-    at = [None] * (1 << n)
-    for s, p in a.pieces:
-        at[_mask([x < 0 for x in s])] = p.body
+    # The pieces' N over L on the j-sets, on the (n-j)-sets and on every
+    # coordinate.
     denom = lcm(*(p.denom for p in at))
 
     def over_denom(p, size):

@@ -354,10 +354,7 @@ def cmd_gen(args) -> int:
 # simplex
 
 def _parse_rationals(text: str) -> list[Fraction]:
-    try:
-        return [cio.parse_rational(part) for part in text.split(",") if part.strip()]
-    except cio.ParseError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
+    return [cio.parse_rational(part) for part in text.split(",") if part.strip()]
 
 
 def cmd_simplex(args) -> int:

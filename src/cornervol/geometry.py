@@ -1,9 +1,12 @@
 """Exact V-representation polytopes and their basic operations.
 
 All coordinates are ``fractions.Fraction``; every operation is a pure function
-and every value is immutable after construction.  A ``VPolytope`` is always
-canonical: its vertex tuple is the irredundant extreme-point set in ascending
-lexicographic order, so structural equality is set equality.
+and every value is immutable after construction.  A ``VPolytope`` lists its
+vertices in ascending lexicographic order, and every one that is hulled is
+canonical: ``hull_data`` refuses a vertex list holding a point that is no
+vertex of its hull, so the hull memo holds only irredundant lists and
+structural equality is set equality.  A raw list that is never hulled still
+compares structurally.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class VPolytope:
         # hash and compare every Fraction.
         scaled, denom = _hull._scale_to_int(self.vertices)
         # Canonical order is what makes ==, hash and the vertex-keyed caches
-        # sound; irredundancy is the constructors' job and is not re-checked.
+        # sound; irredundancy is checked at the first hull (``hull_data``).
         # The scaled rows keep the order of the vertices, since D > 0.
         for u, v in zip(scaled, scaled[1:]):
             if not u < v:
@@ -129,11 +132,9 @@ class VPolytope:
 
         Points already strictly lex-ascending (the order that ``io`` writes)
         are looked up in the memo first, and returned as a polytope without a
-        hull when the memo holds them as their own hull.  The engine's
-        vertices are a subset of its input, so a memoized vertex count equal
-        to the number of points means the list is irredundant; a raw polytope
-        with a redundant vertex, memoized by ``hull_data``, is no hit.  Under
-        ``hull.strict_checks`` a hit is compared with the engine's hull.
+        hull when the memo holds them: it holds only canonical polytopes, so
+        a hit is its own hull.  Under ``hull.strict_checks`` a hit is compared
+        with the engine's hull.
         """
         pts = [as_vec(p) for p in points]
         if not pts:
@@ -144,7 +145,7 @@ class VPolytope:
                 u < v for u, v in zip(pts, pts[1:])):
             poly = VPolytope(n, tuple(pts))
             data = _hull_cache.get(poly)
-            if data is not None and len(data.vertices) == len(pts):
+            if data is not None:
                 if _hull.strict_checks and hull_of_points(pts, n) != data:
                     raise AssertionError(
                         f"memoized hull {data} of {poly} differs from the engine's")
@@ -184,11 +185,20 @@ def hull_data(poly: VPolytope) -> HullData:
     """The hull engine's data for the polytope's vertices, memoized.
 
     Free for a polytope built by ``from_points``, which stores the hull it
-    built; a polytope built raw pays for one hull, once.
+    built; a polytope built raw pays for one hull, once.  A raw list holding a
+    point that is no vertex of its hull raises ValueError naming the first such
+    point, and nothing is stored.  The engine's vertices are a subset of its
+    input, so one length comparison decides.
     """
     data = _hull_cache.get(poly)
     if data is None:
-        data = _hull_cache[poly] = hull_of_points(poly.vertices, poly.dim)
+        data = hull_of_points(poly.vertices, poly.dim)
+        if len(data.vertices) < len(poly.vertices):
+            kept = set(data.vertices)
+            extra = next(v for v in poly.vertices if v not in kept)
+            raise ValueError(f"vertex list holds ({', '.join(map(str, extra))}), "
+                             "which is no vertex of its hull (use from_points)")
+        _hull_cache[poly] = data
     return data
 
 
@@ -264,11 +274,8 @@ def negate(p: VPolytope) -> VPolytope:
     neg = reflect(p, (-1,) * p.dim)
     data = _hull_cache.get(p)
     if data is not None and neg not in _hull_cache:
-        # The engine's vertices are a subset of P's: equal counts mean equal lists.
-        verts = neg.vertices if len(data.vertices) == len(p.vertices) else tuple(
-            sorted(tuple(-x for x in v) for v in data.vertices))
         store_hull_data(neg, HullData(
-            data.dim, data.rank, verts, data.volume, data.pivots,
+            data.dim, data.rank, neg.vertices, data.volume, data.pivots,
             tuple(sorted((tuple(-c for c in a), b) for a, b in data.facets))), neg.vertices)
     return neg
 

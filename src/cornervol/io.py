@@ -13,13 +13,13 @@ An assembly file loaded again returns the assembly the process built the
 first time.  ``assembly_from_obj`` keys it by the dimension and the canonical
 JSON text of the ``pieces`` object, taken before any piece is parsed, so a
 reload parses no rational, builds no polytope and runs no ``validate_ab``, no
-consistency check and no derived hull: the assembly keeps its ``hull`` and
-``piece_map``.  A file that spells a coordinate another way ("1/1" for "1")
-is another key, and loads to an equal assembly.  Only an assembly that passed
-construction is stored.  The memo is neither read nor written under
-``hull.strict_checks``, so every load runs every check and oracle, nor for a
-dimension above ``max_dim()``, so a lowered cap still refuses the file,
-before any hull (``geometry.cap_dim``).
+consistency check and no derived hull: the assembly keeps its ``hull``.  A
+file that spells a coordinate another way ("1/1" for "1") is another key, and
+loads to an equal assembly.  Only an assembly that passed construction is
+stored.  The dimension meets the cap (``geometry.cap_dim``) before the memo
+is read, so a lowered cap still refuses the file, before any hull.  The memo
+is neither read nor written under ``hull.strict_checks``, so every load runs
+every check and oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import hull as _hull
 from .antiblocking import AntiBlockingBody, ab_hull
 from .assembly import AssemblyError, OrthantAssembly, assemble, sign_to_str
-from .geometry import VPolytope, convex_hull, max_dim
+from .geometry import VPolytope, cap_dim, convex_hull
 
 
 class ParseError(ValueError):
@@ -136,11 +136,11 @@ def assembly_from_obj(obj) -> OrthantAssembly:
     docstring)."""
     if not isinstance(obj, dict) or "dim" not in obj or "pieces" not in obj:
         raise ParseError("assembly object needs 'dim' and 'pieces'")
-    dim = _dim_in(obj["dim"])
+    dim = cap_dim(_dim_in(obj["dim"]))
     if not isinstance(obj["pieces"], dict):
         raise ParseError("assembly 'pieces' must be an object keyed by sign strings")
     memo = None
-    if not _hull.strict_checks and dim <= max_dim():
+    if not _hull.strict_checks:
         memo = (dim, json.dumps(obj["pieces"], sort_keys=True))
         hit = _assembly_cache.get(memo)
         if hit is not None:

@@ -16,6 +16,7 @@ from cornervol import antiblocking, geometry
 from cornervol import hull as hull_mod
 from cornervol import (
     AntiBlockingBody,
+    OrthantAssembly,
     ab_hull,
     ab_join_volume,
     ab_opposite_mixed,
@@ -55,10 +56,11 @@ def lp_oracle(poly):
 coords = st.builds(F, st.integers(0, 4), st.sampled_from((1, 2, 3, 5)))
 
 # How the candidate is built: the hull or the down-closure of random points;
-# either of those squeezed into the hyperplane x_axis = 0; either of those as a
-# raw VPolytope that lists the average of the vertices as a redundant point; a
-# down-closure with one vertex moved; or one with a coordinate made negative.
-KINDS = ("points", "flat", "redundant", "moved", "negative")
+# either of those squeezed into the hyperplane x_axis = 0; a down-closure with
+# one vertex moved; or one with a coordinate made negative.  A raw list with a
+# redundant point is refused at its first hull, so it is no candidate
+# (``test_redundant_raw_vertex_list``).
+KINDS = ("points", "flat", "moved", "negative")
 
 
 @st.composite
@@ -70,13 +72,8 @@ def candidates(draw):
     if kind == "flat":
         axis = draw(st.integers(0, n - 1))
         pts = [p[:axis] + (F(0),) + p[axis + 1:] for p in pts]
-    if kind in ("points", "flat", "redundant"):
-        base = ab_hull(pts, n).body if draw(st.booleans()) else convex_hull(pts, n)
-        if kind != "redundant":
-            return base
-        m = len(base.vertices)
-        centroid = tuple(sum(c) / m for c in zip(*base.vertices))
-        return VPolytope(n, tuple(sorted(set(base.vertices) | {centroid})))
+    if kind in ("points", "flat"):
+        return ab_hull(pts, n).body if draw(st.booleans()) else convex_hull(pts, n)
     verts = list(ab_hull(pts, n).vertices)
     k = draw(st.integers(0, len(verts) - 1))
     if kind == "moved":
@@ -158,15 +155,16 @@ class TestValidateAb:
             assert validate_ab(poly) == full
 
     def test_redundant_raw_vertex_list(self):
-        # (1/2, 1/2) is not a vertex; the hull of V and its maskings drops it,
-        # which must not count as a down-closure failure.
+        # (1/2, 1/2) is no vertex: validation takes the list's hull, which
+        # refuses it, whether the points it spans are down-closed or not.
+        # The LP oracle reads the points as given.
         h = F(1, 2)
         poly = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (h, h), (F(1), F(0))))
-        assert validate_ab(poly)
-        assert lp_oracle(poly)
         bad = VPolytope(2, ((F(0), F(1)), (h, h), (F(1), F(0))))
-        assert not validate_ab(bad)
-        assert not lp_oracle(bad)
+        for raw, down_closed in ((poly, True), (bad, False)):
+            with pytest.raises(ValueError, match=r"holds \(1/2, 1/2\), which is no vertex"):
+                validate_ab(raw)
+            assert lp_oracle(raw) == down_closed
 
     @given(candidates())
     @settings(max_examples=150, deadline=None)
@@ -191,10 +189,19 @@ class TestAntiBlockingBody:
         with pytest.raises(ValueError, match=f"^polytope is not down-closed: {reason}$"):
             AntiBlockingBody(convex_hull(points))
 
-    def test_accepts_a_raw_list_with_a_redundant_point(self):
+    def test_refuses_a_raw_list_with_a_redundant_point(self):
+        # The list spans a down-closed triangle, but (1/2, 1/2) is no vertex
+        # of it: volume, the type and an assembly of it all refuse the list
+        # at its first hull, which stores nothing.
         h = F(1, 2)
         raw = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (h, h), (F(1), F(0))))
-        assert AntiBlockingBody(raw).body is raw
+        named = r"^vertex list holds \(1/2, 1/2\), which is no vertex of its hull"
+        for build in (volume, AntiBlockingBody,
+                      lambda p: OrthantAssembly(2, [((1, 1), AntiBlockingBody(p))])):
+            with pytest.raises(ValueError, match=named):
+                build(raw)
+            assert raw not in geometry._hull_cache
+        assert volume(convex_hull(raw.vertices)) == h
 
 
 def count_hull_calls(monkeypatch):
@@ -262,10 +269,14 @@ class TestFacetRoute:
             self.check(convex_hull(verts, 3), expected)
             assert calls == [3, 3]
             calls.clear()
+        # A redundant raw list is refused at its hull and not memoized, so
+        # each attempt pays that hull again.
         h = F(1, 2)
         redundant = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (h, h), (F(1), F(0))))
-        self.check(redundant, True)
-        assert calls == [2]
+        for attempt in (1, 2):
+            with pytest.raises(ValueError, match="no vertex of its hull"):
+                validate_ab(redundant)
+            assert calls == [2] * attempt
 
     def test_from_points_polytope_needs_no_hull(self, monkeypatch):
         poly = ab_hull([(2, 1), (1, 2)], 2).body

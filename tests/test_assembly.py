@@ -290,16 +290,16 @@ class TestGluedHull:
         hull = convex_hull(reflected, 2)
         assert hull == convex_hull([(2, 2), (2, 0), (0, 2), (-1, 0), (0, -1)])
         with pytest.raises(AssemblyError, match="union of pieces is not convex"):
-            assembly._check_convex_union(pieces, hull)
+            assembly._check_convex_union(pieces.items(), hull)
 
-    def test_redundant_raw_piece_assembles(self):
-        # The raw piece lists (0, 1), which is no vertex of its hull; the
-        # consistency check reads the canonical vertices, so it agrees with
-        # its hull at the other signs.
-        raw = AntiBlockingBody(VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (F(0), F(2)), (F(1), F(0)))))
+    def test_redundant_raw_piece_is_refused(self):
+        # The raw piece lists (0, 1), which is no vertex of its hull, so it is
+        # refused before it reaches an assembly; its hull glues at every sign.
+        raw = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (F(0), F(2)), (F(1), F(0))))
+        with pytest.raises(ValueError, match=r"holds \(0, 1\), which is no vertex"):
+            AntiBlockingBody(raw)
         hull = AntiBlockingBody(convex_hull(raw.vertices, 2))
         pieces = {s: hull for s in all_signs(2)}
-        pieces[(1, 1)] = raw
         a = assemble(2, pieces)
         assert a == OrthantAssembly(2, pieces)
         assert a.hull == convex_hull([(1, 0), (0, 2), (-1, 0), (0, -2)])
@@ -341,7 +341,7 @@ class TestConvexUnion:
     @given(consistent_families())
     @settings(max_examples=60, deadline=None)
     def test_consistent_pieces_glue_to_a_convex_body(self, a):
-        assembly._check_convex_union(a.piece_map, a.hull)
+        assembly._check_convex_union(a.pieces, a.hull)
         reflected = sorted(assembly._reflected_vertices(a))
         assert lab_volume(a) == hull_of_points(reflected, a.dim).volume
 
@@ -414,8 +414,9 @@ class TestDecompositions:
                 a = random_assembly(f"sumdec-a-{n}-{trial}", n, "glued")
                 b = random_assembly(f"sumdec-b-{n}-{trial}", n, "glued")
                 direct = volume(minkowski_sum(a.hull, b.hull))
+                piece_of_b = dict(b.pieces)
                 per_orthant = sum(
-                    volume(minkowski_sum(piece.body, b.piece(sign).body))
+                    volume(minkowski_sum(piece.body, piece_of_b[sign].body))
                     for sign, piece in a.pieces
                 )
                 assert direct == per_orthant
@@ -475,6 +476,33 @@ class TestNegation:
             na = negate_assembly(a)
             assert negate_assembly(na) == a
             assert na.hull == reflect(a.hull, (-1,) * a.dim)
+
+
+class TestOrthantOrder:
+    """Pieces are stored by orthant mask: the m-th sign is -1 exactly at the
+    set bits of m, so the opposite orthant is ~m and the neighbour along e_i
+    is m ^ 1 << i."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_i_is_the_sign_of_coordinate_i(self, n):
+        signs = all_signs(n)
+        assert len(set(signs)) == len(signs) == 1 << n
+        for m, sign in enumerate(signs):
+            assert [m >> i & 1 for i in range(n)] == [int(s == -1) for s in sign]
+            assert signs[~m] == tuple(-s for s in sign)
+
+    def test_pieces_are_stored_in_mask_order(self):
+        a = random_assembly("order", 3, "glued")
+        given = list(reversed(a.pieces))
+        assert [s for s, _ in OrthantAssembly(3, given).pieces] == all_signs(3)
+        assert OrthantAssembly(3, given) == a
+
+    def test_orthant_split_is_lab_mixed_against_the_negation(self):
+        for n in (1, 2, 3):
+            a = random_assembly(f"order-split-{n}", n, "glued")
+            na = negate_assembly(a)
+            for j in range(n + 1):
+                assert _orthant_split(a, j) == lab_mixed(a, na, j)
 
 
 class TestGodbersen:
@@ -562,7 +590,7 @@ def fraction_audit(a, j):
     n = a.dim
     hull = a.hull
     signs = all_signs(n)
-    piece = a.piece_map
+    piece = dict(a.pieces)  # by sign, independent of the stored order
 
     direct = mixed_volume_pair(hull, negate(hull), j)
     split_sum = _orthant_split(a, j)
@@ -642,8 +670,9 @@ def audited_assemblies(draw):
 def assert_audit_matches_the_oracle(a):
     for j in range(a.dim + 1):
         assert proof_chain_audit(a, j) == fraction_audit(a, j)
+        piece = dict(a.pieces)
         for s, p in a.pieces:
-            q = a.piece(tuple(-x for x in s))
+            q = piece[tuple(-x for x in s)]
             assert ab_opposite_mixed(p, q, j) == fraction_opposite_mixed(p, q, j)
 
 

@@ -497,6 +497,11 @@ class TestSimplexCommand:
         code, _, _ = run(capsys, "simplex", "--alphas", "1,x", "--j", "0")
         assert code == EXIT_PARSE
 
+    def test_zero_denominator_alpha(self, capsys):
+        # A ParseError is a ValueError, which main reports with exit 2.
+        assert run(capsys, "simplex", "--alphas", "1/0", "--j", "0") == (
+            EXIT_PARSE, "", "error: bad rational '1/0'\n")
+
 
 class TestDecompose:
     def test_values_and_cross_check(self, capsys, tmp_path):

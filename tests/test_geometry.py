@@ -191,6 +191,18 @@ class TestConvexHull:
         after = mixed.volume_polynomial.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
+    @given(point_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_raw_canonical_list_is_its_hull(self, case):
+        # A raw polytope on a hull's vertex list is that hull, key and all,
+        # and its first hull accepts it.
+        n, pts = case
+        p = convex_hull(pts, n)
+        raw = VPolytope(n, p.vertices)
+        assert raw == p and hash(raw) == hash(p)
+        with patch.object(geometry, "_hull_cache", {}):
+            assert geometry.hull_data(raw).vertices == p.vertices
+
     def test_ascending_mixed_dimensions_raise_the_engines_error(self):
         with pytest.raises(ValueError, match="point of dimension 2 in dimension-1 hull"):
             convex_hull([(0,), (0, 1)])

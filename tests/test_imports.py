@@ -89,9 +89,12 @@ ORACLES = {
 }
 
 
-def name_counts(node: ast.AST) -> Counter:
+def name_counts(node: ast.AST, attributes_only: bool = False) -> Counter:
+    """Uses of each name in the tree as a name or an attribute (``x.name``), or
+    as an attribute only."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, kinds))
 
 
 def public_definitions() -> dict[str, ast.AST]:
@@ -112,19 +115,23 @@ def public_definitions() -> dict[str, ast.AST]:
 def test_every_public_definition_is_needed():
     # Referenced by the package outside its own definition, traced by the
     # benchmark, or an oracle the tests compare against; anything else is a
-    # wrapper only the tests call.
+    # wrapper only the tests call.  A method is referenced only as an
+    # attribute (``x.name``): a local variable of the same name is no use.
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     traced = {f"{m}.{f}" for m, f in tracing.TARGETS}
-    total = Counter()
-    for path in SRC.glob("*.py"):
-        total += name_counts(ast.parse(path.read_text(encoding="utf-8")))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    total = sum((name_counts(tree) for tree in trees), Counter())
+    attributes = sum((name_counts(tree, True) for tree in trees), Counter())
     definitions = public_definitions()
     unneeded = []
     for name, node in definitions.items():
         short = name.rsplit(".", 1)[1]
-        referenced = total[short] > name_counts(node)[short]
+        if name.count(".") == 2:  # module.Class.method
+            referenced = attributes[short] > name_counts(node, True)[short]
+        else:
+            referenced = total[short] > name_counts(node)[short]
         if not referenced and name not in traced and name not in ORACLES:
             unneeded.append(name)
         if referenced and name in ORACLES:

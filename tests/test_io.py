@@ -117,10 +117,12 @@ def test_assembly_round_trip_bit_exact():
 
 def test_redundant_memoized_list_loads_to_its_hull():
     # (1, 0) is the midpoint of an edge.  The raw polytope on all four points
-    # sits in the hull memo with three vertices, so the list is not a hit.
+    # is refused at its hull and never memoized, so the list is no memo hit.
     verts = [["0", "0"], ["0", "2"], ["1", "0"], ["2", "0"]]
     raw = VPolytope(2, tuple(tuple(F(x) for x in v) for v in verts))
-    assert len(hull_data(raw).vertices) == 3
+    with pytest.raises(ValueError, match=r"holds \(1, 0\), which is no vertex"):
+        hull_data(raw)
+    assert raw not in geometry._hull_cache
     p = polytope_from_obj({"dim": 2, "vertices": verts})
     assert p == convex_hull([(0, 0), (0, 2), (2, 0)])
 
@@ -296,13 +298,13 @@ def test_warm_load_matches_cold_load(case):
 
     with patch.object(geometry, "_hull_cache", {}):
         cold = load()
-        # Memoize the list as given too, so that a redundant list meets its
-        # raw polytope in the memo with fewer hull vertices than it lists.
+        # Memoize the list as given too.  A redundant list is refused there
+        # and stores nothing, so the warm load hulls it as the cold one did.
         try:
             hull_data(VPolytope(n, tuple(tuple(map(parse_rational, v))
                                          for v in json.loads(text))))
         except ValueError:
-            pass  # unsorted, duplicated or broken
+            pass  # unsorted, duplicated, redundant or broken
         warm = load()
     assert warm == cold
 
