@@ -39,6 +39,7 @@ from .geometry import (
 )
 from .hull import HullData
 from .mixed import mixed_volume_pair
+from .simplex import AlignedSimplex
 
 SignVector = tuple[int, ...]
 
@@ -333,8 +334,11 @@ def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
     """The two families of axis-aligned simplices attaining the mixed-volume bound.
 
     Case 1 is conv(0, a_1 e_1, ..., a_n e_n); case 2 is
-    conv(a_1 e_1, -b_1 e_1, a_2 e_2, ..., a_n e_n).  Every orthant piece is the
-    corresponding face, so the assemblies validate as-is.
+    conv(a_1 e_1, -b_1 e_1, a_2 e_2, ..., a_n e_n).  The piece at a sign
+    vector is the aligned simplex of the body's axis ends on that side: a_i
+    on the + side of axis i, 0 on its - side but b_1 on the - side of axis 1
+    in case 2.  Every piece is a face of the body, so the assemblies validate
+    as-is.
     """
     alphas = tuple(Fraction(a) for a in alphas)
     n = len(alphas)
@@ -343,29 +347,17 @@ def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
     if case == 1:
         if beta1 is not None:
             raise ValueError("case 1 takes no beta")
-        pieces = {}
-        for sv in all_signs(n):
-            pts = [(Fraction(0),) * n]
-            for i in range(n):
-                if sv[i] > 0:
-                    pts.append(tuple(alphas[i] if j == i else Fraction(0) for j in range(n)))
-            pieces[sv] = AntiBlockingBody(convex_hull(pts, n))
-        return assemble(n, pieces)
-    if case == 2:
+        beta1 = 0
+    elif case == 2:
         if beta1 is None or Fraction(beta1) <= 0:
             raise ValueError("case 2 needs a positive beta")
-        b1 = Fraction(beta1)
-        pieces = {}
-        for sv in all_signs(n):
-            first = alphas[0] if sv[0] > 0 else b1
-            pts = [(Fraction(0),) * n,
-                   tuple(first if j == 0 else Fraction(0) for j in range(n))]
-            for i in range(1, n):
-                if sv[i] > 0:
-                    pts.append(tuple(alphas[i] if j == i else Fraction(0) for j in range(n)))
-            pieces[sv] = AntiBlockingBody(convex_hull(pts, n))
-        return assemble(n, pieces)
-    raise ValueError("case must be 1 or 2")
+    else:
+        raise ValueError("case must be 1 or 2")
+    minus = (Fraction(beta1),) + (Fraction(0),) * (n - 1)
+    return assemble(n, {
+        sv: AntiBlockingBody(AlignedSimplex(
+            [a if s > 0 else b for s, a, b in zip(sv, alphas, minus)]).to_polytope())
+        for sv in all_signs(n)})
 
 
 def lab_volume(a: OrthantAssembly) -> Fraction:
@@ -410,7 +402,7 @@ class GodbersenReport:
     j: int
     mixed: Fraction      # V_n(K[j], -K[n-j])
     bound: Fraction      # C(n, j) * Vol(K)
-    ratio: Fraction | None
+    ratio: Fraction
     is_equality: bool
     trivial: bool        # j in {0, n}: equality holds for free
 
@@ -434,8 +426,7 @@ def godbersen_check(a: OrthantAssembly, j: int) -> GodbersenReport:
             f"orthant-sum mixed volume {via_orthants} != direct {direct} at j={j}"
         )
     bound = comb(n, j) * lab_volume(a)
-    ratio = direct / bound if bound > 0 else None
-    return GodbersenReport(j, direct, bound, ratio, direct == bound, j in (0, n))
+    return GodbersenReport(j, direct, bound, direct / bound, direct == bound, j in (0, n))
 
 
 @dataclass(frozen=True)

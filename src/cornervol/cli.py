@@ -35,7 +35,6 @@ from .assembly import (
 )
 from .geometry import (
     DimensionCapError,
-    VPolytope,
     cap_dim,
     join_hull,
     negate,
@@ -73,7 +72,7 @@ class SweepReport:
     summary: dict = field(default_factory=dict)
 
     def finalize(self) -> None:
-        ratios = [Fraction(r["ratio"]) for r in self.records if r.get("ratio") is not None]
+        ratios = [Fraction(r["ratio"]) for r in self.records]
         holds = [r["holds"] for r in self.records]
         self.summary = {
             "records": len(self.records),
@@ -137,27 +136,6 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # mixvol
 
-def _detect_aligned(p: VPolytope) -> AlignedSimplex | None:
-    # conv(0, a_i e_i) in canonical form always lists the origin as a vertex
-    # and at most one positive vertex per axis.
-    alphas = [Fraction(0)] * p.dim
-    origin_seen = False
-    for v in p.vertices:
-        support = [(i, x) for i, x in enumerate(v) if x != 0]
-        if not support:
-            origin_seen = True
-            continue
-        if len(support) > 1:
-            return None
-        i, x = support[0]
-        if x < 0 or alphas[i] != 0:
-            return None
-        alphas[i] = x
-    if not origin_seen:
-        return None
-    return AlignedSimplex(p.dim, tuple(alphas))
-
-
 def cmd_mixvol(args) -> int:
     k = cio.polytope_from_obj(cio.load_json_file(args.k_file))
     t = cio.polytope_from_obj(cio.load_json_file(args.t_file))
@@ -186,8 +164,8 @@ def cmd_mixvol(args) -> int:
         return ab_opposite_mixed(kb, tb, j)
 
     def by_closed_form() -> Fraction:
-        sk = _detect_aligned(k)
-        st = _detect_aligned(t)
+        sk = AlignedSimplex.recognize(k)
+        st = AlignedSimplex.recognize(t)
         if sk is None or st is None:
             raise CliError(
                 EXIT_INAPPLICABLE,
@@ -223,22 +201,30 @@ def cmd_mixvol(args) -> int:
 # ---------------------------------------------------------------------------
 # godbersen
 
+def _family_assembly(family: str, dim: int, alphas=None, beta=None) -> OrthantAssembly:
+    """The body a ``--family`` names: the unit cube or cross-polytope of
+    dimension ``dim``, or the ``equality_family`` simplex of ``alphas`` (and
+    ``beta`` for equality-2)."""
+    if family in ("cube", "cross"):
+        piece = unit_cube(dim) if family == "cube" else standard_simplex(dim)
+        return from_unconditional(AntiBlockingBody(piece))
+    return equality_family(1 if family == "equality-1" else 2, alphas, beta)
+
+
 def _family_assemblies(args):
     fam = args.family
     if fam in ("cube", "cross"):
-        piece = unit_cube(args.dim) if fam == "cube" else standard_simplex(args.dim)
-        yield {"family": fam, "dim": args.dim}, from_unconditional(AntiBlockingBody(piece))
+        yield {"family": fam, "dim": args.dim}, _family_assembly(fam, args.dim)
         return
-    case = 1 if fam == "equality-1" else 2
     for trial in range(args.trials):
         rng = trial_rng(args.seed, trial)
         alphas = [Fraction(rng.randint(1, 8), rng.choice((1, 2))) for _ in range(args.dim)]
-        beta = Fraction(rng.randint(1, 8), rng.choice((1, 2))) if case == 2 else None
+        beta = Fraction(rng.randint(1, 8), rng.choice((1, 2))) if fam == "equality-2" else None
         desc = {"family": fam, "trial": trial,
                 "alphas": [_rat(a) for a in alphas]}
         if beta is not None:
             desc["beta"] = _rat(beta)
-        yield desc, equality_family(case, alphas, beta)
+        yield desc, _family_assembly(fam, args.dim, alphas, beta)
 
 
 def _random_assemblies(args):
@@ -270,7 +256,7 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
             j=j,
             lhs=_rat(rep.mixed),
             rhs=_rat(rep.bound),
-            ratio=_rat(rep.ratio) if rep.ratio is not None else None,
+            ratio=_rat(rep.ratio),
             holds=rep.mixed <= rep.bound and (rep.trivial or not rep.is_equality or simplex),
             is_equality=rep.is_equality,
             trivial=rep.trivial,
@@ -328,24 +314,22 @@ def cmd_audit(args) -> int:
 # gen
 
 def cmd_gen(args) -> int:
+    alphas = beta = None
     if args.family in ("equality-1", "equality-2"):
         if not args.alphas:
             raise CliError(EXIT_PARSE, "--family equality-* needs --alphas")
         alphas = _parse_rationals(args.alphas)
         # equality_family meets the cap with its sign vectors.
-        if args.family == "equality-1":
-            assembly = equality_family(1, alphas)
-        else:
+        if args.family == "equality-2":
             if args.beta is None:
                 raise CliError(EXIT_PARSE, "--family equality-2 needs --beta")
-            assembly = equality_family(2, alphas, cio.parse_rational(args.beta))
+            beta = cio.parse_rational(args.beta)
     else:
         cap_dim(args.dim)
-        if args.family:
-            piece = unit_cube(args.dim) if args.family == "cube" else standard_simplex(args.dim)
-            assembly = from_unconditional(AntiBlockingBody(piece))
-        else:
-            assembly = random_assembly(trial_rng(args.seed, 0), args.dim, args.style)
+    if args.family:
+        assembly = _family_assembly(args.family, args.dim, alphas, beta)
+    else:
+        assembly = random_assembly(trial_rng(args.seed, 0), args.dim, args.style)
     _emit(cio.dumps(cio.assembly_to_obj(assembly)), args.out)
     return EXIT_OK
 
@@ -364,12 +348,12 @@ def cmd_simplex(args) -> int:
     n = cap_dim(len(alphas))
     if not 0 <= args.j <= n:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{n}")
-    s = AlignedSimplex.of(alphas)
+    s = AlignedSimplex(alphas)
     if args.betas:
         betas = _parse_rationals(args.betas)
         if len(betas) != n:
             raise CliError(EXIT_PARSE, "need as many betas as alphas")
-        t = AlignedSimplex.of(betas)
+        t = AlignedSimplex(betas)
         value = corollary_mixed_volume(s, t, args.j)
         t_poly = t.to_polytope()
     else:

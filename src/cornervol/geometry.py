@@ -51,7 +51,7 @@ _CAP = 6
 
 
 class DimensionCapError(ValueError):
-    """A dimension above ``max_dim()``."""
+    """A dimension below 1 or above ``max_dim()``."""
 
 
 def max_dim() -> int:
@@ -71,8 +71,11 @@ def max_dim() -> int:
 
 
 def cap_dim(n: int) -> int:
-    """``n``, or DimensionCapError when it is above ``max_dim()``: the one cap
-    check, made before any hull (``VPolytope.from_points``) or 2^n enumeration."""
+    """``n``, or DimensionCapError when it is below 1 or above ``max_dim()``:
+    the one bound check, made before any hull (``VPolytope.from_points``) or
+    2^n enumeration."""
+    if n < 1:
+        raise DimensionCapError("dimension must be positive")
     cap = max_dim()
     if n > cap:
         raise DimensionCapError(f"dimension {n} exceeds cap {cap} "
@@ -141,7 +144,7 @@ class VPolytope:
             raise ValueError("empty point set")
         n = cap_dim(dim if dim is not None else len(pts[0]))
         # Points the engine would reject skip the lookup, so they still raise its error.
-        if n >= 1 and all(len(v) == n for v in pts) and all(
+        if all(len(v) == n for v in pts) and all(
                 u < v for u, v in zip(pts, pts[1:])):
             poly = VPolytope(n, tuple(pts))
             data = _hull_cache.get(poly)

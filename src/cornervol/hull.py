@@ -129,6 +129,11 @@ class _Placing:
     simplex's pieces are ascending), so a piece's vertices less one are
     ascending but for at most their last entry.  Either form visits the live
     pieces in ascending id order.
+
+    The Python form scans from 32 live pieces on through its own int64 scan
+    buffer, because it serves the placings the batch guard refuses: random
+    dim-5 hulls of coordinates in [-50, 50] never batch, and they take more
+    than twice as long without it.
     """
 
     INITIAL_ROWS = 64  # scan buffer capacity before its first doubling
@@ -519,38 +524,37 @@ class _Placing:
 
     # -- extraction ----------------------------------------------------------
 
-    def facet_planes(self) -> list[Plane]:
-        """The distinct planes (a, b), a.x <= b, of the live pieces, sorted."""
-        return sorted({piece[1:3] for piece in self.live_pieces().values()})
-
-    def extreme_ids(self) -> list[int]:
-        """Ids of the extreme points, read off the final boundary.
+    def boundary(self) -> tuple[list[int], list[Plane]]:
+        """Ids of the extreme points, and the distinct planes (a, b), a.x <=
+        b, of the live pieces, sorted: both read off the final boundary in
+        one pass over its pieces.
 
         Every extreme point is a vertex of some live piece, and the live
         pieces at a boundary point p lie in exactly the facets through p (the
         boundary is a triangulated sphere, and a piece meeting a facet's
         relative interior lies in that facet).  So p is extreme exactly when
         the distinct normals of its live pieces have rank n.  Under
-        ``strict_checks`` the result is compared with a scan of every point
-        against every facet.
+        ``strict_checks`` the extreme points are compared with a scan of
+        every point against every facet.
         """
         normals: dict[int, set[tuple[int, ...]]] = {}
-        for piece in self.live_pieces().values():
-            a = piece[1]
-            for v in piece[0]:
+        planes = set()
+        for verts, a, b, _, _ in self.live_pieces().values():
+            planes.add((a, b))
+            for v in verts:
                 normals.setdefault(v, set()).add(a)
         n = self.n
         out = sorted(v for v, rows in normals.items()
                      if len(rows) >= n and rank_int_rows(list(rows)) == n)
+        planes = sorted(planes)
         if strict_checks:
-            scanned = self._scan_extreme_ids()
+            scanned = self._scan_extreme_ids(planes)
             if out != scanned:
                 raise AssertionError(f"extreme points {out} by incidence, {scanned} by scan")
-        return out
+        return out, planes
 
-    def _scan_extreme_ids(self) -> list[int]:
-        """Extreme points by testing every input point against every facet."""
-        planes = self.facet_planes()
+    def _scan_extreme_ids(self, planes: list[Plane]) -> list[int]:
+        """Extreme points by testing every input point against every facet plane."""
         out = []
         for i, p in enumerate(self.points):
             active = []
@@ -633,8 +637,8 @@ def _hull_full_rank(dim: int, points: list[tuple[int, ...]],
         lo, hi = min(vals), max(vals)
         return [vals.index(lo), vals.index(hi)], hi - lo, [((-1,), -lo), ((1,), hi)]
     placing = _place(dim, points, independent)
-    return (placing.extreme_ids(), sum(d for _, d in placing.cells),
-            placing.facet_planes())
+    extreme, planes = placing.boundary()
+    return extreme, sum(d for _, d in placing.cells), planes
 
 
 def triangulate(points: list[Vec], dim: int) -> tuple[list[Cell], int] | None:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .geometry import (
+    Vec,
     VPolytope,
     minkowski_sum,
     project,
@@ -27,29 +28,39 @@ from .mixed import volume_polynomial
 
 @dataclass(frozen=True)
 class AlignedSimplex:
-    """conv(0, alphas[0] e_1, ..., alphas[n-1] e_n) with nonnegative scalars."""
+    """conv(0, alphas[0] e_1, ..., alphas[n-1] e_n) with nonnegative scalars,
+    n their count.  A zero scalar drops its axis, so every face of one that
+    holds the origin is one too."""
 
-    dim: int
     alphas: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
-        if len(self.alphas) != self.dim:
-            raise ValueError("need one scalar per coordinate")
         if any(a < 0 for a in self.alphas):
             raise ValueError("scalars must be nonnegative")
 
+    @property
+    def dim(self) -> int:
+        return len(self.alphas)
+
     @staticmethod
-    def of(alphas) -> "AlignedSimplex":
-        alphas = tuple(Fraction(a) for a in alphas)
-        return AlignedSimplex(len(alphas), alphas)
+    def recognize(p: VPolytope) -> AlignedSimplex | None:
+        """The aligned simplex whose polytope is ``p``, or None.
+
+        Its scalars can only be p's largest coordinates, clipped at 0; then
+        p is that simplex exactly when its vertices are the origin and each
+        a_i e_i.
+        """
+        s = AlignedSimplex([max(0, *(v[i] for v in p.vertices)) for i in range(p.dim)])
+        return s if set(p.vertices) == set(s._points()) else None
+
+    def _points(self) -> list[Vec]:
+        """The origin and each a_i e_i (the origin again when a_i is 0)."""
+        zero = (Fraction(0),) * self.dim
+        return [zero] + [zero[:i] + (a,) + zero[i + 1:] for i, a in enumerate(self.alphas)]
 
     def to_polytope(self) -> VPolytope:
-        n = self.dim
-        pts = [(Fraction(0),) * n]
-        for i, a in enumerate(self.alphas):
-            pts.append(tuple(a if j == i else Fraction(0) for j in range(n)))
-        return VPolytope.from_points(pts, n)
+        return VPolytope.from_points(self._points(), self.dim)
 
 
 def lemma_mixed_volume(s: AlignedSimplex, j: int) -> Fraction:
@@ -190,7 +201,7 @@ def sum_decomposition_check(s: AlignedSimplex) -> tuple[Fraction, Fraction]:
     P kills the last coordinate; the identity needs the scalars sorted in
     nonincreasing order, so the simplex is reordered first.
     """
-    ordered = AlignedSimplex.of(sorted(s.alphas, reverse=True))
+    ordered = AlignedSimplex(sorted(s.alphas, reverse=True))
     n = ordered.dim
     body = ordered.to_polytope()
     simplex = standard_simplex(n)

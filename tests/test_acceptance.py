@@ -46,7 +46,7 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def aligned_polytope(alphas) -> VPolytope:
-    return AlignedSimplex.of(alphas).to_polytope()
+    return AlignedSimplex(alphas).to_polytope()
 
 
 def test_criterion_01_lemma_vs_engine():
@@ -54,7 +54,7 @@ def test_criterion_01_lemma_vs_engine():
     ok = True
     d3 = standard_simplex(3)
     for alphas in itertools.product(range(4), repeat=3):
-        s = AlignedSimplex.of(alphas)
+        s = AlignedSimplex(alphas)
         p = s.to_polytope()
         for j in range(4):
             ok = ok and lemma_mixed_volume(s, j) == mixed_volume_pair(p, d3, j)
@@ -62,7 +62,7 @@ def test_criterion_01_lemma_vs_engine():
     rng = random.Random("criterion-1")
     d4 = standard_simplex(4)
     for _ in range(50):
-        s = AlignedSimplex.of([rng.randint(0, 5) for _ in range(4)])
+        s = AlignedSimplex([rng.randint(0, 5) for _ in range(4)])
         p = s.to_polytope()
         for j in range(5):
             ok = ok and lemma_mixed_volume(s, j) == mixed_volume_pair(p, d4, j)
@@ -78,7 +78,7 @@ def test_criterion_02_corollary_vs_engine():
         n = (2, 3, 4)[trial % 3]
         alphas = [rng.randint(0, 4) for _ in range(n)]
         betas = [rng.randint(0, 4) for _ in range(n)]
-        s, t = AlignedSimplex.of(alphas), AlignedSimplex.of(betas)
+        s, t = AlignedSimplex(alphas), AlignedSimplex(betas)
         ps, pt = s.to_polytope(), t.to_polytope()
         for j in range(n + 1):
             ok = ok and corollary_mixed_volume(s, t, j) == mixed_volume_pair(ps, pt, j)
@@ -252,7 +252,7 @@ def test_criterion_10_slice_recursion_and_decomposition():
                 checked += 1
     for n in (2, 3, 4):
         for alphas in itertools.combinations_with_replacement(range(4), n):
-            lhs, rhs = sum_decomposition_check(AlignedSimplex.of(alphas))
+            lhs, rhs = sum_decomposition_check(AlignedSimplex(alphas))
             ok = ok and lhs == rhs
             checked += 1
     verdict(10, ok, f"slice recursion and last-axis decomposition match hull volumes "

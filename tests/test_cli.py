@@ -233,6 +233,12 @@ class TestGodbersen:
         assert code == EXIT_PARSE
         assert "CORNER_MIXVOL_MAX_DIM" in err
 
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_nonpositive_dimension_exit_2(self, capsys, dim):
+        # The cap's check refuses it, even when nothing would be built.
+        assert run(capsys, "godbersen", "--dim", dim, "--trials", "0") == (
+            EXIT_PARSE, "", "error: dimension must be positive\n")
+
     def test_sweep_cap_is_six(self, capsys, monkeypatch):
         monkeypatch.delenv("CORNER_MIXVOL_MAX_DIM", raising=False)
         code, out, _ = run(capsys, "godbersen", "--dim", "5", "--trials", "1")

@@ -160,3 +160,15 @@ def test_polytope_rules_stay_in_geometry(path):
     if path.stem != "geometry":
         assert names & GEOMETRY_PRIVATE == set()
     assert names & RETIRED_CAPS == set()
+
+
+# Second homes of one concept, deleted for the one that stays: the aligned-
+# simplex recognizer is ``simplex.AlignedSimplex.recognize``, and a placing's
+# facet planes come with its extreme points from ``hull._Placing.boundary``.
+RETIRED_SECOND_HOMES = {"_detect_aligned", "facet_planes"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_retired_second_homes_stay_gone(path):
+    names = defined_and_referenced(ast.parse(path.read_text(encoding="utf-8")))
+    assert names & RETIRED_SECOND_HOMES == set()

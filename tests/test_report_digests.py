@@ -128,3 +128,24 @@ def test_unconditional_report_matches_recorded_digest(argv, capsys):
     report = capsys.readouterr().out
     assert sha256(report) == UNCONDITIONAL[argv]
     assert any("vertices" in rec for rec in json.loads(report)["records"])
+
+
+# The equality families' reports and files.  Recorded while each case built
+# its orthant pieces in a loop of its own, and the hull of each from the
+# origin and the piece's positive axis ends only.
+EQUALITY = {
+    ("godbersen", "--family", "equality-1", "--dim", "3", "--trials", "3"):
+        "49171f8420df60572dfd57268a4f35fbdb6b1dbe5f75a74a41bde23b21399d61",
+    ("godbersen", "--family", "equality-2", "--dim", "3", "--trials", "3"):
+        "521dc2a09413415d95280c6c503de34d54a59017287f19c04c8697e261ded813",
+    ("gen", "--family", "equality-1", "--alphas", "1,3/2,2"):
+        "75d9ede1fdeb33009d4c8ccd6476c088c76cbe63b2448e5c8da48746e43784b6",
+    ("gen", "--family", "equality-2", "--alphas", "1,2,1", "--beta", "1/2"):
+        "53dc653f567fe46036672c82a3cfc9e17a8812a2c73fb5019d24981038979065",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EQUALITY), ids=" ".join)
+def test_equality_family_matches_recorded_digest(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    assert sha256(capsys.readouterr().out) == EQUALITY[argv]

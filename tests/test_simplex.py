@@ -1,17 +1,21 @@
 """Aligned-simplex closed forms and the slice-integration volume oracle."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornervol import (
     AlignedSimplex,
     convex_hull,
     corner_power_integral,
     corollary_mixed_volume,
+    equality_family,
     fubini_sum_volume,
     godbersen_equality_values,
     lemma_mixed_volume,
@@ -26,18 +30,59 @@ from cornervol import (
 )
 
 
+scalars = st.builds(F, st.integers(1, 8), st.integers(1, 3))
+
+
+@st.composite
+def equality_bodies(draw):
+    """An ``equality_family`` body of either case, in dimension 1 to 4."""
+    n = draw(st.integers(1, 4))
+    alphas = draw(st.lists(scalars, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return equality_family(1, alphas)
+    return equality_family(2, alphas, draw(scalars))
+
+
+class TestAlignedSimplex:
+    def test_holds_only_its_scalars(self):
+        s = AlignedSimplex([2, F(1, 2), 0])
+        assert [f.name for f in dataclasses.fields(s)] == ["alphas"]
+        assert (s.alphas, s.dim) == ((2, F(1, 2), 0), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            AlignedSimplex((1, -1))
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (-1, 0), (0, 1)],
+        [(0, 0), (1, 0), (0, 1), (-1, -1)],
+        [(0, 0), (1, 1)],
+    ], ids=["negative-axis-end", "origin-inside", "off-the-axes"])
+    def test_refuses_other_polytopes(self, points):
+        # The square and an axis segment without the origin are refused by
+        # ``mixvol --method closed-form`` in test_cli.
+        assert AlignedSimplex.recognize(convex_hull(points)) is None
+
+    @pytest.mark.usefixtures("strict_hull")
+    @given(equality_bodies())
+    @settings(max_examples=40, deadline=None)
+    def test_recognizes_every_equality_piece(self, a):
+        # Flat pieces included: every piece of case 1 off the + orthant.
+        for _, piece in a.pieces:
+            s = AlignedSimplex.recognize(piece.body)
+            assert s is not None and s.to_polytope() == piece.body
+
+
 class TestLemmaClosedForm:
     def test_unit_alphas(self):
-        s = AlignedSimplex.of((1, 1, 1, 1))
+        s = AlignedSimplex((1, 1, 1, 1))
         for j in range(5):
             assert lemma_mixed_volume(s, j) == F(1, factorial(4))
 
     def test_direct_application(self):
-        s = AlignedSimplex.of((3, 2, 1))
+        s = AlignedSimplex((3, 2, 1))
         assert lemma_mixed_volume(s, 2) == 1  # max{6, 3, 2} / 3!
 
     def test_against_engine_all_j(self):
-        s = AlignedSimplex.of((3, 2, 1))
+        s = AlignedSimplex((3, 2, 1))
         d = standard_simplex(3)
         for j in range(4):
             assert lemma_mixed_volume(s, j) == mixed_volume_pair(s.to_polytope(), d, j)
@@ -46,47 +91,47 @@ class TestLemmaClosedForm:
     def test_against_engine_exhaustive(self, n):
         d = standard_simplex(n)
         for alphas in itertools.product(range(6), repeat=n):
-            s = AlignedSimplex.of(alphas)
+            s = AlignedSimplex(alphas)
             p = s.to_polytope()
             for j in range(n + 1):
                 assert lemma_mixed_volume(s, j) == mixed_volume_pair(p, d, j)
 
     def test_monotone_in_each_alpha(self):
-        base = AlignedSimplex.of((2, 1, 3))
-        bigger = AlignedSimplex.of((2, 4, 3))
+        base = AlignedSimplex((2, 1, 3))
+        bigger = AlignedSimplex((2, 4, 3))
         for j in range(4):
             assert lemma_mixed_volume(base, j) <= lemma_mixed_volume(bigger, j)
 
     def test_homogeneous_of_degree_j(self):
-        s = AlignedSimplex.of((2, 1, 3))
+        s = AlignedSimplex((2, 1, 3))
         c = F(5, 2)
-        scaled = AlignedSimplex.of(tuple(c * a for a in s.alphas))
+        scaled = AlignedSimplex(tuple(c * a for a in s.alphas))
         for j in range(4):
             assert lemma_mixed_volume(scaled, j) == c**j * lemma_mixed_volume(s, j)
 
     def test_j_out_of_range(self):
         with pytest.raises(ValueError):
-            lemma_mixed_volume(AlignedSimplex.of((1, 2)), 3)
+            lemma_mixed_volume(AlignedSimplex((1, 2)), 3)
 
 
 class TestCorollaryClosedForm:
     def test_unit_betas_reduce_to_lemma(self):
-        s = AlignedSimplex.of((3, 0, 2))
-        t = AlignedSimplex.of((1, 1, 1))
+        s = AlignedSimplex((3, 0, 2))
+        t = AlignedSimplex((1, 1, 1))
         for j in range(4):
             assert corollary_mixed_volume(s, t, j) == lemma_mixed_volume(s, j)
 
     def test_direct_application(self):
-        s = AlignedSimplex.of((2, 1))
-        t = AlignedSimplex.of((1, 3))
+        s = AlignedSimplex((2, 1))
+        t = AlignedSimplex((1, 3))
         assert corollary_mixed_volume(s, t, 1) == 3  # max{2*3, 1*1} / 2!
 
     def test_permutation_covariance(self):
-        s = AlignedSimplex.of((4, 1, 2))
-        t = AlignedSimplex.of((1, 3, 2))
+        s = AlignedSimplex((4, 1, 2))
+        t = AlignedSimplex((1, 3, 2))
         for perm in itertools.permutations(range(3)):
-            ps = AlignedSimplex.of(tuple(s.alphas[i] for i in perm))
-            pt = AlignedSimplex.of(tuple(t.alphas[i] for i in perm))
+            ps = AlignedSimplex(tuple(s.alphas[i] for i in perm))
+            pt = AlignedSimplex(tuple(t.alphas[i] for i in perm))
             for j in range(4):
                 assert corollary_mixed_volume(ps, pt, j) == corollary_mixed_volume(s, t, j)
 
@@ -94,8 +139,8 @@ class TestCorollaryClosedForm:
         rng = random.Random(67)
         for _ in range(15):
             n = rng.choice([2, 3])
-            s = AlignedSimplex.of([rng.randint(0, 4) for _ in range(n)])
-            t = AlignedSimplex.of([rng.randint(0, 4) for _ in range(n)])
+            s = AlignedSimplex([rng.randint(0, 4) for _ in range(n)])
+            t = AlignedSimplex([rng.randint(0, 4) for _ in range(n)])
             for j in range(n + 1):
                 assert corollary_mixed_volume(s, t, j) == mixed_volume_pair(
                     s.to_polytope(), t.to_polytope(), j
@@ -152,18 +197,18 @@ class TestCornerPowerIntegral:
 
 class TestSumSeries:
     def test_lambda_zero(self):
-        assert simplex_sum_series(AlignedSimplex.of((5, 7)), 0) == F(1, 2)
+        assert simplex_sum_series(AlignedSimplex((5, 7)), 0) == F(1, 2)
 
     def test_worked_example(self):
-        assert simplex_sum_series(AlignedSimplex.of((3, 2)), 1) == F(13, 2)
+        assert simplex_sum_series(AlignedSimplex((3, 2)), 1) == F(13, 2)
 
     def test_unit_alphas_doubling(self):
-        s = AlignedSimplex.of((1, 1, 1))
+        s = AlignedSimplex((1, 1, 1))
         assert simplex_sum_series(s, 1) == F(2**3, 6)
 
     @pytest.mark.parametrize("lam", [0, F(1, 2), 1, 2])
     def test_matches_hull_volume(self, lam):
-        s = AlignedSimplex.of((3, 1, 2))
+        s = AlignedSimplex((3, 1, 2))
         direct = volume(minkowski_sum(standard_simplex(3), scale(s.to_polytope(), lam)))
         assert simplex_sum_series(s, lam) == direct
 
@@ -191,7 +236,7 @@ class TestEqualityGap:
 
     def test_values_match_engine(self):
         alphas = (4, 2, 1)
-        mirror = negate(AlignedSimplex.of(alphas).to_polytope())
+        mirror = negate(AlignedSimplex(alphas).to_polytope())
         d = standard_simplex(3)
         for j in range(4):
             op, same = godbersen_equality_values(alphas, j)
@@ -202,5 +247,5 @@ class TestEqualityGap:
 class TestSumDecomposition:
     @pytest.mark.parametrize("alphas", [(3, 2, 1), (2, 2, 0), (1, 1, 1), (4, 1, 1), (3, 1)])
     def test_identity(self, alphas):
-        lhs, rhs = sum_decomposition_check(AlignedSimplex.of(alphas))
+        lhs, rhs = sum_decomposition_check(AlignedSimplex(alphas))
         assert lhs == rhs
