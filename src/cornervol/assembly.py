@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .geometry import (
     volume,
 )
 from .hull import HullData
-from .mixed import mixed_volume_pair
+from .mixed import mixed_volume_pair, volume_polynomial
 from .simplex import AlignedSimplex
 
 SignVector = tuple[int, ...]
@@ -151,6 +152,60 @@ class OrthantAssembly:
     def is_full_dimensional(self) -> bool:
         return volume(self.hull) > 0
 
+    # The values below do not depend on j, so each is computed on first use
+    # and kept, like ``hull``: every check of one assembly reads its j-th entry.
+
+    @cached_property
+    def split_coeffs(self) -> tuple[Fraction, ...]:
+        """Entry j is C(n, j) V(K[j], -K[n-j]) by the orthant split: the
+        coefficient-wise sum over masks m of ``volume_polynomial(P_m, P_~m)``."""
+        bodies = [piece.body for _, piece in self.pieces]
+        return _summed_coeffs((p, bodies[~m]) for m, p in enumerate(bodies))
+
+    @cached_property
+    def relaxed_coeffs(self) -> tuple[Fraction, ...]:
+        """The same sum over the relaxed pairs (P_m, -P_~m)."""
+        bodies = [piece.body for _, piece in self.pieces]
+        return _summed_coeffs((p, negate(bodies[~m])) for m, p in enumerate(bodies))
+
+    @cached_property
+    def piece_volume(self) -> Fraction:
+        """The sum of the piece volumes, which is Vol(K)."""
+        return sum((volume(piece.body) for _, piece in self.pieces), Fraction(0))
+
+    @cached_property
+    def shadow_denom(self) -> int:
+        """L, the lcm of the pieces' vertex denominators."""
+        return lcm(*(piece.body.denom for _, piece in self.pieces))
+
+    def shadow_tables(self, size: int) -> tuple[tuple[int, ...], ...]:
+        """By orthant mask, the piece's ``normalized_shadow_volumes`` on the
+        ``size``-sets over L (``shadow_denom``) instead of its own
+        denominator D: every entry times (L/D)^size.  Built once per size."""
+        tables = self._shadow_tables
+        if size not in tables:
+            out = []
+            for _, piece in self.pieces:
+                up = (self.shadow_denom // piece.body.denom) ** size
+                table = normalized_shadow_volumes(piece.body, size)
+                out.append(tuple([x * up for x in table]) if up > 1 else table)
+            tables[size] = tuple(out)
+        return tables[size]
+
+    @cached_property
+    def _shadow_tables(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
+
+def _summed_coeffs(pairs) -> tuple[Fraction, ...]:
+    """The coefficient-wise sum of ``volume_polynomial`` over the pairs; a
+    pair that repeats is looked up once and weighted by its count, so an
+    unconditional body looks up one pair for all 2^n orthants."""
+    counts = Counter(pairs)
+    columns = zip(*(volume_polynomial(k, t).coeffs for k, t in counts))
+    return tuple(sum((w * c for w, c in zip(counts.values(), column)), Fraction(0))
+                 for column in columns)
+
 
 def _reflected_vertices(a: OrthantAssembly):
     """Every piece's vertices reflected into its orthant, lazily, with repeats."""
@@ -233,7 +288,7 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     first = data[bodies[0]]
     store_hull_data(body, HullData(
         n, first.rank, body.vertices,
-        sum((data[p].volume for p in bodies), Fraction(0)),
+        a.piece_volume,
         first.pivots, tuple(sorted((c, b * body.denom // denom) for c, b in planes))),
         _reflected_vertices(a))
     return body
@@ -361,8 +416,9 @@ def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
 
 
 def lab_volume(a: OrthantAssembly) -> Fraction:
-    """Volume as the sum of the orthant piece volumes."""
-    return sum((volume(piece.body) for _, piece in a.pieces), Fraction(0))
+    """Volume as the sum of the orthant piece volumes, summed once per
+    assembly (``OrthantAssembly.piece_volume``)."""
+    return a.piece_volume
 
 
 def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
@@ -390,11 +446,14 @@ def negate_assembly(a: OrthantAssembly) -> OrthantAssembly:
 def _orthant_split(a: OrthantAssembly, j: int) -> Fraction:
     """V(K[j], -K[n-j]) orthant by orthant: the sum over s of V(P_s[j], P_-s[n-j]).
 
-    ``lab_mixed(a, negate_assembly(a), j)`` without building -K's assembly.
+    ``lab_mixed(a, negate_assembly(a), j)`` without building -K's assembly,
+    read off the assembly's ``split_coeffs``: the sum over s of the j-th
+    coefficients c_s[j] / C(n, j) is (the sum of the c_s[j]) / C(n, j), the
+    same rational, so every j after the first costs one division.
     """
-    pieces = a.pieces
-    return sum((mixed_volume_pair(p.body, pieces[~m][1].body, j)
-                for m, (_, p) in enumerate(pieces)), Fraction(0))
+    if not 0 <= j <= a.dim:
+        raise ValueError("copy count out of range")
+    return a.split_coeffs[j] / comb(a.dim, j)
 
 
 @dataclass(frozen=True)
@@ -411,7 +470,9 @@ def godbersen_check(a: OrthantAssembly, j: int) -> GodbersenReport:
     """Compare V_n(K[j], -K[n-j]) against C(n, j) Vol(K) for the assembly.
 
     The mixed volume is computed twice, orthant-by-orthant and directly on the
-    global hull; any discrepancy raises EngineDisagreementError.
+    global hull; any discrepancy raises EngineDisagreementError.  The orthant
+    sum and Vol(K) are the assembly's, summed at its first check, so the
+    n+1 checks of one body sum them once.
     """
     n = a.dim
     if not 0 <= j <= n:
@@ -469,12 +530,18 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     of 1/(n! L^n) with L the lcm of the pieces' vertex denominators: L P_E is
     a lattice polytope for every piece P and coordinate set E, so
     N_P[E] = |E|! L^|E| Vol(P_E) is an integer (``normalized_shadow_volumes``
-    gives it over the piece's own denominator, scaled here to L).  A
-    product Vol_j(P_E) Vol_(n-j)(Q_(E^c)) is N_P[E] N_Q[E^c] in units of
-    1/(j! (n-j)! L^n), and dividing a sum of them by C(n, j) makes the unit
-    1/(n! L^n).  The Rogers-Shephard cap Vol(P_E) Vol(P_(E^c)) <= C(n, j)
-    Vol(P) reads N_P[E] N_P[E^c] <= N_P[full].  Each sum becomes one
+    gives it over the piece's own denominator, and ``shadow_tables`` over
+    L).  A product Vol_j(P_E) Vol_(n-j)(Q_(E^c)) is N_P[E] N_Q[E^c] in
+    units of 1/(j! (n-j)! L^n), and dividing a sum of them by C(n, j) makes
+    the unit 1/(n! L^n).  The Rogers-Shephard cap Vol(P_E) Vol(P_(E^c)) <=
+    C(n, j) Vol(P) reads N_P[E] N_P[E^c] <= N_P[full].  Each sum becomes one
     Fraction at the end.
+
+    What does not depend on j is the assembly's, computed at its first
+    audit or check and read by every later one: the orthant and relaxed
+    coefficient sums (``split_coeffs``, ``relaxed_coeffs``), the piece
+    volumes, L and the tables by size.  So auditing several j of one
+    assembly in one process pays for those once.
     """
     n = a.dim
     if not 0 <= j <= n:
@@ -482,27 +549,18 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     if not a.is_full_dimensional():
         raise ValueError("assembly must be full-dimensional")
     hull = a.hull
-    at = [p.body for _, p in a.pieces]  # by orthant mask; the opposite of m is ~m
+    count = comb(n, j)
 
     direct = mixed_volume_pair(hull, negate(hull), j)
     split_sum = _orthant_split(a, j)
-    relaxed_sum = sum((mixed_volume_pair(p, negate(at[~m]), j) for m, p in enumerate(at)),
-                      Fraction(0))
+    relaxed_sum = a.relaxed_coeffs[j] / count
 
-    # The pieces' N over L on the j-sets, on the (n-j)-sets and on every
-    # coordinate.
-    denom = lcm(*(p.denom for p in at))
-
-    def over_denom(p, size):
-        up = (denom // p.denom) ** size
-        table = normalized_shadow_volumes(p, size)
-        return [x * up for x in table] if up > 1 else table
-
-    lo = [over_denom(p, j) for p in at]
-    hi = [over_denom(p, n - j) for p in at]
-    full = [over_denom(p, n)[0] for p in at]
-    count = comb(n, j)
-    unit = factorial(n) * denom ** n
+    # The pieces' N over L by orthant mask (the opposite of m is ~m) on the
+    # j-sets, on the (n-j)-sets and on every coordinate.
+    lo = a.shadow_tables(j)
+    hi = a.shadow_tables(n - j)
+    full = [t[0] for t in a.shadow_tables(n)]
+    unit = factorial(n) * a.shadow_denom ** n
     every = (1 << n) - 1
 
     # Same quantity through the projection-split formula instead of the engine:

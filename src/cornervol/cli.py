@@ -199,6 +199,35 @@ def cmd_mixvol(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Flags that only some body sources read
+
+# Their defaults.  The parser leaves these flags unset, so that one given
+# explicitly to a source that does not read it is refused, not dropped.
+SOURCE_FLAG_DEFAULTS = {"seed": 0, "dim": 2, "trials": 10, "style": "unconditional",
+                        "alphas": None, "beta": None}
+
+# By ``--family`` (None: a seeded random body), the flags each source reads.
+GODBERSEN_READS = {None: {"seed", "dim", "trials", "style"},
+                   "cube": {"dim"}, "cross": {"dim"},
+                   "equality-1": {"seed", "dim", "trials"},
+                   "equality-2": {"seed", "dim", "trials"}}
+GEN_READS = {None: {"seed", "dim", "style"},
+             "cube": {"dim"}, "cross": {"dim"},
+             "equality-1": {"alphas"}, "equality-2": {"alphas", "beta"}}
+
+
+def _resolve_source_flags(args, reads: dict) -> None:
+    """Give every source flag of the command left unset its default, after
+    refusing (exit 2) one given that the chosen source does not read."""
+    for name in sorted(set().union(*reads.values())):
+        if getattr(args, name) is None:
+            setattr(args, name, SOURCE_FLAG_DEFAULTS[name])
+        elif name not in reads[args.family]:
+            source = f"--family {args.family}" if args.family else "a random assembly"
+            raise CliError(EXIT_PARSE, f"--{name} is not read by {source}")
+
+
+# ---------------------------------------------------------------------------
 # godbersen
 
 def _family_assembly(family: str, dim: int, alphas=None, beta=None) -> OrthantAssembly:
@@ -249,6 +278,8 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
     # Equality at 1 <= j <= n-1 holds only for simplices (the paper's second
     # theorem), so on a body with more than n+1 vertices it is a violation.
     simplex = len(assembly.hull.vertices) == n + 1
+    # The trivial equalities at j = 0 and j = n always carry the vertices.
+    vertices = [[_rat(x) for x in v] for v in assembly.hull.vertices]
     records = []
     for j, rep in enumerate(reports):
         rec = dict(desc)
@@ -262,12 +293,13 @@ def _godbersen_records(desc: dict, assembly: OrthantAssembly) -> list[dict]:
             trivial=rep.trivial,
         )
         if rep.is_equality or not rec["holds"]:
-            rec["vertices"] = [[_rat(x) for x in v] for v in assembly.hull.vertices]
+            rec["vertices"] = vertices
         records.append(rec)
     return records
 
 
 def cmd_godbersen(args) -> int:
+    _resolve_source_flags(args, GODBERSEN_READS)
     cap_dim(args.dim)
     if args.trials < 0:
         raise CliError(EXIT_PARSE, f"--trials must be nonnegative, got {args.trials}")
@@ -314,6 +346,7 @@ def cmd_audit(args) -> int:
 # gen
 
 def cmd_gen(args) -> int:
+    _resolve_source_flags(args, GEN_READS)
     alphas = beta = None
     if args.family in ("equality-1", "equality-2"):
         if not args.alphas:
@@ -440,12 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mixvol)
 
+    # The source flags of godbersen and gen (SOURCE_FLAG_DEFAULTS) have no
+    # parser default: _resolve_source_flags fills it in.
     p = sub.add_parser("godbersen", help="sweep the mixed-volume bound over assemblies")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--style", choices=("unconditional", "glued", "mixed"),
-                   default="unconditional")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--style", choices=("unconditional", "glued", "mixed"))
     p.add_argument("--family", choices=("equality-1", "equality-2", "cube", "cross"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--approx", action="store_true",
@@ -460,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("gen", help="emit an assembly as JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--style", choices=("unconditional", "glued"), default="unconditional")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--style", choices=("unconditional", "glued"))
     p.add_argument("--family", choices=("equality-1", "equality-2", "cube", "cross"))
     p.add_argument("--alphas", help="comma-separated rationals for equality families")
     p.add_argument("--beta", help="rational beta for the second equality family")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import hull as _hull
 from .antiblocking import AntiBlockingBody, ab_hull
@@ -39,7 +40,6 @@ class ParseError(ValueError):
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -161,8 +161,48 @@ def assembly_from_obj(obj) -> OrthantAssembly:
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Canonical JSON text: sorted keys, fixed separators, trailing newline.
+
+    The text of ``json.dumps(obj, sort_keys=True, separators=(",", ": "),
+    indent=1)``, written here because ``indent`` sends ``json`` to its
+    pure-Python encoder.  A report holds only dicts with string keys,
+    lists, strings, ints, bools and None; anything else, a float included,
+    raises TypeError.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(x, pad: str) -> str:
+    """``x`` as ``dumps`` writes it, at the depth whose line break and
+    indent is ``pad``."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + " "
+    if isinstance(x, dict):
+        if not all(isinstance(k, str) for k in x):
+            raise TypeError("JSON object keys must be strings")
+        # A string value, the common leaf, is written without a call.
+        items = [encode_basestring_ascii(k) + ": "
+                 + (encode_basestring_ascii(v) if type(v) is str else _encode(v, inner))
+                 for k, v in sorted(x.items())]
+        brackets = "{}"
+    elif isinstance(x, (list, tuple)):
+        items = [encode_basestring_ascii(v) if type(v) is str else _encode(v, inner)
+                 for v in x]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def load_json_file(path: str):

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -559,6 +559,10 @@ class TestProofChainAudit:
         audit = proof_chain_audit(a, 1)
         assert len(calls) == 4 + 1 + 4  # the direct pair, then the relaxed sum
         assert audit.steps[0].rhs == split and audit.all_hold
+        # Every other j reads the same three polynomials.
+        for j in range(a.dim + 1):
+            assert proof_chain_audit(a, j).all_hold
+        assert len(calls) == 4 + 1 + 4
 
     def test_exact_steps_on_random_assemblies(self, glued_bank):
         for a in glued_bank[:6]:
@@ -572,6 +576,62 @@ class TestProofChainAudit:
         monkeypatch.setattr(assembly, "_orthant_split", lambda asm, j: real(asm, j) + 1)
         with pytest.raises(EngineDisagreementError, match="exact audit step 'orthant-split'"):
             proof_chain_audit(a, 1)
+
+
+class TestAssemblySums:
+    """The j-independent sums an assembly keeps equal the per-pair sums they
+    replace, at every j."""
+
+    @staticmethod
+    def assert_sums_match(a):
+        n = a.dim
+        piece = {s: p.body for s, p in a.pieces}
+        opposite = {s: piece[tuple(-x for x in s)] for s in piece}
+        assert lab_volume(a) == a.piece_volume == sum(map(volume, piece.values()), F(0))
+        for j in range(n + 1):
+            split = sum((mixed_volume_pair(p, opposite[s], j) for s, p in piece.items()), F(0))
+            relaxed = sum((mixed_volume_pair(p, negate(opposite[s]), j)
+                           for s, p in piece.items()), F(0))
+            assert _orthant_split(a, j) == a.split_coeffs[j] / comb(n, j) == split
+            assert a.relaxed_coeffs[j] / comb(n, j) == relaxed
+        denom = a.shadow_denom
+        for size in range(n + 1):
+            subsets = list(itertools.combinations(range(n), size))
+            for (_, p), table in zip(a.pieces, a.shadow_tables(size)):
+                assert table == tuple(
+                    factorial(size) * denom ** size * projected_volume(p, e)
+                    for e in subsets)
+
+    def test_glued_bank(self, glued_bank):
+        for a in glued_bank:
+            self.assert_sums_match(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unconditional_bodies(self, n):
+        for seed in range(2):
+            self.assert_sums_match(random_assembly(f"sums-{n}-{seed}", n, "unconditional"))
+
+    def test_rational_pieces(self):
+        a = equality_family(2, (1, F(3, 2), 1), 2)
+        assert a.shadow_denom == 2
+        self.assert_sums_match(a)
+
+    def test_a_repeated_pair_is_looked_up_once(self, monkeypatch):
+        # All 2^n orthants of an unconditional body hold the pair (P, P), and
+        # its relaxed pairs are all (P, -P).
+        looked_up = []
+        real = assembly.volume_polynomial
+        monkeypatch.setattr(assembly, "volume_polynomial",
+                            lambda k, t: looked_up.append((k, t)) or real(k, t))
+        a = random_assembly("sums-once", 3, "unconditional")
+        p = a.pieces[0][1].body
+        assert a.split_coeffs == tuple(8 * c for c in real(p, p).coeffs)
+        assert a.relaxed_coeffs == tuple(8 * c for c in real(p, negate(p)).coeffs)
+        assert looked_up == [(p, p), (p, negate(p))]
+        for j in range(a.dim + 1):
+            godbersen_check(a, j)
+            proof_chain_audit(a, j)
+        assert len(looked_up) == 2
 
 
 def fraction_opposite_mixed(k, kp, j):

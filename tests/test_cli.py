@@ -480,6 +480,37 @@ class TestAuditAndGen:
         assert "negative coordinate" in err
 
 
+class TestSourceFlags:
+    """A flag the chosen body source does not read is refused, not dropped."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "--family", "equality-1", "--alphas", "1,2", "--beta", "3"], "--beta"),
+        (["gen", "--family", "equality-1", "--alphas", "1,2", "--dim", "5"], "--dim"),
+        (["gen", "--family", "equality-2", "--alphas", "1,2", "--beta", "1", "--seed", "4"],
+         "--seed"),
+        (["gen", "--family", "cube", "--alphas", "1,2"], "--alphas"),
+        (["gen", "--family", "cross", "--style", "glued"], "--style"),
+        (["gen", "--beta", "1"], "--beta"),
+        (["godbersen", "--family", "cube", "--dim", "2", "--trials", "5"], "--trials"),
+        (["godbersen", "--family", "cross", "--seed", "3"], "--seed"),
+        (["godbersen", "--family", "equality-1", "--style", "glued"], "--style"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+    def test_unread_flag_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: {flag} is not read by ")
+
+    def test_config_prints_the_resolved_defaults(self, capsys):
+        code, out, _ = run(capsys, "godbersen", "--family", "cube", "--dim", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"] == {"seed": 0, "dim": 3, "trials": 10,
+                                             "style": "unconditional", "family": "cube"}
+
+    def test_gen_defaults(self, capsys):
+        assert run(capsys, "gen") == run(capsys, "gen", "--seed", "0", "--dim", "2",
+                                         "--style", "unconditional")
+
+
 class TestSimplexCommand:
     def test_lemma_value(self, capsys):
         code, out, _ = run(capsys, "simplex", "--alphas", "3,2,1", "--j", "2",

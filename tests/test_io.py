@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cornervol import ab_hull, convex_hull, equality_family, geometry, random_assembly
@@ -26,6 +26,28 @@ from cornervol.io import (
     sign_from_str,
     sign_to_str,
 )
+
+
+# What a report holds, and the escapes and non-ASCII text json writes as \u.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(json_values)
+@example({"a": {}, "b": [], "c": [[], {}]})
+@example({"\u00e9\n\"\\": "\u2603\x00", "": -3})
+@settings(max_examples=300, deadline=None)
+def test_dumps_is_the_json_module_text(obj):
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+@given(json_values, st.floats())
+@settings(max_examples=50, deadline=None)
+def test_dumps_refuses_a_float(obj, x):
+    with pytest.raises(TypeError):
+        dumps([obj, {"x": x}])
 
 
 def test_rational_strings():
