@@ -27,7 +27,6 @@ from .assembly import (
     from_unconditional,
     godbersen_check,
     lab_mixed,
-    lab_volume,
     negate_assembly,
     proof_chain_audit,
     random_assembly,

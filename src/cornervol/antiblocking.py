@@ -190,16 +190,12 @@ def ab_join_volume(k: AntiBlockingBody, kp: AntiBlockingBody) -> Fraction:
     return sum((ab_opposite_mixed(k, kp, n - j) for j in range(n + 1)), Fraction(0))
 
 
-def random_ab_body(rng: random.Random, n: int, generators: int | None = None,
-                   full_dim: bool = True) -> AntiBlockingBody:
-    """Seeded random anti-blocking body: down-closure of integer generators.
-
-    Samples `generators` points (n by default) with coordinates in
-    [0, COORD_MAX]; when full_dim is requested and no generator is positive
-    everywhere, one extra point with all coordinates >= 1 is added.
-    """
-    k = generators if generators is not None else n
-    gens = [tuple(rng.randint(0, COORD_MAX) for _ in range(n)) for _ in range(k)]
-    if full_dim and not any(all(x >= 1 for x in g) for g in gens):
+def random_ab_body(rng: random.Random, n: int) -> AntiBlockingBody:
+    """Seeded random full-dimensional anti-blocking body: the down-closure
+    of n integer generators with coordinates in [0, COORD_MAX], and of one
+    more with every coordinate in [1, COORD_MAX] when none of them is
+    positive everywhere."""
+    gens = [tuple(rng.randint(0, COORD_MAX) for _ in range(n)) for _ in range(n)]
+    if not any(all(x >= 1 for x in g) for g in gens):
         gens.append(tuple(rng.randint(1, COORD_MAX) for _ in range(n)))
     return ab_hull(gens, n)

@@ -1,11 +1,12 @@
 """Locally anti-blocking bodies as validated orthant assemblies.
 
-A body of this class is stored as its family of orthant pieces, each kept in
-positive-orthant coordinates; the geometric piece for a sign vector is the
-reflection of the stored piece.  Every piece is down-closed by type
-(``AntiBlockingBody``), and the ``OrthantAssembly`` constructor enforces the
-shared-projection consistency between orthants, from which convexity of the
-glued union follows (``assemble``), so every assembly really is a convex body.
+A body of this class is stored as one polytope per orthant mask, each kept
+in positive-orthant coordinates; the geometric piece for a sign vector is the
+reflection of the stored piece.  Every piece is down-closed by type when it
+is given (``AntiBlockingBody``), and the ``OrthantAssembly`` constructor
+enforces the shared-projection consistency between orthants, from which
+convexity of the glued union follows (``assemble``), so every assembly
+really is a convex body.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,39 +61,36 @@ def all_signs(n: int) -> list[SignVector]:
 
 @dataclass(frozen=True)
 class OrthantAssembly:
-    """Sign-indexed family of anti-blocking pieces forming a convex body.
+    """Mask-indexed family of anti-blocking pieces forming a convex body.
 
-    ``pieces`` may be given as a mapping or a sequence of (sign, piece)
-    pairs, each sign a tuple or list of the ints 1 and -1 given once; the
-    constructor fills every missing orthant with the degenerate piece {0},
-    stores the pairs in ``all_signs`` order, and raises AssemblyError unless
-    the pieces agree on their shared coordinate subspaces
-    (``_check_consistency``).  So ``pieces[m]`` is the orthant whose sign is
-    -1 at the set bits of m, its opposite is ``pieces[~m]`` and its
-    neighbour along e_i is ``pieces[m ^ 1 << i]``.  Every piece is
-    down-closed by type, so every assembly is a convex body (the proof is in
-    ``assemble``), and canonical, since validation hulls it (``hull_data``).
+    ``pieces`` is given as a mapping from sign tuples of the ints 1 and -1 to
+    ``AntiBlockingBody``s; the constructor stores each piece's polytope as
+    ``pieces[m]``, the piece of the orthant whose sign is ``all_signs(dim)[m]``
+    (-1 at the set bits of m), fills every missing orthant with the
+    degenerate piece {0}, and raises AssemblyError unless the pieces agree on
+    their shared coordinate subspaces (``_check_consistency``).  So the
+    opposite of ``pieces[m]`` is ``pieces[~m]`` and its neighbour along e_i
+    is ``pieces[m ^ 1 << i]``.  Every piece is down-closed by type, so every
+    assembly is a convex body (the proof is in ``assemble``), and canonical,
+    since validation hulls it (``hull_data``).
     """
 
     dim: int
-    pieces: tuple[tuple[SignVector, AntiBlockingBody], ...]
+    pieces: tuple[VPolytope, ...]
 
     def __post_init__(self):
-        table: dict[SignVector, AntiBlockingBody] = {}
-        pairs = self.pieces.items() if isinstance(self.pieces, Mapping) else self.pieces
-        for sign, piece in pairs:
-            sv = tuple(sign) if isinstance(sign, (tuple, list)) else ()
+        table: dict[SignVector, VPolytope] = {}
+        for sign, piece in self.pieces.items():
             # bool is an int subclass, so True would otherwise stand for 1.
-            if len(sv) != self.dim or any(type(s) is not int or s not in (-1, 1) for s in sv):
+            if (not isinstance(sign, tuple) or len(sign) != self.dim
+                    or any(type(s) is not int or s not in (-1, 1) for s in sign)):
                 raise AssemblyError(f"bad sign vector {sign!r}")
-            if sv in table:
-                raise AssemblyError(f"sign vector {sign!r} given twice")
             if piece.dim != self.dim:
                 raise AssemblyError("piece dimension mismatch")
-            table[sv] = piece
-        signs = all_signs(self.dim)
-        filler = AntiBlockingBody(origin(self.dim)) if len(table) < len(signs) else None
-        object.__setattr__(self, "pieces", tuple((sv, table.get(sv, filler)) for sv in signs))
+            table[sign] = piece.body
+        filler = origin(self.dim)
+        object.__setattr__(self, "pieces",
+                           tuple(table.get(sv, filler) for sv in all_signs(self.dim)))
         _check_consistency(self.dim, self.pieces)
 
     @cached_property
@@ -159,24 +156,22 @@ class OrthantAssembly:
     def split_coeffs(self) -> tuple[Fraction, ...]:
         """Entry j is C(n, j) V(K[j], -K[n-j]) by the orthant split: the
         coefficient-wise sum over masks m of ``volume_polynomial(P_m, P_~m)``."""
-        bodies = [piece.body for _, piece in self.pieces]
-        return _summed_coeffs((p, bodies[~m]) for m, p in enumerate(bodies))
+        return _summed_coeffs((p, self.pieces[~m]) for m, p in enumerate(self.pieces))
 
     @cached_property
     def relaxed_coeffs(self) -> tuple[Fraction, ...]:
         """The same sum over the relaxed pairs (P_m, -P_~m)."""
-        bodies = [piece.body for _, piece in self.pieces]
-        return _summed_coeffs((p, negate(bodies[~m])) for m, p in enumerate(bodies))
+        return _summed_coeffs((p, negate(self.pieces[~m])) for m, p in enumerate(self.pieces))
 
     @cached_property
     def piece_volume(self) -> Fraction:
         """The sum of the piece volumes, which is Vol(K)."""
-        return sum((volume(piece.body) for _, piece in self.pieces), Fraction(0))
+        return sum(map(volume, self.pieces), Fraction(0))
 
     @cached_property
     def shadow_denom(self) -> int:
         """L, the lcm of the pieces' vertex denominators."""
-        return lcm(*(piece.body.denom for _, piece in self.pieces))
+        return lcm(*(p.denom for p in self.pieces))
 
     def shadow_tables(self, size: int) -> tuple[tuple[int, ...], ...]:
         """By orthant mask, the piece's ``normalized_shadow_volumes`` on the
@@ -185,9 +180,9 @@ class OrthantAssembly:
         tables = self._shadow_tables
         if size not in tables:
             out = []
-            for _, piece in self.pieces:
-                up = (self.shadow_denom // piece.body.denom) ** size
-                table = normalized_shadow_volumes(piece.body, size)
+            for p in self.pieces:
+                up = (self.shadow_denom // p.denom) ** size
+                table = normalized_shadow_volumes(p, size)
                 out.append(tuple([x * up for x in table]) if up > 1 else table)
             tables[size] = tuple(out)
         return tables[size]
@@ -210,7 +205,7 @@ def _summed_coeffs(pairs) -> tuple[Fraction, ...]:
 def _reflected_vertices(a: OrthantAssembly):
     """Every piece's vertices reflected into its orthant, lazily, with repeats."""
     return (tuple(x if s > 0 else -x for s, x in zip(sign, v))
-            for sign, piece in a.pieces for v in piece.vertices)
+            for sign, p in zip(all_signs(a.dim), a.pieces) for v in p.vertices)
 
 
 def _mask(v) -> int:
@@ -239,7 +234,7 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
     memoized by ``store_hull_data``.
     """
     n = a.dim
-    bodies = [piece.body for _, piece in a.pieces]
+    bodies = a.pieces
     data = {p: hull_data(p) for p in bodies}
     equal = len(data) == 1
     if not equal and any(d.rank < n for d in data.values()):
@@ -297,8 +292,8 @@ def _derived_hull(a: OrthantAssembly) -> VPolytope | None:
 def _check_consistency(dim: int, pieces) -> None:
     """Raise AssemblyError unless every adjacent pair of pieces agrees along e_i.
 
-    ``pieces`` are (sign, piece) pairs in ``all_signs`` order, so the
-    neighbour of the m-th along e_i is the (m | 1 << i)-th.  The projection
+    ``pieces`` are polytopes by orthant mask, so the neighbour of the m-th
+    along e_i is the (m | 1 << i)-th.  The projection
     of a down-closed piece along e_i is its face x_i = 0, whose vertices are
     the piece's vertices with x_i = 0, since every piece is canonical; so two
     pieces agree there exactly when those vertex lists do.  Comparing each
@@ -308,44 +303,38 @@ def _check_consistency(dim: int, pieces) -> None:
     The vertices are compared as integer rows over one denominator
     (``_scaled_rows``).
     """
-    bodies = [piece.body for _, piece in pieces]
-    scaled, _ = _scaled_rows(bodies)
+    scaled, _ = _scaled_rows(pieces)
     for i in range(dim):
         bit = 1 << i
-        for m, p in enumerate(bodies):
+        for m, p in enumerate(pieces):
             if m & bit:
                 continue
-            q = bodies[m | bit]
+            q = pieces[m | bit]
             if p is not q and ([r for r in scaled[p][0] if not r[i]]
                                != [r for r in scaled[q][0] if not r[i]]):
                 keep = tuple(j for j in range(dim) if j != i)
+                signs = all_signs(dim)
                 raise AssemblyError(
-                    f"projection mismatch between orthants {sign_to_str(pieces[m][0])} and "
-                    f"{sign_to_str(pieces[m | bit][0])} on the coordinates {keep}"
+                    f"projection mismatch between orthants {sign_to_str(signs[m])} and "
+                    f"{sign_to_str(signs[m | bit])} on the coordinates {keep}"
                 )
 
 
-def _check_convex_union(pieces, hull: VPolytope) -> None:
+def _check_convex_union(pieces: tuple[VPolytope, ...], hull: VPolytope) -> None:
     # The union of the pieces is convex iff it fills its own hull, which for
     # interior-disjoint pieces is an exact volume identity.  When the whole
     # assembly lies in a proper coordinate subspace the check runs there:
     # orthant signs on the vanishing coordinates are quotiented out, because
     # pieces differing only in those signs coincide.
-    support = tuple(sorted({
-        i
-        for _, piece in pieces
-        for v in piece.vertices
-        for i, x in enumerate(v)
-        if x != 0
-    }))
+    support = tuple(sorted({i for p in pieces for v in p.vertices for i, x in enumerate(v) if x}))
     if not support:
         return
-    # Pieces sharing a reduced sign have one shadow: _check_consistency compared each single-sign
-    # flip on coordinates containing the support; in dimension 1 the two signs differ on it.
-    reduced: dict[SignVector, AntiBlockingBody] = {}
-    for sign, piece in pieces:
-        reduced.setdefault(tuple(sign[i] for i in support), piece)
-    total = sum((volume(shadow(piece.body, support)) for piece in reduced.values()), Fraction(0))
+    # Pieces whose masks agree on the support have one shadow: _check_consistency compared each
+    # single-sign flip on coordinates containing the support; in dimension 1 the two signs differ
+    # on it.  So the masks inside the support stand for all.
+    off = ~sum(1 << i for i in support)
+    total = sum((volume(shadow(p, support)) for m, p in enumerate(pieces) if not m & off),
+                Fraction(0))
     hull_vol = volume(shadow(hull, support))
     if total != hull_vol:
         raise AssemblyError(
@@ -382,7 +371,7 @@ def sign_to_str(sign: SignVector) -> str:
 def from_unconditional(k_plus: AntiBlockingBody) -> OrthantAssembly:
     """The sign-symmetric body whose every orthant piece equals the given one."""
     n = k_plus.dim
-    return OrthantAssembly(n, [(sv, k_plus) for sv in all_signs(n)])
+    return OrthantAssembly(n, dict.fromkeys(all_signs(n), k_plus))
 
 
 def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
@@ -415,12 +404,6 @@ def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
         for sv in all_signs(n)})
 
 
-def lab_volume(a: OrthantAssembly) -> Fraction:
-    """Volume as the sum of the orthant piece volumes, summed once per
-    assembly (``OrthantAssembly.piece_volume``)."""
-    return a.piece_volume
-
-
 def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
     """Mixed volume V(A[j], B[n-j]) summed orthant by orthant.
 
@@ -433,27 +416,15 @@ def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
     if not 0 <= j <= a.dim:
         raise ValueError("copy count out of range")
     total = Fraction(0)
-    for (_, p), (_, q) in zip(a.pieces, b.pieces):
-        total += mixed_volume_pair(p.body, q.body, j)
+    for p, q in zip(a.pieces, b.pieces):
+        total += mixed_volume_pair(p, q, j)
     return total
 
 
 def negate_assembly(a: OrthantAssembly) -> OrthantAssembly:
     """Pointwise negation: the piece at each sign comes from the opposite sign."""
-    return OrthantAssembly(a.dim, [(sv, a.pieces[~m][1]) for m, (sv, _) in enumerate(a.pieces)])
-
-
-def _orthant_split(a: OrthantAssembly, j: int) -> Fraction:
-    """V(K[j], -K[n-j]) orthant by orthant: the sum over s of V(P_s[j], P_-s[n-j]).
-
-    ``lab_mixed(a, negate_assembly(a), j)`` without building -K's assembly,
-    read off the assembly's ``split_coeffs``: the sum over s of the j-th
-    coefficients c_s[j] / C(n, j) is (the sum of the c_s[j]) / C(n, j), the
-    same rational, so every j after the first costs one division.
-    """
-    if not 0 <= j <= a.dim:
-        raise ValueError("copy count out of range")
-    return a.split_coeffs[j] / comb(a.dim, j)
+    return OrthantAssembly(a.dim, {sv: AntiBlockingBody(a.pieces[~m])
+                                   for m, sv in enumerate(all_signs(a.dim))})
 
 
 @dataclass(frozen=True)
@@ -471,22 +442,23 @@ def godbersen_check(a: OrthantAssembly, j: int) -> GodbersenReport:
 
     The mixed volume is computed twice, orthant-by-orthant and directly on the
     global hull; any discrepancy raises EngineDisagreementError.  The orthant
-    sum and Vol(K) are the assembly's, summed at its first check, so the
-    n+1 checks of one body sum them once.
+    sum over s of V(P_s[j], P_-s[n-j]) is ``split_coeffs[j]`` over C(n, j);
+    it and Vol(K) are the assembly's, summed at its first check, so the n+1
+    checks of one body sum them once.
     """
     n = a.dim
     if not 0 <= j <= n:
         raise ValueError("copy count out of range")
     if not a.is_full_dimensional():
         raise ValueError("assembly must be full-dimensional")
-    via_orthants = _orthant_split(a, j)
+    via_orthants = a.split_coeffs[j] / comb(n, j)
     hull = a.hull
     direct = mixed_volume_pair(hull, negate(hull), j)
     if via_orthants != direct:
         raise EngineDisagreementError(
             f"orthant-sum mixed volume {via_orthants} != direct {direct} at j={j}"
         )
-    bound = comb(n, j) * lab_volume(a)
+    bound = comb(n, j) * a.piece_volume
     return GodbersenReport(j, direct, bound, direct / bound, direct == bound, j in (0, n))
 
 
@@ -552,7 +524,7 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     count = comb(n, j)
 
     direct = mixed_volume_pair(hull, negate(hull), j)
-    split_sum = _orthant_split(a, j)
+    split_sum = a.split_coeffs[j] / count
     relaxed_sum = a.relaxed_coeffs[j] / count
 
     # The pieces' N over L by orthant mask (the opposite of m is ~m) on the
@@ -588,7 +560,7 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
 
     projection_sum, reindexed_sum, rs_sum = (
         Fraction(x, unit) for x in (projection, reindexed, rs_bound))
-    bound = count * lab_volume(a)
+    bound = count * a.piece_volume
     steps = (
         AuditStep("orthant-split", "==", direct, split_sum, direct == split_sum),
         AuditStep("opposite-orthant-relaxation", "<=", split_sum, relaxed_sum,

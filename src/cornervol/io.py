@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import hull as _hull
 from .antiblocking import AntiBlockingBody, ab_hull
-from .assembly import AssemblyError, OrthantAssembly, assemble, sign_to_str
+from .assembly import AssemblyError, OrthantAssembly, all_signs, assemble, sign_to_str
 from .geometry import VPolytope, cap_dim, convex_hull
 
 
@@ -121,7 +121,7 @@ def assembly_to_obj(a: OrthantAssembly) -> dict:
     return {
         "dim": a.dim,
         "pieces": {
-            sign_to_str(sign): polytope_to_obj(piece.body) for sign, piece in a.pieces
+            sign_to_str(sign): polytope_to_obj(p) for sign, p in zip(all_signs(a.dim), a.pieces)
         },
     }
 
@@ -205,9 +205,22 @@ def _encode(x, pad: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, refusing a key given twice (``json`` would keep
+    the last copy)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def load_json_file(path: str):
+    """The file's decoded JSON; any failure to read or decode it, a repeated
+    key included, is a ParseError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc

@@ -81,32 +81,20 @@ def corollary_mixed_volume(s: AlignedSimplex, t: AlignedSimplex, j: int) -> Frac
     """V_n(K[j], T[n-j]) for two aligned simplices.
 
     Equals 1/n! times max over size-j index sets I of
-    prod_{i in I} alpha_i * prod_{i not in I} beta_i.  With all betas positive
-    the maximizing I consists of the j largest ratios alpha_i/beta_i; a zero
-    beta breaks the ratio ordering, so that case falls back to exhaustive
-    maximization over the C(n, j) subsets.
+    prod_{i in I} alpha_i * prod_{i not in I} beta_i, taken over all C(n, j)
+    of them (at most 20 at the default dimension cap of 6).
     """
     n = s.dim
     if t.dim != n:
         raise ValueError("dimension mismatch")
     if not 0 <= j <= n:
         raise ValueError("copy count out of range")
-    alphas, betas = s.alphas, t.alphas
-    if all(b > 0 for b in betas):
-        order = sorted(range(n), key=lambda i: (alphas[i] / betas[i], i), reverse=True)
-        chosen = set(order[:j])
-        prod = Fraction(1)
-        for i in range(n):
-            prod *= alphas[i] if i in chosen else betas[i]
-        return prod / factorial(n)
-    best = None
+    best = Fraction(0)
     for subset in itertools.combinations(range(n), j):
-        inside = set(subset)
-        prod = Fraction(1)
-        for i in range(n):
-            prod *= alphas[i] if i in inside else betas[i]
-        if best is None or prod > best:
-            best = prod
+        value = Fraction(1)
+        for i, (a, b) in enumerate(zip(s.alphas, t.alphas)):
+            value *= a if i in subset else b
+        best = max(best, value)
     return best / factorial(n)
 
 

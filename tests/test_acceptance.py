@@ -23,7 +23,6 @@ from cornervol import (
     godbersen_equality_values,
     join_hull,
     lab_mixed,
-    lab_volume,
     lemma_mixed_volume,
     minkowski_sum,
     mixed_volume_pair,
@@ -110,7 +109,7 @@ def test_criterion_05_orthant_decompositions(unconditional_bank, glued_bank):
     checked = 0
     ok = True
     for a in unconditional_bank + glued_bank:
-        ok = ok and lab_volume(a) == volume(a.hull)
+        ok = ok and a.piece_volume == volume(a.hull)
         checked += 1
         neg = negate_assembly(a)
         h = a.hull
@@ -140,7 +139,7 @@ def _distinct_full_dim_glued(count: int, dims=(2, 3)) -> list:
         n = dims[len(out) % len(dims)]
         a = random_assembly(f"catalogue-{idx}", n, "glued")
         idx += 1
-        full_pieces = {piece for _, piece in a.pieces if volume(piece.body) > 0}
+        full_pieces = {piece for piece in a.pieces if volume(piece) > 0}
         if len(full_pieces) < 2:
             continue
         if len(a.hull.vertices) <= n + 1:

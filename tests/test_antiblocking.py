@@ -197,7 +197,7 @@ class TestAntiBlockingBody:
         raw = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (h, h), (F(1), F(0))))
         named = r"^vertex list holds \(1/2, 1/2\), which is no vertex of its hull"
         for build in (volume, AntiBlockingBody,
-                      lambda p: OrthantAssembly(2, [((1, 1), AntiBlockingBody(p))])):
+                      lambda p: OrthantAssembly(2, {(1, 1): AntiBlockingBody(p)})):
             with pytest.raises(ValueError, match=named):
                 build(raw)
             assert raw not in geometry._hull_cache

@@ -24,29 +24,32 @@ from cornervol import (
     from_unconditional,
     godbersen_check,
     lab_mixed,
-    lab_volume,
     linear_map,
     mixed_volume_pair,
     negate,
     negate_assembly,
     origin,
     proof_chain_audit,
-    random_ab_body,
     random_assembly,
     reflect,
     standard_simplex,
     unit_cube,
     volume,
 )
-from cornervol.antiblocking import projected_volume
+from cornervol.antiblocking import COORD_MAX, projected_volume
 from cornervol.assembly import (
     AuditStep,
     EngineDisagreementError,
     ProofChainAudit,
-    _orthant_split,
 )
 from cornervol.geometry import VPolytope, hull_data
 from cornervol.hull import hull_of_points
+
+
+def signed(a):
+    """The assembly's pieces as its constructor takes them: a mapping from
+    each sign to the ``AntiBlockingBody`` of its piece."""
+    return {s: AntiBlockingBody(p) for s, p in zip(all_signs(a.dim), a.pieces)}
 
 
 class TestAssemble:
@@ -85,17 +88,8 @@ class TestAssemble:
     def test_sign_entries_must_be_the_int_one_or_minus_one(self, entry):
         # int() would read every one of these as 1.
         piece = AntiBlockingBody(standard_simplex(2))
-        for pieces in ({(entry, 1): piece}, [((entry, 1), piece)]):
-            with pytest.raises(AssemblyError, match=r"bad sign vector \("):
-                OrthantAssembly(2, pieces)
-
-    def test_repeated_sign_refused(self):
-        square = ab_hull([(1, 1)])
-        pieces = [(s, square) for s in all_signs(2)] + [([1, 1], ab_hull([(2, 2)]))]
-        with pytest.raises(AssemblyError, match=r"sign vector \[1, 1\] given twice"):
-            OrthantAssembly(2, pieces)
-        with pytest.raises(AssemblyError, match="given twice"):
-            OrthantAssembly(2, [((1, -1), square), ((1, -1), square)])
+        with pytest.raises(AssemblyError, match=r"bad sign vector \("):
+            OrthantAssembly(2, {(entry, 1): piece})
 
     def test_non_downclosed_piece_rejected(self):
         # The piece type refuses it before assemble can see it.
@@ -103,13 +97,13 @@ class TestAssemble:
             AntiBlockingBody(convex_hull([(1, 0), (0, 1)]))
 
     def test_equality_families_validate(self):
-        assemble(3, dict(equality_family(1, (1, 2, 3)).pieces))
-        assemble(2, dict(equality_family(2, (1, 1), beta1=2).pieces))
+        assemble(3, signed(equality_family(1, (1, 2, 3))))
+        assemble(2, signed(equality_family(2, (1, 1), beta1=2)))
 
     def test_dimension_one_validates(self):
         a = assemble(1, {(1,): ab_hull([(2,)]), (-1,): ab_hull([(F(1, 3),)])})
         assert a.hull == convex_hull([(F(-1, 3),), (2,)])
-        assert lab_volume(a) == volume(a.hull) == F(7, 3)
+        assert a.piece_volume == volume(a.hull) == F(7, 3)
 
 
 def flat_assembly_pieces():
@@ -120,7 +114,7 @@ def flat_assembly_pieces():
     """
     glued = random_assembly("flat-pad", 2, "glued")
     pieces = {}
-    for (s1, s2), piece in glued.pieces:
+    for (s1, s2), piece in zip(all_signs(2), glued.pieces):
         padded = AntiBlockingBody(convex_hull([v + (F(0),) for v in piece.vertices], 3))
         pieces[(s1, s2, 1)] = pieces[(s1, s2, -1)] = padded
     return pieces
@@ -129,7 +123,7 @@ def flat_assembly_pieces():
 class TestFlatAssembly:
     def test_validates_on_its_support(self):
         a = assemble(3, flat_assembly_pieces())
-        assert lab_volume(a) == 0
+        assert a.piece_volume == 0
         assert volume(a.hull) == 0
 
     def test_changed_twin_rejected(self):
@@ -160,8 +154,8 @@ class TestFromUnconditional:
 
         k = random_ab_body(rng, 3)
         a = from_unconditional(k)
-        assert lab_volume(a) == 2**3 * volume(k.body)
-        assert volume(a.hull) == lab_volume(a)
+        assert a.piece_volume == 2**3 * volume(k.body)
+        assert volume(a.hull) == a.piece_volume
 
 
 # Rationals with mixed denominators for the rational generators.
@@ -170,15 +164,25 @@ PIECE_KINDS = ("random", "random-flat", "cube", "simplex", "rational")
 
 
 @st.composite
+def integer_pieces(draw, n, full_dim):
+    """The down-closure of 1 to 3 integer generators in [0, COORD_MAX]^n, and
+    of one more with every coordinate at least 1 when ``full_dim``, so the
+    body is full-dimensional then and possibly flat otherwise."""
+    gens = draw(st.lists(st.tuples(*[st.integers(0, COORD_MAX)] * n), min_size=1, max_size=3))
+    if full_dim:
+        gens.append(draw(st.tuples(*[st.integers(1, COORD_MAX)] * n)))
+    return ab_hull(gens, n)
+
+
+@st.composite
 def unconditional_pieces(draw):
-    """An anti-blocking piece in dimension 1 to 5: seeded random bodies (full or
+    """An anti-blocking piece in dimension 1 to 5: integer bodies (full or
     possibly flat), the unit cube, the standard simplex, or the down-closure of
     rational generators (possibly flat or the origin alone)."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(PIECE_KINDS))
     if kind.startswith("random"):
-        rng = random.Random(draw(st.integers(0, 2**16)))
-        return random_ab_body(rng, n, draw(st.integers(1, 3)), full_dim=kind == "random")
+        return draw(integer_pieces(n, kind == "random"))
     if kind == "cube":
         return AntiBlockingBody(unit_cube(n))
     if kind == "simplex":
@@ -236,21 +240,21 @@ class TestGluedHull:
         assert (assembly._derived_hull(a) is None) == (kind in FALLBACK_KINDS)
         assert hull_data(a.hull) == hull_of_points(sorted(assembly._reflected_vertices(a)), a.dim)
         # A piece shifted off the origin is no longer down-closed.
-        shifted = a.pieces[-1][1].body.translate((1,) * a.dim)
+        shifted = a.pieces[-1].translate((1,) * a.dim)
         with pytest.raises(ValueError, match="not down-closed"):
             AntiBlockingBody(shifted)
         # Every glued piece is full-dimensional, so from dimension 2 on an
         # orthant left to the origin disagrees with its neighbours.
         if kind == "glued" and a.dim >= 2:
-            pieces = dict(a.pieces)
-            pieces[a.pieces[0][0]] = AntiBlockingBody(origin(a.dim))
+            pieces = signed(a)
+            pieces[all_signs(a.dim)[0]] = AntiBlockingBody(origin(a.dim))
             with pytest.raises(AssemblyError, match="projection mismatch"):
                 OrthantAssembly(a.dim, pieces)
 
     def test_assemble_takes_no_hull_of_the_body(self, monkeypatch):
         # The consistency check reads the pieces' memoized vertex lists, and
         # the body's hull is derived from their hull data: no hull at all.
-        pieces = dict(random_assembly("derived-count", 3, "glued").pieces)
+        pieces = signed(random_assembly("derived-count", 3, "glued"))
         geometry._shadow.cache_clear()
         dims = []
         real = geometry.hull_of_points
@@ -261,7 +265,7 @@ class TestGluedHull:
 
         monkeypatch.setattr(geometry, "hull_of_points", recording)
         a = assemble(3, pieces)
-        assert volume(a.hull) == lab_volume(a)
+        assert volume(a.hull) == a.piece_volume
         assert dims == []
 
     @pytest.mark.parametrize("int64", [True, False], ids=["int64", "python-int"])
@@ -272,7 +276,7 @@ class TestGluedHull:
         if not int64:
             monkeypatch.setattr(hull_mod, "_INT64_BOUND", 0)
         glued = random_assembly("derived-scan", 3, "glued")
-        derived = assembly._derived_hull(OrthantAssembly(3, glued.pieces))
+        derived = assembly._derived_hull(OrthantAssembly(3, signed(glued)))
         assert derived == convex_hull(assembly._reflected_vertices(glued), 3)
         flat = OrthantAssembly(3, flat_assembly_pieces())
         assert assembly._derived_hull(flat) is None
@@ -290,7 +294,7 @@ class TestGluedHull:
         hull = convex_hull(reflected, 2)
         assert hull == convex_hull([(2, 2), (2, 0), (0, 2), (-1, 0), (0, -1)])
         with pytest.raises(AssemblyError, match="union of pieces is not convex"):
-            assembly._check_convex_union(pieces.items(), hull)
+            assembly._check_convex_union(tuple(pieces[s].body for s in all_signs(2)), hull)
 
     def test_redundant_raw_piece_is_refused(self):
         # The raw piece lists (0, 1), which is no vertex of its hull, so it is
@@ -303,7 +307,7 @@ class TestGluedHull:
         a = assemble(2, pieces)
         assert a == OrthantAssembly(2, pieces)
         assert a.hull == convex_hull([(1, 0), (0, 2), (-1, 0), (0, -2)])
-        assert lab_volume(a) == volume(a.hull) == 4
+        assert a.piece_volume == volume(a.hull) == 4
 
 
 CONSISTENT_KINDS = ("glued", "negated", "flat", "equality", "unconditional")
@@ -313,7 +317,7 @@ CONSISTENT_KINDS = ("glued", "negated", "flat", "equality", "unconditional")
 def consistent_families(draw):
     """A piece family that agrees on its shared coordinate subspaces: a glued
     assembly in dimension 1 to 4 or its negation, the flat padded assembly,
-    an equality family, or the reflections of one random piece."""
+    an equality family, or the reflections of one integer piece."""
     kind = draw(st.sampled_from(CONSISTENT_KINDS))
     if kind == "flat":
         return assemble(3, flat_assembly_pieces())
@@ -327,9 +331,7 @@ def consistent_families(draw):
         if draw(st.booleans()):
             return equality_family(1, alphas)
         return equality_family(2, alphas, draw(coords.filter(bool)))
-    rng = random.Random(seed)
-    return from_unconditional(random_ab_body(rng, n, draw(st.integers(1, 3)),
-                                             full_dim=draw(st.booleans())))
+    return from_unconditional(draw(integer_pieces(n, draw(st.booleans()))))
 
 
 class TestConvexUnion:
@@ -343,7 +345,7 @@ class TestConvexUnion:
     def test_consistent_pieces_glue_to_a_convex_body(self, a):
         assembly._check_convex_union(a.pieces, a.hull)
         reflected = sorted(assembly._reflected_vertices(a))
-        assert lab_volume(a) == hull_of_points(reflected, a.dim).volume
+        assert a.piece_volume == hull_of_points(reflected, a.dim).volume
 
 
 class TestEqualityFamily:
@@ -353,7 +355,7 @@ class TestEqualityFamily:
 
     def test_case1_volume(self):
         a = equality_family(1, (2, 3))
-        assert lab_volume(a) == F(2 * 3, 2)
+        assert a.piece_volume == F(2 * 3, 2)
 
     def test_case2_segment(self):
         a = equality_family(2, (1,), beta1=1)
@@ -375,19 +377,19 @@ class TestEqualityFamily:
 class TestDecompositions:
     def test_lab_volume_cross_polytope(self):
         a = from_unconditional(AntiBlockingBody(standard_simplex(2)))
-        assert lab_volume(a) == 2
+        assert a.piece_volume == 2
 
     @pytest.mark.usefixtures("strict_hull")
     def test_lab_volume_matches_hull(self, glued_bank):
         # A derived hull's volume is the piece sum by construction; rebuilt
         # under strict checks, each derived hull is compared with the engine's.
         for a in glued_bank[:10]:
-            assert lab_volume(a) == volume(OrthantAssembly(a.dim, a.pieces).hull)
+            assert a.piece_volume == volume(OrthantAssembly(a.dim, signed(a)).hull)
 
     def test_lab_mixed_self_is_volume(self):
         a = random_assembly("self", 2, "glued")
         for j in range(3):
-            assert lab_mixed(a, a, j) == lab_volume(a)
+            assert lab_mixed(a, a, j) == a.piece_volume
 
     def test_lab_mixed_cross_polytope_symmetric(self):
         a = from_unconditional(AntiBlockingBody(standard_simplex(2)))
@@ -414,11 +416,8 @@ class TestDecompositions:
                 a = random_assembly(f"sumdec-a-{n}-{trial}", n, "glued")
                 b = random_assembly(f"sumdec-b-{n}-{trial}", n, "glued")
                 direct = volume(minkowski_sum(a.hull, b.hull))
-                piece_of_b = dict(b.pieces)
                 per_orthant = sum(
-                    volume(minkowski_sum(piece.body, piece_of_b[sign].body))
-                    for sign, piece in a.pieces
-                )
+                    volume(minkowski_sum(p, q)) for p, q in zip(a.pieces, b.pieces))
                 assert direct == per_orthant
 
 
@@ -436,9 +435,9 @@ class TestSharedProjections:
             for r in range(n + 1):
                 for idx in itertools.combinations(range(n), r):
                     groups = {}
-                    for sign, piece in a.pieces:
+                    for sign, piece in zip(all_signs(n), a.pieces):
                         key = tuple(sign[i] for i in idx)
-                        groups.setdefault(key, []).append(project(piece.body, idx))
+                        groups.setdefault(key, []).append(project(piece, idx))
                     for projections in groups.values():
                         assert all(p == projections[0] for p in projections)
 
@@ -493,8 +492,8 @@ class TestOrthantOrder:
 
     def test_pieces_are_stored_in_mask_order(self):
         a = random_assembly("order", 3, "glued")
-        given = list(reversed(a.pieces))
-        assert [s for s, _ in OrthantAssembly(3, given).pieces] == all_signs(3)
+        given = dict(reversed(signed(a).items()))
+        assert OrthantAssembly(3, given).pieces == tuple(given[s].body for s in all_signs(3))
         assert OrthantAssembly(3, given) == a
 
     def test_orthant_split_is_lab_mixed_against_the_negation(self):
@@ -502,7 +501,7 @@ class TestOrthantOrder:
             a = random_assembly(f"order-split-{n}", n, "glued")
             na = negate_assembly(a)
             for j in range(n + 1):
-                assert _orthant_split(a, j) == lab_mixed(a, na, j)
+                assert a.split_coeffs[j] / comb(n, j) == lab_mixed(a, na, j)
 
 
 class TestGodbersen:
@@ -572,8 +571,8 @@ class TestProofChainAudit:
 
     def test_failed_exact_step_raises(self, monkeypatch):
         a = random_assembly("failed-step", 2, "glued")
-        real = assembly._orthant_split
-        monkeypatch.setattr(assembly, "_orthant_split", lambda asm, j: real(asm, j) + 1)
+        real = assembly.mixed_volume_pair
+        monkeypatch.setattr(assembly, "mixed_volume_pair", lambda k, t, j: real(k, t, j) + 1)
         with pytest.raises(EngineDisagreementError, match="exact audit step 'orthant-split'"):
             proof_chain_audit(a, 1)
 
@@ -585,21 +584,21 @@ class TestAssemblySums:
     @staticmethod
     def assert_sums_match(a):
         n = a.dim
-        piece = {s: p.body for s, p in a.pieces}
+        piece = dict(zip(all_signs(n), a.pieces))
         opposite = {s: piece[tuple(-x for x in s)] for s in piece}
-        assert lab_volume(a) == a.piece_volume == sum(map(volume, piece.values()), F(0))
+        assert a.piece_volume == sum(map(volume, piece.values()), F(0))
         for j in range(n + 1):
             split = sum((mixed_volume_pair(p, opposite[s], j) for s, p in piece.items()), F(0))
             relaxed = sum((mixed_volume_pair(p, negate(opposite[s]), j)
                            for s, p in piece.items()), F(0))
-            assert _orthant_split(a, j) == a.split_coeffs[j] / comb(n, j) == split
+            assert a.split_coeffs[j] / comb(n, j) == split
             assert a.relaxed_coeffs[j] / comb(n, j) == relaxed
         denom = a.shadow_denom
         for size in range(n + 1):
             subsets = list(itertools.combinations(range(n), size))
-            for (_, p), table in zip(a.pieces, a.shadow_tables(size)):
+            for p, table in zip(a.pieces, a.shadow_tables(size)):
                 assert table == tuple(
-                    factorial(size) * denom ** size * projected_volume(p, e)
+                    factorial(size) * denom ** size * projected_volume(AntiBlockingBody(p), e)
                     for e in subsets)
 
     def test_glued_bank(self, glued_bank):
@@ -624,7 +623,7 @@ class TestAssemblySums:
         monkeypatch.setattr(assembly, "volume_polynomial",
                             lambda k, t: looked_up.append((k, t)) or real(k, t))
         a = random_assembly("sums-once", 3, "unconditional")
-        p = a.pieces[0][1].body
+        p = a.pieces[0]
         assert a.split_coeffs == tuple(8 * c for c in real(p, p).coeffs)
         assert a.relaxed_coeffs == tuple(8 * c for c in real(p, negate(p)).coeffs)
         assert looked_up == [(p, p), (p, negate(p))]
@@ -650,10 +649,13 @@ def fraction_audit(a, j):
     n = a.dim
     hull = a.hull
     signs = all_signs(n)
-    piece = dict(a.pieces)  # by sign, independent of the stored order
+    piece = signed(a)  # by sign, independent of the stored order
 
     direct = mixed_volume_pair(hull, negate(hull), j)
-    split_sum = _orthant_split(a, j)
+    split_sum = sum(
+        (mixed_volume_pair(piece[s].body, piece[tuple(-x for x in s)].body, j) for s in signs),
+        F(0),
+    )
     relaxed_sum = sum(
         (mixed_volume_pair(piece[s].body, negate(piece[tuple(-x for x in s)].body), j)
          for s in signs),
@@ -683,7 +685,7 @@ def fraction_audit(a, j):
     reindexed = reindexed_total / choose
     rs_bound /= choose
 
-    bound = comb(n, j) * lab_volume(a)
+    bound = comb(n, j) * a.piece_volume
     steps = (
         AuditStep("orthant-split", "==", direct, split_sum, direct == split_sum),
         AuditStep("opposite-orthant-relaxation", "<=", split_sum, relaxed_sum,
@@ -703,7 +705,8 @@ def scaled(a, qs):
     """The assembly under the diagonal map diag(1/q_1, ..., 1/q_n), whose
     pieces get vertex denominators above 1 when some q_i is."""
     diag = [[F(1, q) if i == k else 0 for k in range(a.dim)] for i, q in enumerate(qs)]
-    return assemble(a.dim, {s: AntiBlockingBody(linear_map(p.body, diag)) for s, p in a.pieces})
+    return assemble(a.dim, {s: AntiBlockingBody(linear_map(p, diag))
+                            for s, p in zip(all_signs(a.dim), a.pieces)})
 
 
 AUDITED_KINDS = ("glued", "rational", "equality")
@@ -730,8 +733,8 @@ def audited_assemblies(draw):
 def assert_audit_matches_the_oracle(a):
     for j in range(a.dim + 1):
         assert proof_chain_audit(a, j) == fraction_audit(a, j)
-        piece = dict(a.pieces)
-        for s, p in a.pieces:
+        piece = signed(a)
+        for s, p in piece.items():
             q = piece[tuple(-x for x in s)]
             assert ab_opposite_mixed(p, q, j) == fraction_opposite_mixed(p, q, j)
 
@@ -750,13 +753,13 @@ class TestIntegerAudit:
     def test_matches_the_fraction_oracle_in_dimension_four(self):
         # Seconds under strict checks, so one glued body, with rational vertices.
         a = scaled(random_assembly("audit-d4-7", 4, "glued"), (1, 2, 1, 3))
-        assert min(p.body.denom for _, p in a.pieces) > 1
+        assert min(p.denom for p in a.pieces) > 1
         assert_audit_matches_the_oracle(a)
 
     def test_pieces_with_different_denominators(self):
         # Only the pieces on the + side of e_1 reach 3/2 e_1.
         a = equality_family(2, (1, F(3, 2), 1), 2)
-        assert {p.body.denom for _, p in a.pieces} == {1, 2}
+        assert {p.denom for p in a.pieces} == {1, 2}
         assert_audit_matches_the_oracle(a)
 
 
@@ -778,7 +781,7 @@ class TestRandomAssembly:
         for i in range(200):
             n = 3 if i % 4 == 0 else 2
             a = random_assembly(f"sweep-{i}", n, "glued")
-            assert lab_volume(a) == volume(a.hull)
+            assert a.piece_volume == volume(a.hull)
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):

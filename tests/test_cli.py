@@ -408,8 +408,8 @@ class TestAuditAndGen:
         assert main(["gen", "--style", "glued", "--dim", "2", "--seed", "9"]) == EXIT_OK
         path = tmp_path / "g.json"
         path.write_text(capsys.readouterr().out)
-        real = assembly._orthant_split
-        monkeypatch.setattr(assembly, "_orthant_split", lambda asm, j: real(asm, j) + 1)
+        real = assembly.mixed_volume_pair
+        monkeypatch.setattr(assembly, "mixed_volume_pair", lambda k, t, j: real(k, t, j) + 1)
         code, out, err = run(capsys, "audit", str(path), "--j", "1")
         assert (code, out) == (EXIT_MISMATCH, "")
         assert "exact audit step 'orthant-split' failed" in err
@@ -440,6 +440,29 @@ class TestAuditAndGen:
             assert code == EXIT_PARSE
             assert out == ""
             assert "bad dimension True" in err
+
+    def test_repeated_sign_exit_2(self, capsys, tmp_path):
+        # json would keep the second "+" piece and audit it.
+        segment = {"dim": 1, "vertices": [["1"], ["0"]]}
+        path = tmp_path / "asm.json"
+        longer = {**segment, "vertices": [["2"], ["0"]]}
+        path.write_text('{"dim": 1, "pieces": {"+": %s, "-": %s, "+": %s}}'
+                        % (json.dumps(segment), json.dumps(segment), json.dumps(longer)))
+        code, out, err = run(capsys, "audit", str(path), "--j", "0")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: cannot read JSON from {path}: key '+' given twice\n"
+
+    @pytest.mark.parametrize("data, detail", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        (b'{"dim": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+    ], ids=["not-utf-8", "long-integer"])
+    def test_undecodable_file_names_the_path_exit_2(self, capsys, tmp_path, data, detail):
+        path = tmp_path / "asm.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "audit", str(path), "--j", "0")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: cannot read JSON from {path}: ")
+        assert detail in err and len(err.splitlines()) == 1
 
     def _audit_pieces(self, capsys, tmp_path, pieces):
         path = tmp_path / "asm.json"

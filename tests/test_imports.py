@@ -163,9 +163,11 @@ def test_polytope_rules_stay_in_geometry(path):
 
 
 # Second homes of one concept, deleted for the one that stays: the aligned-
-# simplex recognizer is ``simplex.AlignedSimplex.recognize``, and a placing's
-# facet planes come with its extreme points from ``hull._Placing.boundary``.
-RETIRED_SECOND_HOMES = {"_detect_aligned", "facet_planes"}
+# simplex recognizer is ``simplex.AlignedSimplex.recognize``, a placing's
+# facet planes come with its extreme points from ``hull._Placing.boundary``,
+# and an assembly's volume and orthant split are its ``piece_volume`` and
+# ``split_coeffs``.
+RETIRED_SECOND_HOMES = {"_detect_aligned", "facet_planes", "lab_volume", "_orthant_split"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)

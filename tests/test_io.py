@@ -1,6 +1,7 @@
 """JSON schemas: exact rational strings, canonical round-trips."""
 
 import json
+import sys
 from fractions import Fraction as F
 from unittest.mock import patch
 
@@ -20,6 +21,7 @@ from cornervol.io import (
     assembly_to_obj,
     dumps,
     format_rational,
+    load_json_file,
     parse_rational,
     polytope_from_obj,
     polytope_to_obj,
@@ -200,14 +202,14 @@ def test_reloaded_assembly_takes_no_hull(monkeypatch):
     monkeypatch.setattr(cio, "_assembly_cache", {})
     first = assembly_from_obj(json.loads(text))
     # Equal pieces share one hull.
-    assert calls["hull_of_points"] >= len({piece.body for _, piece in a.pieces}) > 1
+    assert calls["hull_of_points"] >= len(set(a.pieces)) > 1
     assert calls["parse_rational"] > 0 and calls["__post_init__"] > 0
     assert calls["polytope_from_obj"] == 8
     calls.update(dict.fromkeys(calls, 0))
     again = assembly_from_obj(json.loads(text))
     assert calls == dict.fromkeys(calls, 0)
     assert again == first == a
-    assert all(p.body is q.body for (_, p), (_, q) in zip(again.pieces, first.pieces))
+    assert all(p is q for p, q in zip(again.pieces, first.pieces))
 
 
 def test_reloaded_assembly_is_the_memoized_one(monkeypatch):
@@ -394,3 +396,32 @@ def test_boolean_dimension_rejected(load, obj):
     # JSON true is a Python bool, an int subclass equal to 1.
     with pytest.raises(ParseError, match="bad dimension True"):
         load(obj)
+
+
+SEGMENT = '{"dim": 1, "vertices": [["1"], ["0"]]}'
+LONG = '{"dim": 1, "pieces": {"+": {"dim": 1, "vertices": [["2"], ["0"]]}, "-": %s}}' % SEGMENT
+# Files json would read without complaint or with an error that names no file.
+UNREADABLE = {
+    # json keeps the last copy of a repeated key, so this would load the
+    # second "+" piece.
+    "repeated-sign": (('{"dim": 1, "pieces": {"+": %s, "-": %s, "+": %s}}'
+                       % (SEGMENT, SEGMENT, SEGMENT.replace('"1"', '"2"'))).encode(),
+                      "key '+' given twice"),
+    "repeated-nested": (LONG.replace('"dim": 1, "vertices"', '"dim": 1, "dim": 1, "vertices"',
+                                     1).encode(), "key 'dim' given twice"),
+    "not-utf-8": (b"\xff" + LONG.encode(), "'utf-8' codec can't decode byte 0xff"),
+    "long-integer": (b'{"dim": ' + b"1" * (sys.get_int_max_str_digits() + 1) + b"}",
+                     "Exceeds the limit"),
+    "not-json": (b'{"dim": 1,', "Expecting property name"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_file_is_a_parse_error_naming_it(tmp_path, name):
+    data, detail = UNREADABLE[name]
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        load_json_file(str(path))
+    assert str(info.value).startswith(f"cannot read JSON from {path}: ")
+    assert detail in str(info.value)

@@ -66,9 +66,9 @@ class TestAlignedSimplex:
     @settings(max_examples=40, deadline=None)
     def test_recognizes_every_equality_piece(self, a):
         # Flat pieces included: every piece of case 1 off the + orthant.
-        for _, piece in a.pieces:
-            s = AlignedSimplex.recognize(piece.body)
-            assert s is not None and s.to_polytope() == piece.body
+        for piece in a.pieces:
+            s = AlignedSimplex.recognize(piece)
+            assert s is not None and s.to_polytope() == piece
 
 
 class TestLemmaClosedForm:
