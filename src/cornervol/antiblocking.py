@@ -50,10 +50,6 @@ class AntiBlockingBody:
     def dim(self) -> int:
         return self.body.dim
 
-    @property
-    def vertices(self) -> tuple[Vec, ...]:
-        return self.body.vertices
-
 
 def _fmt(v: Vec) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"

@@ -2,11 +2,11 @@
 
 A body of this class is stored as one polytope per orthant mask, each kept
 in positive-orthant coordinates; the geometric piece for a sign vector is the
-reflection of the stored piece.  Every piece is down-closed by type when it
-is given (``AntiBlockingBody``), and the ``OrthantAssembly`` constructor
-enforces the shared-projection consistency between orthants, from which
-convexity of the glued union follows (``assemble``), so every assembly
-really is a convex body.
+reflection of the stored piece.  The ``OrthantAssembly`` constructor takes
+that tuple as it stores it, checks each piece through ``AntiBlockingBody``,
+the one home of the down-closure check, and enforces the shared-projection
+consistency between orthants, from which convexity of the glued union
+follows (``assemble``), so every assembly really is a convex body.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .geometry import (
     convex_hull,
     hull_data,
     negate,
-    origin,
     shadow,
     store_hull_data,
     volume,
@@ -63,35 +62,41 @@ def all_signs(n: int) -> list[SignVector]:
 class OrthantAssembly:
     """Mask-indexed family of anti-blocking pieces forming a convex body.
 
-    ``pieces`` is given as a mapping from sign tuples of the ints 1 and -1 to
-    ``AntiBlockingBody``s; the constructor stores each piece's polytope as
-    ``pieces[m]``, the piece of the orthant whose sign is ``all_signs(dim)[m]``
-    (-1 at the set bits of m), fills every missing orthant with the
-    degenerate piece {0}, and raises AssemblyError unless the pieces agree on
-    their shared coordinate subspaces (``_check_consistency``).  So the
-    opposite of ``pieces[m]`` is ``pieces[~m]`` and its neighbour along e_i
-    is ``pieces[m ^ 1 << i]``.  Every piece is down-closed by type, so every
-    assembly is a convex body (the proof is in ``assemble``), and canonical,
-    since validation hulls it (``hull_data``).
+    ``pieces`` holds 2^dim ``VPolytope``s by orthant mask: ``pieces[m]`` is
+    the piece, in positive-orthant coordinates, of the orthant whose sign is
+    ``all_signs(dim)[m]`` (-1 at the set bits of m).  So the opposite of
+    ``pieces[m]`` is ``pieces[~m]`` and its neighbour along e_i is
+    ``pieces[m ^ 1 << i]``.  The constructor raises AssemblyError on a wrong
+    count or a piece of another dimension, on a piece that is not
+    down-closed (each distinct piece goes once through ``AntiBlockingBody``,
+    whose witness the message carries), and unless the pieces agree on their
+    shared coordinate subspaces (``_check_consistency``).  So every assembly
+    is a convex body (the proof is in ``assemble``), and every piece is
+    canonical, since validation hulls it (``hull_data``).
     """
 
     dim: int
     pieces: tuple[VPolytope, ...]
 
     def __post_init__(self):
-        table: dict[SignVector, VPolytope] = {}
-        for sign, piece in self.pieces.items():
-            # bool is an int subclass, so True would otherwise stand for 1.
-            if (not isinstance(sign, tuple) or len(sign) != self.dim
-                    or any(type(s) is not int or s not in (-1, 1) for s in sign)):
-                raise AssemblyError(f"bad sign vector {sign!r}")
-            if piece.dim != self.dim:
-                raise AssemblyError("piece dimension mismatch")
-            table[sign] = piece.body
-        filler = origin(self.dim)
-        object.__setattr__(self, "pieces",
-                           tuple(table.get(sv, filler) for sv in all_signs(self.dim)))
-        _check_consistency(self.dim, self.pieces)
+        signs = all_signs(self.dim)
+        pieces = tuple(self.pieces)
+        if len(pieces) != len(signs):
+            raise AssemblyError(f"need {len(signs)} pieces by orthant mask, got {len(pieces)}")
+        checked = set()
+        for sign, piece in zip(signs, pieces):
+            if not isinstance(piece, VPolytope) or piece.dim != self.dim:
+                raise AssemblyError(f"piece at {sign_to_str(sign)} is no polytope of "
+                                    f"dimension {self.dim}")
+            if piece not in checked:
+                try:
+                    AntiBlockingBody(piece)
+                except ValueError as exc:
+                    raise AssemblyError(f"piece at {sign_to_str(sign)} is not anti-blocking: "
+                                        f"{exc}") from exc
+                checked.add(piece)
+        object.__setattr__(self, "pieces", pieces)
+        _check_consistency(self.dim, pieces)
 
     @cached_property
     def hull(self) -> VPolytope:
@@ -344,18 +349,18 @@ def _check_convex_union(pieces: tuple[VPolytope, ...], hull: VPolytope) -> None:
 
 
 def assemble(dim: int, pieces) -> OrthantAssembly:
-    """Build an assembly from a sign-to-piece mapping, and under
+    """Build an assembly from its pieces by orthant mask, and under
     ``hull.strict_checks`` compare its union with its hull by volume.
 
-    The constructor fills missing orthants with {0} and raises
-    AssemblyError unless the pieces agree on their shared coordinate
-    subspaces.  Down-closed pieces that agree there always glue to a convex
-    body.  At a point p of the union, a short step e from p into another
-    piece s'.P_s' keeps every facet (s.a).x <= b of s.P_s active at p: p
-    vanishes on the coordinates E where s and s' differ, so with a >= 0 the
-    masking m of e off E has (s.a).e <= (s.a).m, and p + m lies in the
-    section of s'.P_s' off E, which the pieces share, so (s.a).m <= 0.  The
-    union is thus locally convex, hence convex (Tietze-Nakajima).
+    The constructor raises AssemblyError unless every piece is down-closed
+    and the pieces agree on their shared coordinate subspaces.  Down-closed
+    pieces that agree there always glue to a convex body.  At a point p of
+    the union, a short step e from p into another piece s'.P_s' keeps every
+    facet (s.a).x <= b of s.P_s active at p: p vanishes on the coordinates E
+    where s and s' differ, so with a >= 0 the masking m of e off E has
+    (s.a).e <= (s.a).m, and p + m lies in the section of s'.P_s' off E,
+    which the pieces share, so (s.a).m <= 0.  The union is thus locally
+    convex, hence convex (Tietze-Nakajima).
     ``_check_convex_union`` is the oracle for this argument.
     """
     assembly = OrthantAssembly(dim, pieces)
@@ -368,10 +373,10 @@ def sign_to_str(sign: SignVector) -> str:
     return "".join("+" if s > 0 else "-" for s in sign)
 
 
-def from_unconditional(k_plus: AntiBlockingBody) -> OrthantAssembly:
-    """The sign-symmetric body whose every orthant piece equals the given one."""
-    n = k_plus.dim
-    return OrthantAssembly(n, dict.fromkeys(all_signs(n), k_plus))
+def from_unconditional(p: VPolytope) -> OrthantAssembly:
+    """The sign-symmetric body whose every orthant piece is the down-closed
+    polytope ``p``."""
+    return OrthantAssembly(p.dim, (p,) * (1 << cap_dim(p.dim)))
 
 
 def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
@@ -398,10 +403,9 @@ def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
     else:
         raise ValueError("case must be 1 or 2")
     minus = (Fraction(beta1),) + (Fraction(0),) * (n - 1)
-    return assemble(n, {
-        sv: AntiBlockingBody(AlignedSimplex(
-            [a if s > 0 else b for s, a, b in zip(sv, alphas, minus)]).to_polytope())
-        for sv in all_signs(n)})
+    return assemble(n, [
+        AlignedSimplex([a if s > 0 else b for s, a, b in zip(sv, alphas, minus)]).to_polytope()
+        for sv in all_signs(n)])
 
 
 def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
@@ -422,9 +426,9 @@ def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
 
 
 def negate_assembly(a: OrthantAssembly) -> OrthantAssembly:
-    """Pointwise negation: the piece at each sign comes from the opposite sign."""
-    return OrthantAssembly(a.dim, {sv: AntiBlockingBody(a.pieces[~m])
-                                   for m, sv in enumerate(all_signs(a.dim))})
+    """Pointwise negation: the piece at each sign comes from the opposite
+    sign, and the opposite of mask m is ~m, so the pieces come reversed."""
+    return OrthantAssembly(a.dim, a.pieces[::-1])
 
 
 @dataclass(frozen=True)
@@ -591,7 +595,7 @@ def random_assembly(seed, n: int, style: str = "unconditional") -> OrthantAssemb
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(f"assembly:{seed}")
     if style == "unconditional":
-        return from_unconditional(random_ab_body(rng, n))
+        return from_unconditional(random_ab_body(rng, n).body)
     if style != "glued":
         raise ValueError(f"unknown style {style!r}")
     per_sign = [
@@ -607,10 +611,10 @@ def random_assembly(seed, n: int, style: str = "unconditional") -> OrthantAssemb
         for _ in range(n)
     ]
     per_sign.append(anchor)
-    pieces = {}
+    pieces = []
     for sv in all_signs(n):
         gens = [tuple(Fraction(slot[i][sv[i]]) for i in range(n)) for slot in per_sign]
-        pieces[sv] = ab_hull(gens, n)
+        pieces.append(ab_hull(gens, n).body)
     try:
         return assemble(n, pieces)
     except AssemblyError as exc:

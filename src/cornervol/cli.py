@@ -236,7 +236,7 @@ def _family_assembly(family: str, dim: int, alphas=None, beta=None) -> OrthantAs
     ``beta`` for equality-2)."""
     if family in ("cube", "cross"):
         piece = unit_cube(dim) if family == "cube" else standard_simplex(dim)
-        return from_unconditional(AntiBlockingBody(piece))
+        return from_unconditional(piece)
     return equality_family(1 if family == "equality-1" else 2, alphas, beta)
 
 
@@ -382,7 +382,7 @@ def cmd_simplex(args) -> int:
     if not 0 <= args.j <= n:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{n}")
     s = AlignedSimplex(alphas)
-    if args.betas:
+    if args.betas is not None:
         betas = _parse_rationals(args.betas)
         if len(betas) != n:
             raise CliError(EXIT_PARSE, "need as many betas as alphas")

@@ -223,17 +223,13 @@ def shadow(poly: VPolytope, keep: tuple[int, ...]) -> VPolytope:
     body the shadow on a coordinate subspace is its projection and its section
     there at once, the quantity the projection-split formula multiplies.
     """
-    # Checked before the memo, which would hand back the first equal polytope it stored.
-    return poly if keep == tuple(range(poly.dim)) else _shadow(poly, keep)
-
-
-@cache
-def _shadow(poly: VPolytope, keep: tuple[int, ...]) -> VPolytope:
     if not keep or keep[0] < 0 or keep[-1] >= poly.dim or sorted(set(keep)) != list(keep):
         raise ValueError(
             f"coordinates to keep must be strictly ascending in range({poly.dim}), "
             f"got {keep!r}"
         )
+    if len(keep) == poly.dim:
+        return poly
     return VPolytope.from_points({tuple(v[i] for i in keep) for v in poly.vertices}, len(keep))
 
 

@@ -9,6 +9,10 @@ A vertex list is parsed to ``Fraction``s and hulled by ``convex_hull``; a
 canonical list that the process has already hulled is answered by the hull
 memo (``VPolytope.from_points``).
 
+An assembly file keys its pieces by sign strings ("+-"), each read straight
+to its orthant mask (``mask_from_str``); an orthant the file omits holds the
+origin, and the ``OrthantAssembly`` constructor checks every piece.
+
 An assembly file loaded again returns the assembly the process built the
 first time.  ``assembly_from_obj`` keys it by the dimension and the canonical
 JSON text of the ``pieces`` object, taken before any piece is parsed, so a
@@ -31,8 +35,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import hull as _hull
 from .antiblocking import AntiBlockingBody, ab_hull
-from .assembly import AssemblyError, OrthantAssembly, all_signs, assemble, sign_to_str
-from .geometry import VPolytope, cap_dim, convex_hull
+from .assembly import OrthantAssembly, all_signs, assemble, sign_to_str
+from .geometry import VPolytope, cap_dim, convex_hull, origin
 
 
 class ParseError(ValueError):
@@ -111,10 +115,11 @@ def ab_from_obj(obj) -> AntiBlockingBody:
     return AntiBlockingBody(polytope_from_obj(obj))
 
 
-def sign_from_str(s: str, dim: int) -> tuple[int, ...]:
+def mask_from_str(s: str, dim: int) -> int:
+    """The orthant mask of a sign string: bit i is set where character i is "-"."""
     if len(s) != dim or any(c not in "+-" for c in s):
         raise ParseError(f"bad sign string {s!r} for dimension {dim}")
-    return tuple(1 if c == "+" else -1 for c in s)
+    return sum(1 << i for i, c in enumerate(s) if c == "-")
 
 
 def assembly_to_obj(a: OrthantAssembly) -> dict:
@@ -145,15 +150,9 @@ def assembly_from_obj(obj) -> OrthantAssembly:
         hit = _assembly_cache.get(memo)
         if hit is not None:
             return hit
-    polys = {sign_from_str(key, dim): polytope_from_obj(raw)
-             for key, raw in obj["pieces"].items()}
-    pieces = {}
-    for sign, poly in polys.items():
-        try:
-            pieces[sign] = AntiBlockingBody(poly)
-        except ValueError as exc:
-            raise AssemblyError(f"piece at {sign_to_str(sign)} is not anti-blocking: "
-                                f"{exc}") from exc
+    pieces = [origin(dim)] * (1 << dim)
+    for key, raw in obj["pieces"].items():
+        pieces[mask_from_str(key, dim)] = polytope_from_obj(raw)
     assembly = assemble(dim, pieces)
     if memo is not None:
         _assembly_cache[memo] = assembly

@@ -50,7 +50,7 @@ def ab_pair_bank():
             dead_axis = rng.randrange(n)
             gens = [
                 tuple(0 if i == dead_axis else x for i, x in enumerate(v))
-                for v in kp.vertices
+                for v in kp.body.vertices
             ]
             from cornervol import ab_hull
 

@@ -173,9 +173,9 @@ def test_criterion_06_inequality_and_equality_cases(
             equal_ok = equal_ok and godbersen_check(fam, j).is_equality
     strict_ok = True
     catalogue = [
-        from_unconditional(AntiBlockingBody(unit_cube(n))) for n in (2, 3)
+        from_unconditional(unit_cube(n)) for n in (2, 3)
     ] + [
-        from_unconditional(AntiBlockingBody(standard_simplex(n))) for n in (2, 3)
+        from_unconditional(standard_simplex(n)) for n in (2, 3)
     ] + _distinct_full_dim_glued(20)
     for a in catalogue:
         for j in range(1, a.dim):

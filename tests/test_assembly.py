@@ -36,7 +36,7 @@ from cornervol import (
     unit_cube,
     volume,
 )
-from cornervol.antiblocking import COORD_MAX, projected_volume
+from cornervol.antiblocking import COORD_MAX, projected_volume, random_ab_body
 from cornervol.assembly import (
     AuditStep,
     EngineDisagreementError,
@@ -44,64 +44,69 @@ from cornervol.assembly import (
 )
 from cornervol.geometry import VPolytope, hull_data
 from cornervol.hull import hull_of_points
-
-
-def signed(a):
-    """The assembly's pieces as its constructor takes them: a mapping from
-    each sign to the ``AntiBlockingBody`` of its piece."""
-    return {s: AntiBlockingBody(p) for s, p in zip(all_signs(a.dim), a.pieces)}
+from cornervol.io import assembly_from_obj, assembly_to_obj, mask_from_str, polytope_from_obj
 
 
 class TestAssemble:
     def test_unconditional_simplex_is_cross_polytope(self):
-        pieces = {sv: AntiBlockingBody(standard_simplex(2)) for sv in all_signs(2)}
-        a = assemble(2, pieces)
+        a = assemble(2, [standard_simplex(2)] * 4)
         assert a.hull == convex_hull([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
     def test_missing_pieces_default_to_origin(self):
-        # A single nontrivial orthant must still be consistent: its projections
-        # onto shared subspaces have to collapse to the origin, so only the
+        # A file may omit an orthant, which then holds the origin.  A single
+        # nontrivial orthant must still be consistent: its projections onto
+        # shared subspaces have to collapse to the origin, so only the
         # all-origin assembly validates this way.
-        a = assemble(2, {})
+        a = assembly_from_obj({"dim": 2, "pieces": {}})
+        assert a.pieces == (origin(2),) * 4
         assert volume(a.hull) == 0
 
     def test_mismatched_cap_rejected(self):
-        pieces = {
-            (1, 1): AntiBlockingBody(standard_simplex(2)),
-            (-1, 1): ab_hull([(F(1, 2), 0), (0, F(1, 2))]),
-        }
+        # Masks 0 and 1 are the orthants ++ and -+.
+        pieces = [standard_simplex(2), ab_hull([(F(1, 2), 0), (0, F(1, 2))]).body,
+                  origin(2), origin(2)]
         with pytest.raises(AssemblyError, match="projection mismatch"):
             assemble(2, pieces)
 
     def test_faces_compared_across_denominators(self):
         # The pieces at ++ and -+ have vertex denominators 2 and 1, so their
         # faces x_0 = 0 are compared as integer rows over the lcm 2.
-        notched = ab_hull([(1, 0), (F(1, 2), 1), (0, 1)])
-        square = ab_hull([(1, 1)])
-        pieces = {(1, 1): notched, (1, -1): notched, (-1, 1): square, (-1, -1): square}
+        notched = ab_hull([(1, 0), (F(1, 2), 1), (0, 1)]).body
+        square = ab_hull([(1, 1)]).body
+        pieces = [notched, square, notched, square]  # ++, -+, +-, --
         assert volume(assemble(2, pieces).hull) == 2 * F(3, 4) + 2
-        pieces[(-1, 1)] = pieces[(-1, -1)] = ab_hull([(1, 2)])
+        pieces[1] = pieces[3] = ab_hull([(1, 2)]).body
         with pytest.raises(AssemblyError, match=r"orthants \+\+ and -\+ on the coordinates \(1,\)"):
             assemble(2, pieces)
 
-    @pytest.mark.parametrize("entry", [1.5, True, "1", F(1)], ids=repr)
-    def test_sign_entries_must_be_the_int_one_or_minus_one(self, entry):
-        # int() would read every one of these as 1.
-        piece = AntiBlockingBody(standard_simplex(2))
-        with pytest.raises(AssemblyError, match=r"bad sign vector \("):
-            OrthantAssembly(2, {(entry, 1): piece})
+    def test_wrong_count_or_dimension_refused(self):
+        square = unit_cube(2)
+        with pytest.raises(AssemblyError, match="need 4 pieces by orthant mask, got 3"):
+            OrthantAssembly(2, (square,) * 3)
+        with pytest.raises(AssemblyError, match="need 8 pieces by orthant mask, got 4"):
+            OrthantAssembly(3, (square,) * 4)
+        with pytest.raises(AssemblyError, match=r"piece at -\+ is no polytope of dimension 2"):
+            OrthantAssembly(2, (square, unit_cube(3), square, square))
+        # A mapping from signs to pieces is no tuple of polytopes.
+        with pytest.raises(AssemblyError, match=r"piece at \+\+ is no polytope"):
+            OrthantAssembly(2, dict.fromkeys(all_signs(2), square))
 
     def test_non_downclosed_piece_rejected(self):
-        # The piece type refuses it before assemble can see it.
+        # The constructor checks each piece through the piece type and names
+        # the orthant of the one it refuses.
+        segment = convex_hull([(1, 0), (0, 1)])
         with pytest.raises(ValueError, match="not down-closed"):
-            AntiBlockingBody(convex_hull([(1, 0), (0, 1)]))
+            AntiBlockingBody(segment)
+        with pytest.raises(AssemblyError, match=r"^piece at \+- is not anti-blocking: polytope "
+                                                r"is not down-closed"):
+            OrthantAssembly(2, (origin(2), origin(2), segment, origin(2)))
 
     def test_equality_families_validate(self):
-        assemble(3, signed(equality_family(1, (1, 2, 3))))
-        assemble(2, signed(equality_family(2, (1, 1), beta1=2)))
+        assemble(3, equality_family(1, (1, 2, 3)).pieces)
+        assemble(2, equality_family(2, (1, 1), beta1=2).pieces)
 
     def test_dimension_one_validates(self):
-        a = assemble(1, {(1,): ab_hull([(2,)]), (-1,): ab_hull([(F(1, 3),)])})
+        a = assemble(1, [ab_hull([(2,)]).body, ab_hull([(F(1, 3),)]).body])
         assert a.hull == convex_hull([(F(-1, 3),), (2,)])
         assert a.piece_volume == volume(a.hull) == F(7, 3)
 
@@ -110,14 +115,11 @@ def flat_assembly_pieces():
     """A glued dim-2 assembly padded into R^3 with a zero third coordinate.
 
     Both signs of the third coordinate get the same piece, so the assembly
-    lies in the coordinate plane spanned by e_1 and e_2.
+    lies in the coordinate plane spanned by e_1 and e_2.  Masks 4 to 7 are
+    masks 0 to 3 with the third sign flipped.
     """
     glued = random_assembly("flat-pad", 2, "glued")
-    pieces = {}
-    for (s1, s2), piece in zip(all_signs(2), glued.pieces):
-        padded = AntiBlockingBody(convex_hull([v + (F(0),) for v in piece.vertices], 3))
-        pieces[(s1, s2, 1)] = pieces[(s1, s2, -1)] = padded
-    return pieces
+    return [convex_hull([v + (F(0),) for v in p.vertices], 3) for p in glued.pieces] * 2
 
 
 class TestFlatAssembly:
@@ -131,29 +133,24 @@ class TestFlatAssembly:
         # (its box, or its axis triangle when it is the box), so only the
         # comparison across the third coordinate can tell them apart.
         pieces = flat_assembly_pieces()
-        twin = pieces[(1, 1, -1)]
+        twin = pieces[4]  # the orthant ++-
         x = max(v[0] for v in twin.vertices)
         y = max(v[1] for v in twin.vertices)
-        box = ab_hull([(x, y, 0)])
-        pieces[(1, 1, -1)] = box if box != twin else ab_hull([(x, 0, 0), (0, y, 0)])
+        box = ab_hull([(x, y, 0)]).body
+        pieces[4] = box if box != twin else ab_hull([(x, 0, 0), (0, y, 0)]).body
         with pytest.raises(AssemblyError, match=r"projection mismatch .* \(0, 1\)"):
             assemble(3, pieces)
 
 
 class TestFromUnconditional:
     def test_cube(self):
-        a = from_unconditional(AntiBlockingBody(unit_cube(3)))
-        import itertools
-
+        a = from_unconditional(unit_cube(3))
         two_sided = convex_hull(list(itertools.product((-1, 1), repeat=3)), 3)
         assert a.hull == two_sided
 
     def test_volume_scales_by_orthant_count(self):
-        rng = random.Random(1)
-        from cornervol import random_ab_body
-
-        k = random_ab_body(rng, 3)
-        a = from_unconditional(k)
+        k = random_ab_body(random.Random(1), 3)
+        a = from_unconditional(k.body)
         assert a.piece_volume == 2**3 * volume(k.body)
         assert volume(a.hull) == a.piece_volume
 
@@ -167,16 +164,16 @@ PIECE_KINDS = ("random", "random-flat", "cube", "simplex", "rational")
 def integer_pieces(draw, n, full_dim):
     """The down-closure of 1 to 3 integer generators in [0, COORD_MAX]^n, and
     of one more with every coordinate at least 1 when ``full_dim``, so the
-    body is full-dimensional then and possibly flat otherwise."""
+    polytope is full-dimensional then and possibly flat otherwise."""
     gens = draw(st.lists(st.tuples(*[st.integers(0, COORD_MAX)] * n), min_size=1, max_size=3))
     if full_dim:
         gens.append(draw(st.tuples(*[st.integers(1, COORD_MAX)] * n)))
-    return ab_hull(gens, n)
+    return ab_hull(gens, n).body
 
 
 @st.composite
 def unconditional_pieces(draw):
-    """An anti-blocking piece in dimension 1 to 5: integer bodies (full or
+    """A down-closed piece in dimension 1 to 5: integer bodies (full or
     possibly flat), the unit cube, the standard simplex, or the down-closure of
     rational generators (possibly flat or the origin alone)."""
     n = draw(st.integers(1, 5))
@@ -184,10 +181,10 @@ def unconditional_pieces(draw):
     if kind.startswith("random"):
         return draw(integer_pieces(n, kind == "random"))
     if kind == "cube":
-        return AntiBlockingBody(unit_cube(n))
+        return unit_cube(n)
     if kind == "simplex":
-        return AntiBlockingBody(standard_simplex(n))
-    return ab_hull(draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=3)), n)
+        return standard_simplex(n)
+    return ab_hull(draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=3)), n).body
 
 
 class TestUnconditionalHull:
@@ -246,16 +243,15 @@ class TestGluedHull:
         # Every glued piece is full-dimensional, so from dimension 2 on an
         # orthant left to the origin disagrees with its neighbours.
         if kind == "glued" and a.dim >= 2:
-            pieces = signed(a)
-            pieces[all_signs(a.dim)[0]] = AntiBlockingBody(origin(a.dim))
+            pieces = list(a.pieces)
+            pieces[0] = origin(a.dim)
             with pytest.raises(AssemblyError, match="projection mismatch"):
                 OrthantAssembly(a.dim, pieces)
 
     def test_assemble_takes_no_hull_of_the_body(self, monkeypatch):
         # The consistency check reads the pieces' memoized vertex lists, and
         # the body's hull is derived from their hull data: no hull at all.
-        pieces = signed(random_assembly("derived-count", 3, "glued"))
-        geometry._shadow.cache_clear()
+        pieces = random_assembly("derived-count", 3, "glued").pieces
         dims = []
         real = geometry.hull_of_points
 
@@ -276,7 +272,7 @@ class TestGluedHull:
         if not int64:
             monkeypatch.setattr(hull_mod, "_INT64_BOUND", 0)
         glued = random_assembly("derived-scan", 3, "glued")
-        derived = assembly._derived_hull(OrthantAssembly(3, signed(glued)))
+        derived = assembly._derived_hull(OrthantAssembly(3, glued.pieces))
         assert derived == convex_hull(assembly._reflected_vertices(glued), 3)
         flat = OrthantAssembly(3, flat_assembly_pieces())
         assert assembly._derived_hull(flat) is None
@@ -284,26 +280,24 @@ class TestGluedHull:
         # A box beside three triangles: the pieces disagree on their shared
         # coordinate subspaces, so they are no assembly, and their union is
         # not convex either.
-        triangle = AntiBlockingBody(standard_simplex(2))
-        pieces = {s: triangle for s in all_signs(2)}
-        pieces[(1, 1)] = ab_hull([(2, 2)])
+        pieces = (ab_hull([(2, 2)]).body,) + (standard_simplex(2),) * 3
         with pytest.raises(AssemblyError, match="projection mismatch"):
             OrthantAssembly(2, pieces)
         reflected = {tuple(s * x for s, x in zip(sign, v))
-                     for sign, piece in pieces.items() for v in piece.vertices}
+                     for sign, piece in zip(all_signs(2), pieces) for v in piece.vertices}
         hull = convex_hull(reflected, 2)
         assert hull == convex_hull([(2, 2), (2, 0), (0, 2), (-1, 0), (0, -1)])
         with pytest.raises(AssemblyError, match="union of pieces is not convex"):
-            assembly._check_convex_union(tuple(pieces[s].body for s in all_signs(2)), hull)
+            assembly._check_convex_union(pieces, hull)
 
     def test_redundant_raw_piece_is_refused(self):
         # The raw piece lists (0, 1), which is no vertex of its hull, so it is
-        # refused before it reaches an assembly; its hull glues at every sign.
+        # refused as a piece; its hull glues at every sign.
         raw = VPolytope(2, ((F(0), F(0)), (F(0), F(1)), (F(0), F(2)), (F(1), F(0))))
-        with pytest.raises(ValueError, match=r"holds \(0, 1\), which is no vertex"):
-            AntiBlockingBody(raw)
-        hull = AntiBlockingBody(convex_hull(raw.vertices, 2))
-        pieces = {s: hull for s in all_signs(2)}
+        with pytest.raises(AssemblyError, match=r"^piece at \+\+ is not anti-blocking: "
+                                                r"vertex list holds \(0, 1\), which is no vertex"):
+            OrthantAssembly(2, (raw,) * 4)
+        pieces = (convex_hull(raw.vertices, 2),) * 4
         a = assemble(2, pieces)
         assert a == OrthantAssembly(2, pieces)
         assert a.hull == convex_hull([(1, 0), (0, 2), (-1, 0), (0, -2)])
@@ -376,7 +370,7 @@ class TestEqualityFamily:
 
 class TestDecompositions:
     def test_lab_volume_cross_polytope(self):
-        a = from_unconditional(AntiBlockingBody(standard_simplex(2)))
+        a = from_unconditional(standard_simplex(2))
         assert a.piece_volume == 2
 
     @pytest.mark.usefixtures("strict_hull")
@@ -384,7 +378,7 @@ class TestDecompositions:
         # A derived hull's volume is the piece sum by construction; rebuilt
         # under strict checks, each derived hull is compared with the engine's.
         for a in glued_bank[:10]:
-            assert a.piece_volume == volume(OrthantAssembly(a.dim, signed(a)).hull)
+            assert a.piece_volume == volume(OrthantAssembly(a.dim, a.pieces).hull)
 
     def test_lab_mixed_self_is_volume(self):
         a = random_assembly("self", 2, "glued")
@@ -392,7 +386,7 @@ class TestDecompositions:
             assert lab_mixed(a, a, j) == a.piece_volume
 
     def test_lab_mixed_cross_polytope_symmetric(self):
-        a = from_unconditional(AntiBlockingBody(standard_simplex(2)))
+        a = from_unconditional(standard_simplex(2))
         b = negate_assembly(a)
         assert lab_mixed(a, b, 1) == 2
 
@@ -452,17 +446,17 @@ class TestFaces:
         # the origin, for every piece.
         n = piece.dim
         for i in range(n):
-            face = [v[:i] + v[i + 1:] for v in hull_data(piece.body).vertices if not v[i]]
+            face = [v[:i] + v[i + 1:] for v in hull_data(piece).vertices if not v[i]]
             if n == 1:
                 assert face == [()]
             else:
                 keep = tuple(k for k in range(n) if k != i)
-                assert face == list(geometry.shadow(piece.body, keep).vertices)
+                assert face == list(geometry.shadow(piece, keep).vertices)
 
 
 class TestNegation:
     def test_unconditional_fixed(self):
-        a = from_unconditional(AntiBlockingBody(unit_cube(2)))
+        a = from_unconditional(unit_cube(2))
         assert negate_assembly(a) == a
 
     def test_case1_flips_orthant(self):
@@ -491,10 +485,35 @@ class TestOrthantOrder:
             assert signs[~m] == tuple(-s for s in sign)
 
     def test_pieces_are_stored_in_mask_order(self):
+        # A file names each piece by its sign string, in any order; loaded,
+        # the piece of sign string k sits at mask_from_str(k).
         a = random_assembly("order", 3, "glued")
-        given = dict(reversed(signed(a).items()))
-        assert OrthantAssembly(3, given).pieces == tuple(given[s].body for s in all_signs(3))
-        assert OrthantAssembly(3, given) == a
+        obj = assembly_to_obj(a)
+        obj["pieces"] = dict(reversed(obj["pieces"].items()))
+        loaded = assembly_from_obj(obj)
+        assert loaded == a
+        for key, raw in obj["pieces"].items():
+            assert loaded.pieces[mask_from_str(key, 3)] == polytope_from_obj(raw)
+
+    @pytest.mark.parametrize("kind", ["glued", "unconditional", "equality", "flat", "loaded"])
+    def test_stored_pieces_build_the_assembly_again(self, kind):
+        if kind == "glued":
+            a = random_assembly("round-trip", 3, "glued")
+        elif kind == "unconditional":
+            a = random_assembly("round-trip", 3, "unconditional")
+        elif kind == "equality":
+            a = equality_family(2, (1, F(3, 2), 2), 1)
+        elif kind == "flat":
+            a = assemble(3, flat_assembly_pieces())
+        else:
+            # The file omits the orthant --, whose piece is the origin.
+            obj = assembly_to_obj(equality_family(1, (1, 2)))
+            del obj["pieces"]["--"]
+            a = assembly_from_obj(obj)
+            assert a == equality_family(1, (1, 2))
+        assert OrthantAssembly(a.dim, a.pieces) == a
+        # The opposite of mask m is ~m, which indexes the reversed tuple.
+        assert negate_assembly(a).pieces == a.pieces[::-1]
 
     def test_orthant_split_is_lab_mixed_against_the_negation(self):
         for n in (1, 2, 3):
@@ -513,18 +532,18 @@ class TestGodbersen:
         assert rep.is_equality and not rep.trivial
 
     def test_cube_ratio_half(self):
-        a = from_unconditional(AntiBlockingBody(unit_cube(2)))
+        a = from_unconditional(unit_cube(2))
         rep = godbersen_check(a, 1)
         assert (rep.mixed, rep.bound, rep.ratio) == (4, 8, F(1, 2))
 
     def test_trivial_endpoints(self):
-        a = from_unconditional(AntiBlockingBody(unit_cube(2)))
+        a = from_unconditional(unit_cube(2))
         for j in (0, 2):
             rep = godbersen_check(a, j)
             assert rep.is_equality and rep.trivial
 
     def test_requires_full_dimension(self):
-        a = assemble(2, {})
+        a = assemble(2, [origin(2)] * 4)
         with pytest.raises(ValueError, match="full-dimensional"):
             godbersen_check(a, 1)
 
@@ -538,7 +557,7 @@ class TestProofChainAudit:
                 assert all(s.slack == 0 for s in audit.steps)
 
     def test_cube_slack_at_projection_bound(self):
-        a = from_unconditional(AntiBlockingBody(unit_cube(2)))
+        a = from_unconditional(unit_cube(2))
         audit = proof_chain_audit(a, 1)
         assert audit.ratio == F(1, 2)
         slack_steps = [s.name for s in audit.steps if s.relation == "<=" and s.slack > 0]
@@ -649,7 +668,7 @@ def fraction_audit(a, j):
     n = a.dim
     hull = a.hull
     signs = all_signs(n)
-    piece = signed(a)  # by sign, independent of the stored order
+    piece = {s: AntiBlockingBody(p) for s, p in zip(signs, a.pieces)}  # by sign
 
     direct = mixed_volume_pair(hull, negate(hull), j)
     split_sum = sum(
@@ -705,8 +724,7 @@ def scaled(a, qs):
     """The assembly under the diagonal map diag(1/q_1, ..., 1/q_n), whose
     pieces get vertex denominators above 1 when some q_i is."""
     diag = [[F(1, q) if i == k else 0 for k in range(a.dim)] for i, q in enumerate(qs)]
-    return assemble(a.dim, {s: AntiBlockingBody(linear_map(p, diag))
-                            for s, p in zip(all_signs(a.dim), a.pieces)})
+    return assemble(a.dim, [linear_map(p, diag) for p in a.pieces])
 
 
 AUDITED_KINDS = ("glued", "rational", "equality")
@@ -733,9 +751,8 @@ def audited_assemblies(draw):
 def assert_audit_matches_the_oracle(a):
     for j in range(a.dim + 1):
         assert proof_chain_audit(a, j) == fraction_audit(a, j)
-        piece = signed(a)
-        for s, p in piece.items():
-            q = piece[tuple(-x for x in s)]
+        for p, q in zip(a.pieces, reversed(a.pieces)):
+            p, q = AntiBlockingBody(p), AntiBlockingBody(q)
             assert ab_opposite_mixed(p, q, j) == fraction_opposite_mixed(p, q, j)
 
 

@@ -323,7 +323,7 @@ class TestAuditAndGen:
         path.write_text(capsys.readouterr().out)
         monkeypatch.setattr(geometry, "_hull_cache", {})
         monkeypatch.setattr(cio, "_assembly_cache", {})
-        for memo in (geometry._shadow, geometry.negate, mixed.volume_polynomial,
+        for memo in (geometry.negate, mixed.volume_polynomial,
                      mixed._cayley_coeffs, antiblocking.normalized_shadow_volumes):
             memo.cache_clear()
         dims = []
@@ -562,6 +562,18 @@ class TestSimplexCommand:
         assert run(capsys, "simplex", "--alphas", "1/0", "--j", "0") == (
             EXIT_PARSE, "", "error: bad rational '1/0'\n")
 
+    @pytest.mark.parametrize("betas", ["", ","], ids=repr)
+    def test_betas_without_a_value_exit_2(self, capsys, betas):
+        # An empty --betas lists no beta; it does not fall back to the lemma.
+        assert run(capsys, "simplex", "--alphas", "1,2", "--betas", betas, "--j", "1") == (
+            EXIT_PARSE, "", "error: need as many betas as alphas\n")
+
+    def test_cross_check_disagreement_exit_4(self, capsys, monkeypatch):
+        real = cli.mixed_volume_pair
+        monkeypatch.setattr(cli, "mixed_volume_pair", lambda k, t, j: real(k, t, j) + 1)
+        assert run(capsys, "simplex", "--alphas", "3,2,1", "--j", "2", "--cross-check") == (
+            EXIT_MISMATCH, "", "error: cross-check disagreement: closed-form=1 engine=2\n")
+
 
 class TestDecompose:
     def test_values_and_cross_check(self, capsys, tmp_path):
@@ -584,6 +596,23 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(bad), triangle_file)
         assert code == EXIT_PARSE
         assert "'generators' must be a list of points" in err
+
+    def test_cross_check_disagreement_exit_4(self, capsys, monkeypatch, square_file,
+                                             triangle_file):
+        # The engine's V(K[1], -T[1]) skewed: the per-j check fails first.
+        real = cli.mixed_volume_pair
+        monkeypatch.setattr(cli, "mixed_volume_pair", lambda k, t, j: real(k, t, j) + 1)
+        assert run(capsys, "decompose", square_file, triangle_file, "--cross-check") == (
+            EXIT_MISMATCH, "",
+            "error: cross-check disagreement at j=0: decomposition=1/2 engine=3/2\n")
+
+    def test_join_volume_disagreement_exit_4(self, capsys, monkeypatch, square_file,
+                                             triangle_file):
+        # Only the hull's volume skewed: every mixed volume agrees, the join does not.
+        real = cli.volume
+        monkeypatch.setattr(cli, "volume", lambda p: real(p) + 1)
+        assert run(capsys, "decompose", square_file, triangle_file, "--cross-check") == (
+            EXIT_MISMATCH, "", "error: join volume disagreement: decomposition=5/2 hull=7/2\n")
 
     def test_non_ab_input_exit_3(self, capsys, tmp_path, triangle_file):
         bad = tmp_path / "seg.json"

@@ -165,12 +165,70 @@ def test_polytope_rules_stay_in_geometry(path):
 # Second homes of one concept, deleted for the one that stays: the aligned-
 # simplex recognizer is ``simplex.AlignedSimplex.recognize``, a placing's
 # facet planes come with its extreme points from ``hull._Placing.boundary``,
-# and an assembly's volume and orthant split are its ``piece_volume`` and
-# ``split_coeffs``.
-RETIRED_SECOND_HOMES = {"_detect_aligned", "facet_planes", "lab_volume", "_orthant_split"}
+# an assembly's volume and orthant split are its ``piece_volume`` and
+# ``split_coeffs``, and a file's sign string is read straight to its orthant
+# mask (``io.mask_from_str``).
+RETIRED_SECOND_HOMES = {"_detect_aligned", "facet_planes", "lab_volume", "_orthant_split",
+                        "sign_from_str"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_retired_second_homes_stay_gone(path):
     names = defined_and_referenced(ast.parse(path.read_text(encoding="utf-8")))
     assert names & RETIRED_SECOND_HOMES == set()
+
+
+# Every memo in the package, with the one quantity it holds: the
+# ``functools`` caches and ``cached_property``s, and the module-level
+# ``_*_cache`` dicts.  A memo that no workload hits costs memory and a key
+# per call for nothing, so a new one is listed here with what it holds.
+MEMOS = {
+    "geometry._hull_cache": "a polytope's hull data: vertices, volume, pivots, facet planes",
+    "geometry.negate": "-P by P",
+    "antiblocking.normalized_shadow_volumes": "|E|! Vol(D P_E) over the E of one size, "
+                                              "by polytope and size",
+    "mixed.volume_polynomial": "the expansion of Vol(K + sT) by the pair (K, T) asked for",
+    "mixed._cayley_coeffs": "the Cayley coefficients by the canonical pair of four",
+    "io._assembly_cache": "a loaded assembly by its dimension and its pieces' JSON text",
+    "cli.build_parser": "the argument parser, built once per process",
+    "assembly.OrthantAssembly.hull": "the body K of the assembly",
+    "assembly.OrthantAssembly.split_coeffs": "the orthant-split sum of volume polynomials",
+    "assembly.OrthantAssembly.relaxed_coeffs": "the relaxed-pair sum of volume polynomials",
+    "assembly.OrthantAssembly.piece_volume": "Vol(K), the sum of the piece volumes",
+    "assembly.OrthantAssembly.shadow_denom": "L, the lcm of the pieces' vertex denominators",
+    "assembly.OrthantAssembly._shadow_tables": "the pieces' shadow tables over L by set size",
+}
+MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def is_memo_decorator(node: ast.expr) -> bool:
+    """``cache``, ``functools.cache`` or a call such as ``lru_cache(None)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in MEMO_DECORATORS
+
+
+def defined_memos(node: ast.AST, prefix: str) -> set[str]:
+    """Memoized functions, methods and properties at any depth, and the
+    module-level ``_*_cache`` names, as ``prefix.name``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if any(map(is_memo_decorator, child.decorator_list)):
+                found.add(name)
+            found |= defined_memos(child, name)
+        elif isinstance(node, ast.Module) and isinstance(child, (ast.Assign, ast.AnnAssign)):
+            targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+            found |= {f"{prefix}.{t.id}" for t in targets
+                      if isinstance(t, ast.Name) and t.id.startswith("_")
+                      and t.id.endswith("_cache")}
+    return found
+
+
+def test_every_memo_is_listed():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= defined_memos(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == set(MEMOS)

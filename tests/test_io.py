@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cornervol import ab_hull, convex_hull, equality_family, geometry, random_assembly
+from cornervol import ab_hull, all_signs, convex_hull, equality_family, geometry, random_assembly
 from cornervol import hull as hull_mod
 from cornervol import io as cio
 from cornervol.geometry import VPolytope, hull_data, volume
@@ -25,7 +25,7 @@ from cornervol.io import (
     parse_rational,
     polytope_from_obj,
     polytope_to_obj,
-    sign_from_str,
+    mask_from_str,
     sign_to_str,
 )
 
@@ -123,11 +123,12 @@ def test_ab_rejects_non_downclosed():
 
 def test_sign_strings():
     assert sign_to_str((1, -1, 1)) == "+-+"
-    assert sign_from_str("+-+", 3) == (1, -1, 1)
+    assert mask_from_str("+-+", 3) == 0b010
+    assert [mask_from_str(sign_to_str(s), 3) for s in all_signs(3)] == list(range(8))
     with pytest.raises(ParseError):
-        sign_from_str("+-", 3)
+        mask_from_str("+-", 3)
     with pytest.raises(ParseError):
-        sign_from_str("+0", 2)
+        mask_from_str("+0", 2)
 
 
 def test_assembly_round_trip_bit_exact():
@@ -272,7 +273,8 @@ def test_strict_checks_bypass_the_assembly_memo(monkeypatch):
     again = assembly_from_obj(json.loads(text))
     assert again == first and again is not first
     assert again.hull == first.hull
-    assert calls == {"validate_ab": 4, "_check_consistency": 1, "_derived_hull": 1}
+    # One validation per distinct piece: the cut square and the square.
+    assert calls == {"validate_ab": 2, "_check_consistency": 1, "_derived_hull": 1}
     assert cio._assembly_cache == {}
 
 
@@ -383,7 +385,7 @@ def test_assembly_load_validates_each_piece_once(monkeypatch):
     a = random_assembly("io-once", 2, "glued")
     calls.clear()
     assembly_from_obj(json.loads(dumps(assembly_to_obj(a))))
-    assert len(calls) == len(a.pieces)
+    assert len(calls) == len(set(a.pieces))
 
 
 @pytest.mark.parametrize("load, obj", [
