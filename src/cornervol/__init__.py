@@ -21,7 +21,6 @@ from .assembly import (
     GodbersenReport,
     OrthantAssembly,
     ProofChainAudit,
-    all_signs,
     assemble,
     equality_family,
     from_unconditional,
@@ -42,7 +41,6 @@ from .geometry import (
     negate,
     origin,
     project,
-    reflect,
     scale,
     shadow,
     standard_simplex,

@@ -1,12 +1,14 @@
 """Locally anti-blocking bodies as validated orthant assemblies.
 
-A body of this class is stored as one polytope per orthant mask, each kept
-in positive-orthant coordinates; the geometric piece for a sign vector is the
-reflection of the stored piece.  The ``OrthantAssembly`` constructor takes
-that tuple as it stores it, checks each piece through ``AntiBlockingBody``,
-the one home of the down-closure check, and enforces the shared-projection
-consistency between orthants, from which convexity of the glued union
-follows (``assemble``), so every assembly really is a convex body.
+A body of this class is stored as one polytope per orthant mask m, each kept
+in positive-orthant coordinates; the geometric piece in orthant m is the
+stored piece with its coordinates at the set bits of m negated.  An orthant
+is named by its mask alone, and in text by its sign string (``mask_to_str``).
+The ``OrthantAssembly`` constructor takes that tuple as it stores it, checks
+each piece through ``AntiBlockingBody``, the one home of the down-closure
+check, and enforces the shared-projection consistency between orthants, from
+which convexity of the glued union follows (``assemble``), so every assembly
+really is a convex body.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .hull import HullData
 from .mixed import mixed_volume_pair, volume_polynomial
 from .simplex import AlignedSimplex
 
-SignVector = tuple[int, ...]
-
 
 class AssemblyError(ValueError):
     """Raised when a piece family does not glue to a convex body."""
@@ -52,10 +52,10 @@ class EngineDisagreementError(RuntimeError):
     """Two independent computation paths returned different exact values."""
 
 
-def all_signs(n: int) -> list[SignVector]:
-    """The 2^n sign vectors by orthant mask, once ``n`` passed the cap
-    (``cap_dim``): ``all_signs(n)[m]`` is -1 exactly at the set bits of m."""
-    return [tuple(-1 if m >> i & 1 else 1 for i in range(n)) for m in range(1 << cap_dim(n))]
+def mask_to_str(m: int, n: int) -> str:
+    """The sign string of orthant mask m in dimension n: "-" at the set bits
+    of m, "+" elsewhere (``io.mask_from_str`` reads it back)."""
+    return "".join("-" if m >> i & 1 else "+" for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -63,37 +63,38 @@ class OrthantAssembly:
     """Mask-indexed family of anti-blocking pieces forming a convex body.
 
     ``pieces`` holds 2^dim ``VPolytope``s by orthant mask: ``pieces[m]`` is
-    the piece, in positive-orthant coordinates, of the orthant whose sign is
-    ``all_signs(dim)[m]`` (-1 at the set bits of m).  So the opposite of
-    ``pieces[m]`` is ``pieces[~m]`` and its neighbour along e_i is
-    ``pieces[m ^ 1 << i]``.  The constructor raises AssemblyError on a wrong
-    count or a piece of another dimension, on a piece that is not
-    down-closed (each distinct piece goes once through ``AntiBlockingBody``,
-    whose witness the message carries), and unless the pieces agree on their
-    shared coordinate subspaces (``_check_consistency``).  So every assembly
-    is a convex body (the proof is in ``assemble``), and every piece is
-    canonical, since validation hulls it (``hull_data``).
+    the piece, in positive-orthant coordinates, of the orthant that is
+    negative at the set bits of m, whose sign string is ``mask_to_str(m,
+    dim)``.  So the opposite of ``pieces[m]`` is ``pieces[~m]`` and its
+    neighbour along e_i is ``pieces[m ^ 1 << i]``.  The constructor raises
+    AssemblyError on a wrong count or a piece of another dimension, on a
+    piece that is not down-closed (each distinct piece goes once through
+    ``AntiBlockingBody``, whose witness the message carries), and unless the
+    pieces agree on their shared coordinate subspaces
+    (``_check_consistency``).  So every assembly is a convex body (the proof
+    is in ``assemble``), and every piece is canonical, since validation
+    hulls it (``hull_data``).
     """
 
     dim: int
     pieces: tuple[VPolytope, ...]
 
     def __post_init__(self):
-        signs = all_signs(self.dim)
+        count = 1 << cap_dim(self.dim)
         pieces = tuple(self.pieces)
-        if len(pieces) != len(signs):
-            raise AssemblyError(f"need {len(signs)} pieces by orthant mask, got {len(pieces)}")
+        if len(pieces) != count:
+            raise AssemblyError(f"need {count} pieces by orthant mask, got {len(pieces)}")
         checked = set()
-        for sign, piece in zip(signs, pieces):
+        for m, piece in enumerate(pieces):
             if not isinstance(piece, VPolytope) or piece.dim != self.dim:
-                raise AssemblyError(f"piece at {sign_to_str(sign)} is no polytope of "
+                raise AssemblyError(f"piece at {mask_to_str(m, self.dim)} is no polytope of "
                                     f"dimension {self.dim}")
             if piece not in checked:
                 try:
                     AntiBlockingBody(piece)
                 except ValueError as exc:
-                    raise AssemblyError(f"piece at {sign_to_str(sign)} is not anti-blocking: "
-                                        f"{exc}") from exc
+                    raise AssemblyError(f"piece at {mask_to_str(m, self.dim)} is not "
+                                        f"anti-blocking: {exc}") from exc
                 checked.add(piece)
         object.__setattr__(self, "pieces", pieces)
         _check_consistency(self.dim, pieces)
@@ -209,8 +210,8 @@ def _summed_coeffs(pairs) -> tuple[Fraction, ...]:
 
 def _reflected_vertices(a: OrthantAssembly):
     """Every piece's vertices reflected into its orthant, lazily, with repeats."""
-    return (tuple(x if s > 0 else -x for s, x in zip(sign, v))
-            for sign, p in zip(all_signs(a.dim), a.pieces) for v in p.vertices)
+    return (tuple([-x if m >> i & 1 else x for i, x in enumerate(v)])
+            for m, p in enumerate(a.pieces) for v in p.vertices)
 
 
 def _mask(v) -> int:
@@ -318,10 +319,9 @@ def _check_consistency(dim: int, pieces) -> None:
             if p is not q and ([r for r in scaled[p][0] if not r[i]]
                                != [r for r in scaled[q][0] if not r[i]]):
                 keep = tuple(j for j in range(dim) if j != i)
-                signs = all_signs(dim)
                 raise AssemblyError(
-                    f"projection mismatch between orthants {sign_to_str(signs[m])} and "
-                    f"{sign_to_str(signs[m | bit])} on the coordinates {keep}"
+                    f"projection mismatch between orthants {mask_to_str(m, dim)} and "
+                    f"{mask_to_str(m | bit, dim)} on the coordinates {keep}"
                 )
 
 
@@ -369,10 +369,6 @@ def assemble(dim: int, pieces) -> OrthantAssembly:
     return assembly
 
 
-def sign_to_str(sign: SignVector) -> str:
-    return "".join("+" if s > 0 else "-" for s in sign)
-
-
 def from_unconditional(p: VPolytope) -> OrthantAssembly:
     """The sign-symmetric body whose every orthant piece is the down-closed
     polytope ``p``."""
@@ -383,10 +379,10 @@ def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
     """The two families of axis-aligned simplices attaining the mixed-volume bound.
 
     Case 1 is conv(0, a_1 e_1, ..., a_n e_n); case 2 is
-    conv(a_1 e_1, -b_1 e_1, a_2 e_2, ..., a_n e_n).  The piece at a sign
-    vector is the aligned simplex of the body's axis ends on that side: a_i
-    on the + side of axis i, 0 on its - side but b_1 on the - side of axis 1
-    in case 2.  Every piece is a face of the body, so the assemblies validate
+    conv(a_1 e_1, -b_1 e_1, a_2 e_2, ..., a_n e_n).  The piece at orthant
+    mask m is the aligned simplex of the body's axis ends on that side: a_i
+    where bit i of m is clear; where it is set, 0, or b_1 for axis 1 in
+    case 2.  Every piece is a face of the body, so the assemblies validate
     as-is.
     """
     alphas = tuple(Fraction(a) for a in alphas)
@@ -404,8 +400,9 @@ def equality_family(case: int, alphas, beta1=None) -> OrthantAssembly:
         raise ValueError("case must be 1 or 2")
     minus = (Fraction(beta1),) + (Fraction(0),) * (n - 1)
     return assemble(n, [
-        AlignedSimplex([a if s > 0 else b for s, a, b in zip(sv, alphas, minus)]).to_polytope()
-        for sv in all_signs(n)])
+        AlignedSimplex([b if m >> i & 1 else a
+                        for i, (a, b) in enumerate(zip(alphas, minus))]).to_polytope()
+        for m in range(1 << cap_dim(n))])
 
 
 def lab_mixed(a: OrthantAssembly, b: OrthantAssembly, j: int) -> Fraction:
@@ -544,7 +541,7 @@ def proof_chain_audit(a: OrthantAssembly, j: int) -> ProofChainAudit:
     projection = sum(x * y for m in range(1 << n)
                      for x, y in zip(lo[m], reversed(hi[every ^ m])))
 
-    # Re-index each subspace sum by the sign vector that matches the piece on
+    # Re-index each subspace sum by the orthant that matches the piece on
     # E and its opposite off E; the products must agree term by term, and
     # each must stay below its piece's cap.
     reindexed = 0
@@ -589,31 +586,26 @@ def random_assembly(seed, n: int, style: str = "unconditional") -> OrthantAssemb
     """Deterministic random assembly of the requested style.
 
     "unconditional" reflects one random down-closed piece into every orthant;
-    "glued" samples, for each of n generator slots and every coordinate, one
-    value per sign in [0, COORD_MAX] (in [1, COORD_MAX] for one more, anchor
-    slot), which makes adjacent orthant projections agree by construction.
+    "glued" samples, for each of n generator slots and every coordinate i,
+    one value for each side of axis i in [0, COORD_MAX] (in [1, COORD_MAX]
+    for one more, anchor slot): the + side's at index 0, the - side's at 1,
+    so the piece at orthant mask m reads index ``m >> i & 1``.  That makes
+    adjacent orthant projections agree by construction.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(f"assembly:{seed}")
     if style == "unconditional":
         return from_unconditional(random_ab_body(rng, n).body)
     if style != "glued":
         raise ValueError(f"unknown style {style!r}")
-    per_sign = [
-        [
-            {1: rng.randint(0, COORD_MAX), -1: rng.randint(0, COORD_MAX)}
-            for _ in range(n)
-        ]
+    per_side = [
+        [(rng.randint(0, COORD_MAX), rng.randint(0, COORD_MAX)) for _ in range(n)]
         for _ in range(n)
     ]
     # One generator kept positive everywhere so each orthant piece is full-dim.
-    anchor = [
-        {1: rng.randint(1, COORD_MAX), -1: rng.randint(1, COORD_MAX)}
-        for _ in range(n)
-    ]
-    per_sign.append(anchor)
+    per_side.append([(rng.randint(1, COORD_MAX), rng.randint(1, COORD_MAX)) for _ in range(n)])
     pieces = []
-    for sv in all_signs(n):
-        gens = [tuple(Fraction(slot[i][sv[i]]) for i in range(n)) for slot in per_sign]
+    for m in range(1 << cap_dim(n)):
+        gens = [tuple(Fraction(slot[i][m >> i & 1]) for i in range(n)) for slot in per_side]
         pieces.append(ab_hull(gens, n).body)
     try:
         return assemble(n, pieces)

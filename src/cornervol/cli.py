@@ -351,8 +351,8 @@ def cmd_gen(args) -> int:
     if args.family in ("equality-1", "equality-2"):
         if not args.alphas:
             raise CliError(EXIT_PARSE, "--family equality-* needs --alphas")
-        alphas = _parse_rationals(args.alphas)
-        # equality_family meets the cap with its sign vectors.
+        alphas = _parse_rationals(args.alphas, "--alphas")
+        # equality_family meets the cap with its orthant count.
         if args.family == "equality-2":
             if args.beta is None:
                 raise CliError(EXIT_PARSE, "--family equality-2 needs --beta")
@@ -370,12 +370,19 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # simplex
 
-def _parse_rationals(text: str) -> list[Fraction]:
-    return [cio.parse_rational(part) for part in text.split(",") if part.strip()]
+def _parse_rationals(text: str, flag: str) -> list[Fraction]:
+    """The comma-separated rationals of ``flag``'s value; a blank value lists
+    none, and an empty entry in any other value is refused."""
+    if not text.strip():
+        return []
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise CliError(EXIT_PARSE, f"{flag} {text!r} has an empty entry")
+    return [cio.parse_rational(part) for part in parts]
 
 
 def cmd_simplex(args) -> int:
-    alphas = _parse_rationals(args.alphas)
+    alphas = _parse_rationals(args.alphas, "--alphas")
     if any(a < 0 for a in alphas):
         raise CliError(EXIT_PARSE, "alphas must be nonnegative")
     n = cap_dim(len(alphas))
@@ -383,7 +390,7 @@ def cmd_simplex(args) -> int:
         raise CliError(EXIT_PARSE, f"j must lie in 0..{n}")
     s = AlignedSimplex(alphas)
     if args.betas is not None:
-        betas = _parse_rationals(args.betas)
+        betas = _parse_rationals(args.betas, "--betas")
         if len(betas) != n:
             raise CliError(EXIT_PARSE, "need as many betas as alphas")
         t = AlignedSimplex(betas)

@@ -20,31 +20,6 @@ from functools import cache, reduce
 from . import hull as _hull
 from .hull import HullData, Vec, as_vec, hull_of_points
 
-__all__ = [
-    "Vec",
-    "VPolytope",
-    "convex_hull",
-    "volume",
-    "hull_data",
-    "shadow",
-    "minkowski_sum",
-    "scale",
-    "reflect",
-    "project",
-    "member",
-    "join_hull",
-    "linear_map",
-    "negate",
-    "standard_simplex",
-    "unit_cube",
-    "origin",
-    "sum_polytopes",
-    "max_dim",
-    "cap_dim",
-    "DimensionCapError",
-    "store_hull_data",
-]
-
 
 # The one dimension cap; CORNER_MIXVOL_MAX_DIM replaces it (``max_dim``).
 _CAP = 6
@@ -251,15 +226,6 @@ def scale(p: VPolytope, lam) -> VPolytope:
     return VPolytope(p.dim, verts)
 
 
-def reflect(p: VPolytope, signs) -> VPolytope:
-    signs = tuple(int(s) for s in signs)
-    if len(signs) != p.dim or any(s not in (-1, 1) for s in signs):
-        raise ValueError("sign vector must be +/-1 of matching dimension")
-    verts = tuple(sorted(tuple(x if s > 0 else -x for s, x in zip(signs, v))
-                         for v in p.vertices))
-    return VPolytope(p.dim, verts)
-
-
 @cache
 def negate(p: VPolytope) -> VPolytope:
     """-P, with its hull data derived from P's when the memo holds those.
@@ -270,7 +236,7 @@ def negate(p: VPolytope) -> VPolytope:
     same pivots after a sign change), and the volume and rank stay.  Under
     ``hull.strict_checks`` the derived data are compared with the engine's.
     """
-    neg = reflect(p, (-1,) * p.dim)
+    neg = VPolytope(p.dim, tuple(sorted(tuple([-x for x in v]) for v in p.vertices)))
     data = _hull_cache.get(p)
     if data is not None and neg not in _hull_cache:
         store_hull_data(neg, HullData(

@@ -9,9 +9,11 @@ A vertex list is parsed to ``Fraction``s and hulled by ``convex_hull``; a
 canonical list that the process has already hulled is answered by the hull
 memo (``VPolytope.from_points``).
 
-An assembly file keys its pieces by sign strings ("+-"), each read straight
-to its orthant mask (``mask_from_str``); an orthant the file omits holds the
-origin, and the ``OrthantAssembly`` constructor checks every piece.
+An assembly file keys its pieces by sign strings ("+-", "-" at the set bits
+of the orthant mask).  ``assembly.mask_to_str`` writes a mask's string and
+``mask_from_str`` reads one straight back to its mask; an orthant the file
+omits holds the origin, and the ``OrthantAssembly`` constructor checks every
+piece.
 
 An assembly file loaded again returns the assembly the process built the
 first time.  ``assembly_from_obj`` keys it by the dimension and the canonical
@@ -35,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import hull as _hull
 from .antiblocking import AntiBlockingBody, ab_hull
-from .assembly import OrthantAssembly, all_signs, assemble, sign_to_str
+from .assembly import OrthantAssembly, assemble, mask_to_str
 from .geometry import VPolytope, cap_dim, convex_hull, origin
 
 
@@ -116,7 +118,8 @@ def ab_from_obj(obj) -> AntiBlockingBody:
 
 
 def mask_from_str(s: str, dim: int) -> int:
-    """The orthant mask of a sign string: bit i is set where character i is "-"."""
+    """The orthant mask of a sign string: bit i is set where character i is
+    "-".  The inverse of ``assembly.mask_to_str``."""
     if len(s) != dim or any(c not in "+-" for c in s):
         raise ParseError(f"bad sign string {s!r} for dimension {dim}")
     return sum(1 << i for i, c in enumerate(s) if c == "-")
@@ -125,9 +128,7 @@ def mask_from_str(s: str, dim: int) -> int:
 def assembly_to_obj(a: OrthantAssembly) -> dict:
     return {
         "dim": a.dim,
-        "pieces": {
-            sign_to_str(sign): polytope_to_obj(p) for sign, p in zip(all_signs(a.dim), a.pieces)
-        },
+        "pieces": {mask_to_str(m, a.dim): polytope_to_obj(p) for m, p in enumerate(a.pieces)},
     }
 
 

@@ -178,11 +178,6 @@ def godbersen_equality_values(alphas, j: int) -> tuple[Fraction, Fraction]:
     return opposite / factorial(k), same / factorial(k)
 
 
-def last_axis_projection(p: VPolytope) -> VPolytope:
-    """Projection killing the last coordinate (used by the sum decomposition)."""
-    return project(p, tuple(range(p.dim - 1)))
-
-
 def sum_decomposition_check(s: AlignedSimplex) -> tuple[Fraction, Fraction]:
     """Both sides of Vol(D_n + K) = Vol(K) + Vol(D_n + P K).
 
@@ -194,5 +189,5 @@ def sum_decomposition_check(s: AlignedSimplex) -> tuple[Fraction, Fraction]:
     body = ordered.to_polytope()
     simplex = standard_simplex(n)
     lhs = volume(minkowski_sum(simplex, body))
-    rhs = volume(body) + volume(minkowski_sum(simplex, last_axis_projection(body)))
+    rhs = volume(body) + volume(minkowski_sum(simplex, project(body, tuple(range(n - 1)))))
     return lhs, rhs

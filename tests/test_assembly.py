@@ -17,7 +17,6 @@ from cornervol import (
     OrthantAssembly,
     ab_hull,
     ab_opposite_mixed,
-    all_signs,
     assemble,
     convex_hull,
     equality_family,
@@ -31,7 +30,6 @@ from cornervol import (
     origin,
     proof_chain_audit,
     random_assembly,
-    reflect,
     standard_simplex,
     unit_cube,
     volume,
@@ -45,6 +43,22 @@ from cornervol.assembly import (
 from cornervol.geometry import VPolytope, hull_data
 from cornervol.hull import hull_of_points
 from cornervol.io import assembly_from_obj, assembly_to_obj, mask_from_str, polytope_from_obj
+
+
+def sign_vectors(n):
+    """The 2^n sign vectors in orthant-mask order, the first coordinate's sign
+    changing fastest: the m-th is -1 exactly at the set bits of m."""
+    return [s[::-1] for s in itertools.product((1, -1), repeat=n)]
+
+
+def sign_string(sign):
+    return "".join("-" if s < 0 else "+" for s in sign)
+
+
+def diagonal(signs):
+    """The diagonal matrix of ``signs``, whose ``linear_map`` reflects through
+    the coordinate hyperplanes where a sign is -1."""
+    return [[s if i == k else 0 for k in range(len(signs))] for i, s in enumerate(signs)]
 
 
 class TestAssemble:
@@ -85,11 +99,41 @@ class TestAssemble:
             OrthantAssembly(2, (square,) * 3)
         with pytest.raises(AssemblyError, match="need 8 pieces by orthant mask, got 4"):
             OrthantAssembly(3, (square,) * 4)
-        with pytest.raises(AssemblyError, match=r"piece at -\+ is no polytope of dimension 2"):
-            OrthantAssembly(2, (square, unit_cube(3), square, square))
-        # A mapping from signs to pieces is no tuple of polytopes.
+        # The piece of another dimension is named by its orthant, at every mask.
+        for m, sign in enumerate(sign_vectors(2)):
+            pieces = [square] * 4
+            pieces[m] = unit_cube(3)
+            with pytest.raises(AssemblyError) as err:
+                OrthantAssembly(2, pieces)
+            assert str(err.value) == f"piece at {sign_string(sign)} is no polytope of dimension 2"
+        # A mapping from sign strings to pieces is no tuple of polytopes.
         with pytest.raises(AssemblyError, match=r"piece at \+\+ is no polytope"):
-            OrthantAssembly(2, dict.fromkeys(all_signs(2), square))
+            OrthantAssembly(2, dict.fromkeys(["++", "-+", "+-", "--"], square))
+
+    def test_projection_mismatch_names_both_orthants(self):
+        # Down-closed from (1, 1, 0) and (1, 0, 1) in the coordinates (i, k, l),
+        # the planted piece shares the cube's faces x_k = 0 and x_l = 0 but
+        # not its face x_i = 0, a triangle; so at mask m | 1 << i, beside a
+        # cube at mask m, it disagrees with that neighbour alone.
+        signs = sign_vectors(3)
+        for i in range(3):
+            k, l = (x for x in range(3) if x != i)
+            gens = []
+            for on in (k, l):
+                g = [0, 0, 0]
+                g[i] = g[on] = 1
+                gens.append(tuple(g))
+            planted = ab_hull(gens, 3).body
+            for m in range(8):
+                if m >> i & 1:
+                    continue
+                pieces = [unit_cube(3)] * 8
+                pieces[m | 1 << i] = planted
+                with pytest.raises(AssemblyError) as err:
+                    OrthantAssembly(3, pieces)
+                assert str(err.value) == (
+                    f"projection mismatch between orthants {sign_string(signs[m])} and "
+                    f"{sign_string(signs[m | 1 << i])} on the coordinates {(k, l)}")
 
     def test_non_downclosed_piece_rejected(self):
         # The constructor checks each piece through the piece type and names
@@ -196,7 +240,7 @@ class TestUnconditionalHull:
     def test_derived_hull_data_match_the_engine(self, piece):
         n = piece.dim
         reflected = sorted({tuple(s * x for s, x in zip(sign, v))
-                            for sign in all_signs(n) for v in piece.vertices})
+                            for sign in sign_vectors(n) for v in piece.vertices})
         assert hull_data(from_unconditional(piece).hull) == hull_of_points(reflected, n)
 
     def test_non_downclosed_equal_pieces_rejected(self):
@@ -284,7 +328,7 @@ class TestGluedHull:
         with pytest.raises(AssemblyError, match="projection mismatch"):
             OrthantAssembly(2, pieces)
         reflected = {tuple(s * x for s, x in zip(sign, v))
-                     for sign, piece in zip(all_signs(2), pieces) for v in piece.vertices}
+                     for sign, piece in zip(sign_vectors(2), pieces) for v in piece.vertices}
         hull = convex_hull(reflected, 2)
         assert hull == convex_hull([(2, 2), (2, 0), (0, 2), (-1, 0), (0, -1)])
         with pytest.raises(AssemblyError, match="union of pieces is not convex"):
@@ -429,7 +473,7 @@ class TestSharedProjections:
             for r in range(n + 1):
                 for idx in itertools.combinations(range(n), r):
                     groups = {}
-                    for sign, piece in zip(all_signs(n), a.pieces):
+                    for sign, piece in zip(sign_vectors(n), a.pieces):
                         key = tuple(sign[i] for i in idx)
                         groups.setdefault(key, []).append(project(piece, idx))
                     for projections in groups.values():
@@ -468,7 +512,7 @@ class TestNegation:
         for a in glued_bank[:8]:
             na = negate_assembly(a)
             assert negate_assembly(na) == a
-            assert na.hull == reflect(a.hull, (-1,) * a.dim)
+            assert na.hull == linear_map(a.hull, diagonal((-1,) * a.dim))
 
 
 class TestOrthantOrder:
@@ -478,11 +522,13 @@ class TestOrthantOrder:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bit_i_is_the_sign_of_coordinate_i(self, n):
-        signs = all_signs(n)
-        assert len(set(signs)) == len(signs) == 1 << n
+        signs = sign_vectors(n)
+        strings = [assembly.mask_to_str(m, n) for m in range(1 << n)]
+        assert len(set(strings)) == len(signs) == 1 << n
         for m, sign in enumerate(signs):
             assert [m >> i & 1 for i in range(n)] == [int(s == -1) for s in sign]
-            assert signs[~m] == tuple(-s for s in sign)
+            assert strings[m] == sign_string(sign)
+            assert strings[~m] == sign_string(tuple(-s for s in sign))
 
     def test_pieces_are_stored_in_mask_order(self):
         # A file names each piece by its sign string, in any order; loaded,
@@ -603,7 +649,7 @@ class TestAssemblySums:
     @staticmethod
     def assert_sums_match(a):
         n = a.dim
-        piece = dict(zip(all_signs(n), a.pieces))
+        piece = dict(zip(sign_vectors(n), a.pieces))
         opposite = {s: piece[tuple(-x for x in s)] for s in piece}
         assert a.piece_volume == sum(map(volume, piece.values()), F(0))
         for j in range(n + 1):
@@ -667,7 +713,7 @@ def fraction_audit(a, j):
     from ``projected_volume``: the oracle of the integer audit."""
     n = a.dim
     hull = a.hull
-    signs = all_signs(n)
+    signs = sign_vectors(n)
     piece = {s: AntiBlockingBody(p) for s, p in zip(signs, a.pieces)}  # by sign
 
     direct = mixed_volume_pair(hull, negate(hull), j)
@@ -790,7 +836,7 @@ class TestRandomAssembly:
         a = random_assembly(4, 3, "unconditional")
         assert negate_assembly(a) == a
         h = a.hull
-        assert reflect(h, (-1, 1, -1)) == h
+        assert linear_map(h, diagonal((-1, 1, -1))) == h
 
     def test_glued_soundness_sweep(self):
         # Generator construction must satisfy validation every time; 200

@@ -562,11 +562,28 @@ class TestSimplexCommand:
         assert run(capsys, "simplex", "--alphas", "1/0", "--j", "0") == (
             EXIT_PARSE, "", "error: bad rational '1/0'\n")
 
-    @pytest.mark.parametrize("betas", ["", ","], ids=repr)
-    def test_betas_without_a_value_exit_2(self, capsys, betas):
+    @pytest.mark.parametrize("betas, message", [
+        ("", "need as many betas as alphas"),
+        (",", "--betas ',' has an empty entry"),
+    ], ids=["''", "','"])
+    def test_betas_without_a_value_exit_2(self, capsys, betas, message):
         # An empty --betas lists no beta; it does not fall back to the lemma.
         assert run(capsys, "simplex", "--alphas", "1,2", "--betas", betas, "--j", "1") == (
-            EXIT_PARSE, "", "error: need as many betas as alphas\n")
+            EXIT_PARSE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["1,,2", "1,", ",2"])
+    @pytest.mark.parametrize("argv", [
+        ("simplex", "--alphas", "{}", "--j", "1"),
+        ("simplex", "--alphas", "1,2", "--betas", "{}", "--j", "1"),
+        ("gen", "--family", "equality-1", "--alphas", "{}"),
+    ], ids=["simplex --alphas", "simplex --betas", "gen --alphas"])
+    def test_empty_list_entry_exit_2(self, capsys, argv, value):
+        # An empty entry is refused, not skipped: "1,,2" would read as the
+        # two alphas 1 and 2.
+        flag = argv[argv.index("{}") - 1]
+        argv = [value if a == "{}" else a for a in argv]
+        assert run(capsys, *argv) == (
+            EXIT_PARSE, "", f"error: {flag} {value!r} has an empty entry\n")
 
     def test_cross_check_disagreement_exit_4(self, capsys, monkeypatch):
         real = cli.mixed_volume_pair

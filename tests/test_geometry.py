@@ -19,7 +19,6 @@ from cornervol import (
     negate,
     origin,
     project,
-    reflect,
     scale,
     standard_simplex,
     unit_cube,
@@ -57,6 +56,13 @@ def shoelace(poly) -> F:
     for a, b in zip(verts, verts[1:] + verts[:1]):
         total += a[0] * b[1] - b[0] * a[1]
     return abs(total) / 2
+
+
+def reflect(p, signs):
+    """The image of ``p`` under the diagonal matrix of ``signs``: a reflection
+    through the coordinate hyperplanes where a sign is -1."""
+    n = len(signs)
+    return linear_map(p, [[s if i == k else 0 for k in range(n)] for i, s in enumerate(signs)])
 
 
 def rand_points(rng, n, count, lo=-4, hi=4):
@@ -427,9 +433,10 @@ class TestMemberAndJoin:
 
 class TestTransforms:
     def test_reflect_examples(self):
-        assert reflect(standard_simplex(2), (-1, -1)) == convex_hull(
-            [(0, 0), (-1, 0), (0, -1)]
-        )
+        # Through both axes the reflection is the negation, which negate
+        # builds from the vertices without a hull.
+        assert reflect(standard_simplex(2), (-1, -1)) == negate(standard_simplex(2)) == (
+            convex_hull([(0, 0), (-1, 0), (0, -1)]))
         p = convex_hull([(1, 2), (0, 0), (2, 0)])
         assert reflect(p, (1, 1)) == p
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cornervol import ab_hull, all_signs, convex_hull, equality_family, geometry, random_assembly
+from cornervol import ab_hull, convex_hull, equality_family, geometry, random_assembly
 from cornervol import hull as hull_mod
 from cornervol import io as cio
+from cornervol.assembly import mask_to_str
 from cornervol.geometry import VPolytope, hull_data, volume
 from cornervol.io import (
     ParseError,
@@ -26,7 +27,6 @@ from cornervol.io import (
     polytope_from_obj,
     polytope_to_obj,
     mask_from_str,
-    sign_to_str,
 )
 
 
@@ -122,9 +122,12 @@ def test_ab_rejects_non_downclosed():
 
 
 def test_sign_strings():
-    assert sign_to_str((1, -1, 1)) == "+-+"
+    # "-" stands at the set bits of the mask, and each converter undoes the
+    # other for every orthant of every dimension up to the cap.
+    assert mask_to_str(0b010, 3) == "+-+"
     assert mask_from_str("+-+", 3) == 0b010
-    assert [mask_from_str(sign_to_str(s), 3) for s in all_signs(3)] == list(range(8))
+    for n in range(1, 7):
+        assert [mask_from_str(mask_to_str(m, n), n) for m in range(1 << n)] == list(range(1 << n))
     with pytest.raises(ParseError):
         mask_from_str("+-", 3)
     with pytest.raises(ParseError):
