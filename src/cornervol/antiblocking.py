@@ -21,11 +21,12 @@ from .geometry import (
     Vec,
     as_vec,
     cap_dim,
+    check_keep,
     convex_hull,
     hull_data,
-    shadow,
     volume,
 )
+from .hull import _scale_to_int
 
 # Largest coordinate of the seeded random generators.
 COORD_MAX = 4
@@ -74,25 +75,50 @@ def _rejection(poly: VPolytope) -> str:
 def ab_hull(generators, dim: int | None = None) -> AntiBlockingBody:
     """Smallest anti-blocking body containing the given nonnegative points.
 
-    Equals the hull of all coordinate maskings of the generators, i.e. the
-    union of the boxes [0, g].  The dimension meets the cap (``cap_dim``)
+    Equals the hull of all coordinate maskings g_S of the generators (g on
+    the coordinates S, 0 off them), i.e. the union of the boxes [0, g], and
+    every vertex of it is such a masking (Fulkerson 1971).  The dimension
+    meets the cap (``cap_dim``), and every generator its length and sign,
     before up to 2^n maskings per generator are enumerated.
+
+    Only the maskings that can be vertices are handed to the engine: g_S is
+    dropped when another generator h has h_i >= g_i on all of S and
+    h_k > g_k for some k in S.  Then g_S lies strictly between two distinct
+    points of the body, g_S with coordinate k set to 0 and g_S with
+    coordinate k set to h_k, which is at most h_S; so it is no vertex, and
+    the engine decides the same vertices, facets and volume from the
+    smaller unordered set.  The comparisons read the generators as integer
+    rows over one denominator.
     """
     gens = [as_vec(g) for g in generators]
     if not gens:
         raise ValueError("no generators")
     n = cap_dim(dim if dim is not None else len(gens[0]))
-    pts = set()
     for g in gens:
+        if len(g) != n:
+            raise ValueError(f"generator {_fmt(g)} has {len(g)} coordinates, not {n}")
         if any(x < 0 for x in g):
             raise ValueError("negative coordinate in generator")
-        support = [i for i, x in enumerate(g) if x != 0]
-        for keep in itertools.product((False, True), repeat=len(support)):
-            masked = list(g)
-            for flag, i in zip(keep, support):
-                if not flag:
-                    masked[i] = Fraction(0)
-            pts.add(tuple(masked))
+    rows, _ = _scale_to_int(gens)
+    zero = Fraction(0)
+    pts = set()
+    for g, row in zip(gens, rows):
+        support = sum(1 << i for i, x in enumerate(row) if x)
+        # Per generator h above g somewhere on g's support: the coordinates of
+        # g's support where h is at least g, and those where it is above g.
+        beats = []
+        for h in rows:
+            above = sum(1 << i for i, (x, y) in enumerate(zip(h, row)) if x > y) & support
+            if above:
+                beats.append((sum(1 << i for i, (x, y) in enumerate(zip(h, row)) if x >= y),
+                              above))
+        keep = support
+        while True:
+            if not any(keep & ~atleast == 0 and keep & above for atleast, above in beats):
+                pts.add(tuple(x if keep >> i & 1 else zero for i, x in enumerate(g)))
+            if not keep:
+                break
+            keep = (keep - 1) & support
     return AntiBlockingBody(convex_hull(pts, n))
 
 
@@ -130,9 +156,27 @@ def validate_ab(poly: VPolytope) -> bool:
                for a, b in data.facets)
 
 
+def _face(poly: VPolytope, keep: tuple[int, ...]) -> VPolytope:
+    """The face of a down-closed P where x_i = 0 for every i outside
+    ``keep``, in R^|keep|: P's shadow there, for a projection of a
+    down-closed body is its section.  Its vertices are P's vertices
+    supported in ``keep``, restricted to it; they keep P's strictly
+    lex-ascending order (the dropped coordinates are all 0), and each is a
+    vertex of the face, so the list is canonical and takes no hull to build.
+    Keeping every coordinate returns ``poly`` itself.
+    """
+    if len(keep) == poly.dim:
+        return poly
+    off = [i for i in range(poly.dim) if i not in keep]
+    return VPolytope(len(keep), tuple(tuple(v[i] for i in keep) for v, r in
+                                      zip(poly.vertices, poly.rows) if not any(r[i] for i in off)))
+
+
 def projected_volume(body: AntiBlockingBody, indices: tuple[int, ...]) -> Fraction:
-    """|indices|-dimensional volume of the projection onto those coordinates."""
-    return Fraction(1) if not indices else volume(shadow(body.body, indices))
+    """|indices|-dimensional volume of the projection onto those coordinates,
+    read off the body's face there (``_face``)."""
+    check_keep(body.dim, indices)
+    return Fraction(1) if not indices else volume(_face(body.body, indices))
 
 
 @cache
@@ -140,17 +184,30 @@ def normalized_shadow_volumes(poly: VPolytope, size: int) -> tuple[int, ...]:
     """|E|! Vol(D P_E) for every ``size``-element coordinate set E, in
     ``itertools.combinations`` order; D is the polytope's ``denom``.
 
-    D P has integer vertices, so each of its shadows is a lattice polytope
-    and its normalized volume |E|! Vol is an integer; the conversion is
-    exact, and a value that is not an integer is an engine bug.  The shadow
-    on the empty set has measure 1, and the shadow on every coordinate is
-    P itself, so sizes 0 and n take no shadow hull.  The complement of the
-    k-th set of one size is the k-th set from the end of the other size.
+    P must be down-closed (``validate_ab``; ValueError otherwise), so its
+    shadow on E is its face there (``_face``), a memoized hull shared by
+    every piece that agrees with P on E.  D P has integer vertices, so each
+    of its shadows is a lattice polytope and its normalized volume |E|! Vol
+    is an integer; the conversion is exact, and a value that is not an
+    integer, or a face list with a point that is no vertex, is an engine
+    bug.  The shadow on the empty set has measure 1, and the shadow on every
+    coordinate is P itself, so sizes 0 and n take no shadow hull.  The
+    complement of the k-th set of one size is the k-th set from the end of
+    the other size.
     """
+    if not validate_ab(poly):
+        raise ValueError(_rejection(poly))
+    if not size:
+        return (1,)
     scale = factorial(size) * poly.denom ** size
     out = []
     for keep in itertools.combinations(range(poly.dim), size):
-        x = volume(shadow(poly, keep)) * scale if keep else Fraction(1)
+        face = _face(poly, keep)
+        try:
+            x = volume(face) * scale
+        except ValueError as exc:
+            raise RuntimeError(f"face {face} of {poly} on {keep} is not canonical "
+                               f"(engine bug): {exc}") from exc
         if x.denominator != 1:
             raise RuntimeError(f"normalized volume {x} of the shadow of {poly} on {keep} "
                                "is not an integer (engine bug)")

@@ -190,19 +190,26 @@ def volume(poly: VPolytope) -> Fraction:
     return hull_data(poly).volume
 
 
+def check_keep(dim: int, keep: tuple[int, ...], nonempty: bool = False) -> None:
+    """ValueError unless ``keep`` names a coordinate subspace of R^dim: it is
+    strictly ascending inside range(dim), and nonempty when asked."""
+    if (nonempty and not keep) or list(keep) != sorted(set(keep)) or keep and (
+            keep[0] < 0 or keep[-1] >= dim):
+        raise ValueError(
+            f"coordinates to keep must be strictly ascending in range({dim}), got {keep!r}")
+
+
 def shadow(poly: VPolytope, keep: tuple[int, ...]) -> VPolytope:
     """Hull of the vertices restricted to the coordinates ``keep``, in R^|keep|.
 
     ``keep`` must be nonempty and strictly ascending inside range(dim);
     keeping every coordinate returns ``poly`` itself.  For an anti-blocking
     body the shadow on a coordinate subspace is its projection and its section
-    there at once, the quantity the projection-split formula multiplies.
+    there at once, the quantity the projection-split formula multiplies; the
+    ``antiblocking`` routes read it off that face, with no hull of projected
+    points, and this general hull serves the other polytopes.
     """
-    if not keep or keep[0] < 0 or keep[-1] >= poly.dim or sorted(set(keep)) != list(keep):
-        raise ValueError(
-            f"coordinates to keep must be strictly ascending in range({poly.dim}), "
-            f"got {keep!r}"
-        )
+    check_keep(poly.dim, keep, nonempty=True)
     if len(keep) == poly.dim:
         return poly
     return VPolytope.from_points({tuple(v[i] for i in keep) for v in poly.vertices}, len(keep))
@@ -251,11 +258,7 @@ def project(p: VPolytope, keep: tuple[int, ...]) -> VPolytope:
     ``keep`` must be strictly ascending inside range(dim), as for ``shadow``;
     the empty tuple projects onto the origin.
     """
-    if list(keep) != sorted(set(keep)) or keep and (keep[0] < 0 or keep[-1] >= p.dim):
-        raise ValueError(
-            f"coordinates to keep must be strictly ascending in range({p.dim}), "
-            f"got {keep!r}"
-        )
+    check_keep(p.dim, keep)
     pts = {
         tuple(x if i in keep else Fraction(0) for i, x in enumerate(v))
         for v in p.vertices

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, factorial
 from unittest.mock import patch
@@ -34,8 +35,8 @@ from cornervol import (
     validate_ab,
     volume,
 )
-from cornervol.antiblocking import projected_volume
-from cornervol.geometry import VPolytope
+from cornervol.antiblocking import normalized_shadow_volumes, projected_volume
+from cornervol.geometry import VPolytope, hull_data, shadow
 from cornervol.io import assembly_from_obj, assembly_to_obj, dumps
 
 
@@ -108,6 +109,17 @@ class TestAbHull:
         with pytest.raises(ValueError):
             ab_hull([(1, -1)])
 
+    @pytest.mark.parametrize("args, named", [
+        (([(1, 2), (1, 2, 3)],), r"generator \(1, 2, 3\) has 3 coordinates, not 2"),
+        (([(1, 2, 3)], 2), r"generator \(1, 2, 3\) has 3 coordinates, not 2"),
+        (([(1, 2)], 3), r"generator \(1, 2\) has 2 coordinates, not 3"),
+    ])
+    def test_rejects_a_generator_of_another_length(self, monkeypatch, args, named):
+        # Refused before any masking is enumerated, as the cap is.
+        monkeypatch.setattr(antiblocking, "Fraction", None)
+        with pytest.raises(ValueError, match=named):
+            ab_hull(*args)
+
     def test_monotone_in_generators(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -121,6 +133,97 @@ class TestAbHull:
     @settings(max_examples=40, deadline=None)
     def test_constructor_soundness(self, gens):
         assert validate_ab(ab_hull(gens, 3).body)
+
+
+def all_maskings(gens, n):
+    """The hull of every masking of every generator, dominated or not: the
+    down-closure as ``ab_hull`` built it before it dropped the maskings
+    that cannot be vertices."""
+    pts = set()
+    for g in gens:
+        g = tuple(F(x) for x in g)
+        support = [i for i, x in enumerate(g) if x]
+        for keep in itertools.product((False, True), repeat=len(support)):
+            masked = list(g)
+            for flag, i in zip(keep, support):
+                if not flag:
+                    masked[i] = F(0)
+            pts.add(tuple(masked))
+    return convex_hull(pts, n)
+
+
+@st.composite
+def generator_sets(draw):
+    """Dimension 1-5 and nonnegative rational generators, at times with the
+    zero generator or a repeated one among them."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens.append((F(0),) * n)
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    return n, draw(st.permutations(gens))
+
+
+def shadow_oracle(poly, size):
+    """``normalized_shadow_volumes`` from the hull of the projected vertices."""
+    unit = factorial(size) * poly.denom ** size
+    return tuple(volume(shadow(poly, e)) * unit if e else 1
+                 for e in itertools.combinations(range(poly.dim), size))
+
+
+@pytest.mark.usefixtures("strict_hull")
+class TestVertexMaskings:
+    """``ab_hull`` hulls only the maskings that can be vertices, and a
+    down-closed polytope's shadows are read off its faces; each against the
+    route it replaced."""
+
+    @given(generator_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_pruned_maskings_give_the_same_body(self, drawn):
+        n, gens = drawn
+        body = ab_hull(gens, n).body
+        oracle = all_maskings(gens, n)
+        assert body == oracle
+        assert hull_data(body) == hull_data(oracle)
+
+    @given(generator_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_faces_give_the_shadow_volumes(self, drawn):
+        n, gens = drawn
+        k = ab_hull(gens, n)
+        for size in range(n + 1):
+            assert normalized_shadow_volumes(k.body, size) == shadow_oracle(k.body, size)
+            for e in itertools.combinations(range(n), size):
+                assert projected_volume(k, e) == (volume(shadow(k.body, e)) if e else 1)
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_faces_of_every_glued_piece(self, seed, n):
+        a = random_assembly(f"faces-{seed}", n, "glued")
+        for p in a.pieces:
+            assert ab_hull(p.vertices, n).body == p == all_maskings(p.vertices, n)
+            for size in range(n + 1):
+                assert normalized_shadow_volumes(p, size) == shadow_oracle(p, size)
+
+    def test_rejects_a_body_that_is_not_down_closed(self):
+        # Its face on {0} is the point (1), while its shadow there is [0, 1].
+        poly = convex_hull([(1, 0), (0, 1), (1, 1)])
+        assert volume(shadow(poly, (0,))) == 1
+        with pytest.raises(ValueError, match="polytope is not down-closed"):
+            normalized_shadow_volumes(poly, 1)
+
+    def test_a_face_the_engine_finds_redundant_is_an_engine_bug(self, monkeypatch):
+        poly = ab_hull([(F(7, 3), F(5, 3), F(4, 3))], 3).body
+        real = hull_mod.hull_of_points
+
+        def dropping(points, dim):
+            data = real(points, dim)
+            return replace(data, vertices=data.vertices[1:]) if dim < 3 else data
+
+        monkeypatch.setattr(geometry, "hull_of_points", dropping)
+        with pytest.raises(RuntimeError, match="not canonical.*engine bug"):
+            normalized_shadow_volumes(poly, 2)
 
 
 class TestValidateAb:

@@ -308,8 +308,10 @@ class TestAuditAndGen:
     # Hull calls of a cold ``audit --j j`` of the glued dim-3 file of seed
     # 2028, each j in a fresh process.  The load hulls 3 distinct pieces; the
     # negated pieces and the negated body take none, since ``negate`` derives
-    # their hull data (before that, 7, 21, 21 and 7 calls).
-    COLD_HULLS = {0: 3, 1: 17, 2: 17, 3: 3}
+    # their hull data (before that, 7, 21, 21 and 7 calls).  At j = 1 and 2
+    # the shadows are the pieces' faces, one hull for each distinct face
+    # (17 calls when every piece's shadows were hulled).
+    COLD_HULLS = {0: 3, 1: 11, 2: 11, 3: 3}
 
     @pytest.mark.parametrize("j", sorted(COLD_HULLS))
     def test_cold_audit_takes_no_more_hulls(self, capsys, tmp_path, monkeypatch, j):
